@@ -1,26 +1,21 @@
 """Hot numeric kernels: batched empirical characteristic function evaluation.
 
-Two implementations are provided for each kernel: a numba ``@njit`` version
-(default) and a pure-numpy version. Set the environment variable
-``SPECCOV_NO_NUMBA=1`` before import to force the numpy path, e.g. on
-platforms where numba is unavailable or for benchmarking
-(``benchmarks/bench_kernels.py`` compares both).
-
-Accumulation is in fixed row order so repeated runs on the same data give
-identical results.
+Both kernels are vectorised numpy and sum over the rows of the data in a
+fixed order, so repeated runs on the same data give identical results.
 """
-
-import os
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
 
-def _probe_cf_numpy(Y, U):
-    # <U*u_ij, y> = U*(y_i + y_j)/sqrt(2) for i != j, so all pairwise probes
-    # reduce to one complex rank-n product: pair[i, j] = mean_k z_ki * z_kj
-    # with z = exp(1j*U*Y/sqrt(2)). Diagonal probes use U*u_i = U*e_i.
+def probe_cf(Y, U):
+    """ECF at the probe frequencies ``U * e_i`` and ``U * (e_i + e_j)/sqrt(2)``.
+
+    <U*u_ij, y> = U*(y_i + y_j)/sqrt(2) for i != j, so all pairwise probes
+    reduce to one complex rank-n product: pair[i, j] = mean_k z_ki * z_kj
+    with z = exp(1j*U*Y/sqrt(2)). Diagonal probes use U*u_i = U*e_i.
+    """
     n = Y.shape[0]
     cf_diag = np.exp(1j * U * Y).sum(axis=0) / n
     z = np.exp(1j * (U / _SQRT2) * Y)
@@ -28,56 +23,7 @@ def _probe_cf_numpy(Y, U):
     return cf_diag, cf_pair
 
 
-def _ecf_numpy(Y, freqs):
+def ecf(Y, freqs):
+    """ECF at each row of ``freqs``: the mean over k of exp(i<f, Y_k>)."""
     n = Y.shape[0]
     return np.exp(1j * (Y @ freqs.T)).sum(axis=0) / n
-
-
-def _probe_cf_loops(Y, U):
-    n, p = Y.shape
-    cf_diag = np.zeros(p, dtype=np.complex128)
-    cf_pair = np.zeros((p, p), dtype=np.complex128)
-    z = np.empty(p, dtype=np.complex128)
-    c = U / _SQRT2
-    for k in range(n):
-        for i in range(p):
-            cf_diag[i] += np.exp(1j * U * Y[k, i])
-            z[i] = np.exp(1j * c * Y[k, i])
-        for i in range(p):
-            for j in range(p):
-                cf_pair[i, j] += z[i] * z[j]
-    return cf_diag / n, cf_pair / n
-
-
-def _ecf_loops(Y, freqs):
-    n, p = Y.shape
-    m = freqs.shape[0]
-    out = np.zeros(m, dtype=np.complex128)
-    for k in range(n):
-        for l in range(m):
-            t = 0.0
-            for i in range(p):
-                t += freqs[l, i] * Y[k, i]
-            out[l] += np.exp(1j * t)
-    return out / n
-
-
-def _want_numba():
-    return os.environ.get("SPECCOV_NO_NUMBA", "0") in ("", "0")
-
-
-NUMBA_ENABLED = False
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        probe_cf = njit(cache=True)(_probe_cf_loops)
-        ecf = njit(cache=True)(_ecf_loops)
-        NUMBA_ENABLED = True
-    except ImportError:
-        probe_cf = _probe_cf_numpy
-        ecf = _ecf_numpy
-else:
-    probe_cf = _probe_cf_numpy
-    ecf = _ecf_numpy

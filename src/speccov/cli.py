@@ -11,13 +11,14 @@ and the exit code is nonzero.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from . import harness, shrinkage, spectral
-from .shrinkage import CvConfig, PdSoftConfig
+from .shrinkage import CvConfig
 
 
 def _load_matrix(path):
@@ -37,7 +38,7 @@ def _write_matrix(mat, path):
 def _cmd_estimate(args):
     Y = _load_matrix(args.input)
     tuning = {"tau": args.tau, "U": args.u, "lambda": args.barrier}
-    est = harness._run_estimator(args.estimator, tuning, Y, Y.T @ Y / len(Y))
+    est = harness.ESTIMATORS[args.estimator](Y, tuning)
     _write_matrix(est.matrix, args.output)
     return 0
 
@@ -45,10 +46,7 @@ def _cmd_estimate(args):
 def _cmd_simulate(args):
     spec = harness.load_spec(args.config)
     if args.replications is not None:
-        spec = harness.ExperimentSpec(
-            scenario=spec.scenario, estimators=spec.estimators,
-            replications=args.replications, cv=spec.cv, cv_rule=spec.cv_rule,
-            output=spec.output)
+        spec = dataclasses.replace(spec, replications=args.replications)
     records = harness.run_experiment(spec)
     out = args.output or spec.output
     if out:
@@ -71,7 +69,8 @@ def _cmd_cv(args):
     else:
         grid = np.geomspace(1e-3, 2.0, 40).tolist()
     cfg = CvConfig(num_splits=args.splits, tau_grid=grid, seed=args.seed)
-    tau_hat, Q = shrinkage.cross_validate_tau(Y, args.u, cfg, rule=args.rule)
+    fit = harness.cv_fit(args.rule, {"U": args.u})
+    tau_hat, Q = shrinkage.cross_validate_tau(Y, args.u, cfg, fit)
     print(f"tau_hat,{tau_hat}")
     for t, q in zip(grid, Q):
         print(f"{t},{q}")
@@ -105,7 +104,7 @@ def build_parser():
     est = sub.add_parser("estimate", help="estimate from a data file")
     est.add_argument("--input", required=True,
                      help="delimited numeric matrix, rows = observations")
-    est.add_argument("--estimator", default="sps", choices=harness.ESTIMATOR_TAGS)
+    est.add_argument("--estimator", default="sps", choices=harness.ESTIMATORS)
     est.add_argument("--u", type=float, default=1.0, help="probe radius U")
     est.add_argument("--tau", type=float, default=0.25)
     est.add_argument("--barrier", type=float, default=1e-4,
@@ -126,7 +125,7 @@ def build_parser():
     cv.add_argument("--grid", default=None, help="comma-separated tau grid")
     cv.add_argument("--splits", type=int, default=100)
     cv.add_argument("--seed", type=int, default=0)
-    cv.add_argument("--rule", default="sps", choices=("sps", "soft", "hard", "pds"))
+    cv.add_argument("--rule", default="sps", choices=harness.THRESHOLD_TAGS)
     cv.set_defaults(func=_cmd_cv)
 
     rates = sub.add_parser("rates", help="print theory tables")

@@ -34,7 +34,8 @@ __all__ = [
     "spec_from_dict",
 ]
 
-ESTIMATOR_TAGS = ("cov", "pds", "sps", "hard", "soft", "lowrank", "elliptical")
+# estimators that take tau; a cv: block selects it and its rule is one of them
+THRESHOLD_TAGS = ("sps", "soft", "hard", "pds")
 
 CSV_HEADER = [
     "replication", "estimator", "frob_error", "wall_time_s",
@@ -57,8 +58,10 @@ class ExperimentSpec:
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         for tag, _ in self.estimators:
-            if tag not in ESTIMATOR_TAGS:
+            if tag not in ESTIMATORS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
+        if self.cv is not None and self.cv_rule not in THRESHOLD_TAGS:
+            raise ValueError(f"unknown cv rule {self.cv_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -92,43 +95,49 @@ def _generator_from_tuning(tuning):
     raise ValueError(f"unknown elliptical generator {gen_kind!r}")
 
 
-def _pd_config(tuning, tau, lam):
+def _pd_config(tuning):
     return PdSoftConfig(
-        tau=tau,
-        lambda_barrier=lam,
+        tau=tuning.get("tau"),
+        lambda_barrier=tuning.get("lambda", 1e-4),
         max_iter=int(tuning.get("max_iter", 10_000)),
         tol=float(tuning.get("tol", 1e-7)),
         rho_admm=float(tuning.get("rho_admm", 1.0)),
     )
 
 
-def _run_estimator(tag, tuning, Y, truth):
-    tau = tuning.get("tau")
-    U = tuning.get("U", 1.0)
-    lam = tuning.get("lambda", 1e-4)
-    if tag == "cov":
-        return shrinkage.sample_covariance(Y)
-    if tag == "pds":
-        return shrinkage.pds_baseline(Y, _pd_config(tuning, tau, lam))
-    if tag == "sps":
-        base = spectral.spectral_estimate(Y, U)
-        return shrinkage.pd_soft_threshold(base, _pd_config(tuning, tau, lam))
-    if tag == "hard":
-        return shrinkage.hard_threshold(spectral.spectral_estimate(Y, U), tau)
-    if tag == "soft":
-        return shrinkage.soft_threshold(spectral.spectral_estimate(Y, U), tau)
-    if tag == "lowrank":
-        cfg = lowrank.LowRankConfig(
-            U=U,
-            lambda_nuc=tuning.get("lambda_nuc", lam),
-            mc_samples=int(tuning.get("mc_samples", 4096)),
-        )
-        w = lowrank.bump_weight(truth.shape[0],
-                                mc_points=int(tuning.get("weight_mc_points", 10**5)))
-        return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
-    if tag == "elliptical":
-        return spectral.elliptical_spectral_estimate(Y, U, _generator_from_tuning(tuning))
-    raise ValueError(f"unknown estimator tag {tag!r}")
+def _spectral(Y, tuning):
+    return spectral.spectral_estimate(Y, tuning.get("U", 1.0))
+
+
+def _lowrank(Y, tuning):
+    cfg = lowrank.LowRankConfig(
+        U=tuning.get("U", 1.0),
+        lambda_nuc=tuning.get("lambda_nuc", tuning.get("lambda", 1e-4)),
+        mc_samples=int(tuning.get("mc_samples", 4096)),
+    )
+    w = lowrank.bump_weight(Y.shape[1],
+                            mc_points=int(tuning.get("weight_mc_points", 10**5)))
+    return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
+
+
+# tag -> fn(Y, tuning) -> CovEstimate, for an (n, p) array Y. Entries call
+# package functions through their modules, so a rebound module attribute
+# (perfbench's tracer, a test's monkeypatch) takes effect.
+ESTIMATORS = {
+    "cov": lambda Y, t: shrinkage.sample_covariance(Y),
+    "pds": lambda Y, t: shrinkage.pds_baseline(Y, _pd_config(t)),
+    "sps": lambda Y, t: shrinkage.pd_soft_threshold(_spectral(Y, t), _pd_config(t)),
+    "hard": lambda Y, t: shrinkage.hard_threshold(_spectral(Y, t), t.get("tau")),
+    "soft": lambda Y, t: shrinkage.soft_threshold(_spectral(Y, t), t.get("tau")),
+    "lowrank": _lowrank,
+    "elliptical": lambda Y, t: spectral.spectral_estimate(
+        Y, t.get("U", 1.0), _generator_from_tuning(t)),
+}
+
+
+def cv_fit(tag, tuning):
+    """The ``fit(train, tau)`` callable of cross_validate_tau for one tag."""
+    return lambda train, tau: ESTIMATORS[tag](train, {**tuning, "tau": tau})
 
 
 def _admissible_flag(tuning, n, p):
@@ -155,8 +164,10 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
                      seed=_rep_seed(spec.scenario.seed, spec.replications)))
         U_cv = next((t.get("U", 1.0) for tag, t in spec.estimators
                      if tag in ("sps", "hard", "soft")), 1.0)
-        tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv,
-                                                 rule=spec.cv_rule)
+        rule_tuning = next((t for tag, t in spec.estimators
+                            if tag == spec.cv_rule), {})
+        fit = cv_fit(spec.cv_rule, {**rule_tuning, "U": U_cv})
+        tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
     records = []
     for rep in range(spec.replications):
         sample = simgen.sample_scenario(
@@ -164,11 +175,11 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
                      n=n, seed=_rep_seed(spec.scenario.seed, rep)))
         for tag, tuning in spec.estimators:
             tuning = dict(tuning)
-            if tau_cv is not None and tag in ("pds", "sps", "hard", "soft"):
+            if tau_cv is not None and tag in THRESHOLD_TAGS:
                 tuning["tau"] = tau_cv
             t0 = time.perf_counter()
             try:
-                est = _run_estimator(tag, tuning, sample, truth)
+                est = ESTIMATORS[tag](sample.data, tuning)
                 err_msg = None
                 frob = simgen.frobenius_error(est, truth)
             except Exception as exc:  # isolate failures per record

@@ -171,45 +171,15 @@ def pds_baseline(Y, cfg: PdSoftConfig) -> CovEstimate:
     return pd_soft_threshold(sample_covariance(Y), cfg)
 
 
-def _fit_rule(rule, Y, U, tau, pd_cfg):
-    if rule == "sps":
-        return pd_soft_threshold(
-            spectral_estimate(Y, U),
-            PdSoftConfig(
-                tau=tau,
-                lambda_barrier=pd_cfg.lambda_barrier,
-                max_iter=pd_cfg.max_iter,
-                tol=pd_cfg.tol,
-                rho_admm=pd_cfg.rho_admm,
-            ),
-        )
-    if rule == "soft":
-        return soft_threshold(spectral_estimate(Y, U), tau)
-    if rule == "hard":
-        return hard_threshold(spectral_estimate(Y, U), tau)
-    if rule == "pds":
-        return pds_baseline(
-            Y,
-            PdSoftConfig(
-                tau=tau,
-                lambda_barrier=pd_cfg.lambda_barrier,
-                max_iter=pd_cfg.max_iter,
-                tol=pd_cfg.tol,
-                rho_admm=pd_cfg.rho_admm,
-            ),
-        )
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def cross_validate_tau(Y, U, cfg: CvConfig, rule="sps", pd_cfg=None):
+def cross_validate_tau(Y, U, cfg: CvConfig, fit):
     """Split-based selection of the threshold tau.
 
     The data is split num_splits times into a training part of size
     n1 = n - n2 and a validation part of size n2 = floor(n / log n). For
-    each grid tau the rule-estimator is fit on the training part and
-    compared (squared Frobenius) to the plain spectral estimate on the
-    validation part; the returned tau minimizes the summed score, ties
-    broken toward the smaller tau.
+    each grid tau, ``fit(train, tau)`` returns the rule estimate on the
+    training part, which is compared (squared Frobenius) to the plain
+    spectral estimate at radius U on the validation part; the returned tau
+    minimizes the summed score, ties broken toward the smaller tau.
 
     Returns (tau_hat, Q) with Q the score for each grid point.
     """
@@ -221,8 +191,6 @@ def cross_validate_tau(Y, U, cfg: CvConfig, rule="sps", pd_cfg=None):
     n1 = n - n2
     if n1 < 1 or n2 < 1:
         raise ValueError(f"degenerate split sizes n1={n1}, n2={n2}")
-    if pd_cfg is None:
-        pd_cfg = PdSoftConfig(tau=1.0)
     grid = np.asarray(cfg.tau_grid, dtype=float)
     Q = np.zeros(len(grid))
     for m in range(cfg.num_splits):
@@ -231,7 +199,7 @@ def cross_validate_tau(Y, U, cfg: CvConfig, rule="sps", pd_cfg=None):
         train, val = data[perm[:n1]], data[perm[n1:]]
         val_est = spectral_estimate(val, U).matrix
         for t, tau in enumerate(grid):
-            fit = _fit_rule(rule, train, U, float(tau), pd_cfg)
-            Q[t] += float(np.sum((fit.matrix - val_est) ** 2))
+            est = fit(train, float(tau))
+            Q[t] += float(np.sum((est.matrix - val_est) ** 2))
     # argmin returns the first (= smallest) tau on ties; grid is ascending
     return float(grid[int(np.argmin(Q))]), Q

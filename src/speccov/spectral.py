@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charfreq import ZERO_MODULUS_TOL, direction_vector, probe_log_moduli
+from .charfreq import probe_log_moduli
 
 __all__ = [
     "SpectralConfig",
@@ -24,9 +24,6 @@ __all__ = [
     "gaussian_generator",
     "stable_generator",
     "spectral_estimate",
-    "spectral_estimate_from_cf",
-    "elliptical_spectral_estimate",
-    "elliptical_estimate_from_cf",
     "tau_threshold",
     "admissible",
     "spectral_radius_star",
@@ -116,6 +113,9 @@ def gaussian_generator() -> EllipticalGenerator:
     )
 
 
+_GAUSSIAN = gaussian_generator()
+
+
 def stable_generator(alpha: float) -> EllipticalGenerator:
     """Generator eta(x) = x**(alpha/2) of a multivariate alpha-stable law."""
     if not (0 < alpha <= 2):
@@ -128,13 +128,15 @@ def stable_generator(alpha: float) -> EllipticalGenerator:
     )
 
 
-def _assemble(diag_logmod, pair_logmod, U, eta_inv, kind, tuning):
+def _assemble(diag_logmod, pair_logmod, U, gen=None):
     """Build the symmetric estimate from probe log-moduli.
 
     Negative -log|cf| values (|cf| > 1 by float error) are clamped to 0
     before eta_inv. Diagonal first, then off-diagonal corrected by the
-    diagonal halves.
+    diagonal halves. ``gen=None`` is the Gaussian generator and gives kind
+    "spectral"; any other generator gives kind "elliptical".
     """
+    eta_inv = (_GAUSSIAN if gen is None else gen).eta_inv
     usq = U * U
     raw_diag = np.clip(-np.asarray(diag_logmod, dtype=float), 0.0, None)
     raw_pair = np.clip(-np.asarray(pair_logmod, dtype=float), 0.0, None)
@@ -152,56 +154,21 @@ def _assemble(diag_logmod, pair_logmod, U, eta_inv, kind, tuning):
         i, j = np.argwhere(bad)[0]
         raise EstimationError(f"eta_inv out of domain at probe ({i}, {j})")
     # q is exactly symmetric and the diagonal correction term is too
-    return CovEstimate(matrix=mat, estimator_kind=kind, tuning=tuning)
+    kind = "spectral" if gen is None else "elliptical"
+    return CovEstimate(matrix=mat, estimator_kind=kind, tuning={"U": U})
 
 
-def spectral_estimate(Y, U: float) -> CovEstimate:
+def spectral_estimate(
+    Y, U: float, gen: Optional[EllipticalGenerator] = None
+) -> CovEstimate:
     """Spectral covariance estimate at probe radius U.
 
-    Diagonal: sigma_ii = eta_inv(-log|ecf(U e_i)|)/U^2 with the Gaussian
-    eta_inv(y) = 2y; off-diagonal entries subtract the diagonal halves.
-    Identical (bitwise) to :func:`elliptical_spectral_estimate` with the
-    Gaussian generator.
+    Diagonal: sigma_ii = eta_inv(-log|ecf(U e_i)|)/U^2, by default with the
+    Gaussian eta_inv(y) = 2y; off-diagonal entries subtract the diagonal
+    halves. Pass ``gen`` for an elliptical signal with a known generator.
     """
     diag, pair = probe_log_moduli(Y, U)
-    return _assemble(diag, pair, U, gaussian_generator().eta_inv, "spectral", {"U": U})
-
-
-def elliptical_spectral_estimate(Y, U: float, gen: EllipticalGenerator) -> CovEstimate:
-    """Spectral estimate for an elliptical signal with known generator."""
-    diag, pair = probe_log_moduli(Y, U)
-    return _assemble(diag, pair, U, gen.eta_inv, "elliptical", {"U": U})
-
-
-def _logmod_from_cf(cf: Callable, p: int, U: float):
-    diag = np.empty(p)
-    pair = np.zeros((p, p))
-    for i in range(p):
-        m = abs(complex(cf(U * direction_vector(i + 1, i + 1, p))))
-        diag[i] = 0.0 if m <= ZERO_MODULUS_TOL else math.log(m)
-    for i in range(p):
-        for j in range(i + 1, p):
-            m = abs(complex(cf(U * direction_vector(i + 1, j + 1, p))))
-            v = 0.0 if m <= ZERO_MODULUS_TOL else math.log(m)
-            pair[i, j] = pair[j, i] = v
-    return diag, pair
-
-
-def spectral_estimate_from_cf(cf: Callable, p: int, U: float) -> CovEstimate:
-    """Spectral estimate with a caller-supplied characteristic function.
-
-    Test hook: substituting the exact cf of the signal recovers Sigma
-    exactly in the noiseless case.
-    """
-    diag, pair = _logmod_from_cf(cf, p, U)
-    return _assemble(diag, pair, U, gaussian_generator().eta_inv, "spectral", {"U": U})
-
-
-def elliptical_estimate_from_cf(
-    cf: Callable, p: int, U: float, gen: EllipticalGenerator
-) -> CovEstimate:
-    diag, pair = _logmod_from_cf(cf, p, U)
-    return _assemble(diag, pair, U, gen.eta_inv, "elliptical", {"U": U})
+    return _assemble(diag, pair, U, gen)
 
 
 def tau_threshold(cfg: SpectralConfig, n: int, p: int) -> float:

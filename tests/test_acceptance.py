@@ -24,8 +24,7 @@ from speccov.simgen import (
     noise_cf,
     sample_scenario,
 )
-
-cp = pytest.importorskip("cvxpy")
+from test_spectral import exact_cf_estimate
 
 
 def report(num, ok, detail):
@@ -76,7 +75,7 @@ class TestCriterion2NoiselessSanity:
         A = rng.standard_normal((4, 4))
         S = A @ A.T / 4 + 0.5 * np.eye(4)
         cf = lambda u: np.exp(-0.5 * float(u @ S @ u))
-        exact = spectral.spectral_estimate_from_cf(cf, 4, 1.0).matrix
+        exact = exact_cf_estimate(cf, 4, 1.0).matrix
         exact_err = float(np.abs(exact - S).max())
 
         truth = make_tridiagonal(5)
@@ -114,7 +113,7 @@ class TestCriterion3ConcentrationCoverage:
                       f"(tau={tau:.3f}, {reps} replications)")
 
 
-def _soft_oracle(shat, tau):
+def _soft_oracle(cp, shat, tau):
     S = cp.Variable(shat.shape)
     prob = cp.Problem(cp.Minimize(
         cp.sum_squares(S - shat) + 2 * tau * cp.sum(cp.abs(S))))
@@ -122,7 +121,7 @@ def _soft_oracle(shat, tau):
     return S.value
 
 
-def _pd_soft_oracle(shat, tau, lam):
+def _pd_soft_oracle(cp, shat, tau, lam):
     S = cp.Variable(shat.shape, symmetric=True)
     prob = cp.Problem(cp.Minimize(
         cp.sum_squares(S - shat) + 2 * tau * cp.sum(cp.abs(S))
@@ -131,7 +130,7 @@ def _pd_soft_oracle(shat, tau, lam):
     return S.value
 
 
-def _lowrank_oracle(Y, cfg, w, seed):
+def _lowrank_oracle(cp, Y, cfg, w, seed):
     from speccov.lowrank import _cf_targets, _quad_weights, sample_annulus
 
     p = Y.shape[1]
@@ -153,6 +152,7 @@ def _lowrank_oracle(Y, cfg, w, seed):
 
 class TestCriterion4SolverOracles:
     def test_all_three_solvers_match_convex_oracles(self):
+        cp = pytest.importorskip("cvxpy")
         rng = np.random.default_rng(2)
         worst = 0.0
         for p in (2, 3):
@@ -161,12 +161,12 @@ class TestCriterion4SolverOracles:
             tau, lam = 0.2, 1e-4
             worst = max(worst, float(np.linalg.norm(
                 shrinkage.soft_threshold(shat, tau).matrix
-                - _soft_oracle(shat, tau))))
+                - _soft_oracle(cp, shat, tau))))
             base = shat + (0.5 + abs(np.linalg.eigvalsh(shat).min())) * np.eye(p)
             worst = max(worst, float(np.linalg.norm(
                 shrinkage.pd_soft_threshold(
                     base, PdSoftConfig(tau=tau, lambda_barrier=lam)).matrix
-                - _pd_soft_oracle(base, tau, lam))))
+                - _pd_soft_oracle(cp, base, tau, lam))))
 
             A = rng.standard_normal((p, p))
             Y = sample_scenario(Scenario(
@@ -178,7 +178,7 @@ class TestCriterion4SolverOracles:
                                         max_iter=20_000)
             est = lowrank.lowrank_estimate(Y, cfg, w, seed=3).matrix
             worst = max(worst, float(np.linalg.norm(
-                est - _lowrank_oracle(Y, cfg, w, seed=3))))
+                est - _lowrank_oracle(cp, Y, cfg, w, seed=3))))
         ok = worst < 1e-4
         report(4, ok, f"worst solver-vs-oracle Frobenius gap {worst:.2e} < 1e-4")
 
@@ -273,7 +273,7 @@ class TestCriterion8EllipticalReduction:
         for trial in range(5):
             Y = rng.standard_normal((40 + 20 * trial, 4))
             a = spectral.spectral_estimate(Y, 1.5).matrix
-            b = spectral.elliptical_spectral_estimate(Y, 1.5, gen).matrix
+            b = spectral.spectral_estimate(Y, 1.5, gen).matrix
             equal = equal and np.array_equal(a, b)
         report(8, equal, "eta(x)=x/2 generator bitwise equal to the plain "
                          "spectral estimator on 5 random inputs")

@@ -42,6 +42,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec([("covv", {})])
 
+    def test_rejects_cv_rule_without_tau(self):
+        cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
+        with pytest.raises(ValueError):
+            small_spec([("cov", {})], cv=cv, cv_rule="cov")
+
 
 class TestRunExperiment:
     def test_single_cov_record_matches_direct_computation(self):
@@ -95,6 +100,47 @@ class TestRunExperiment:
                           cv=cv, cv_rule="hard")
         records = run_experiment(spec)
         assert records[0].tuning_used["tau"] in (0.25, 0.8)
+
+    def test_cv_fits_use_rule_estimator_tuning(self, monkeypatch):
+        seen = []
+        solve = shrinkage.pd_soft_threshold
+
+        def recording(est, cfg):
+            seen.append(cfg)
+            return solve(est, cfg)
+
+        monkeypatch.setattr(shrinkage, "pd_soft_threshold", recording)
+        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3, 0.6], seed=0)
+        spec = small_spec([("sps", {"tau": 0.3, "U": 1.0, "rho_admm": 20.0,
+                                    "lambda": 1.0e-3})],
+                          replications=1, n=60, cv=cv, cv_rule="sps")
+        records = run_experiment(spec)
+        assert records[0].error is None
+        # 2 splits x 3 grid points in CV, then the one replication
+        assert len(seen) == 2 * 3 + 1
+        assert all(c.rho_admm == 20.0 and c.lambda_barrier == 1e-3 for c in seen)
+
+    def test_every_table_tag_runs_through_the_harness(self):
+        spec = ExperimentSpec(
+            scenario=Scenario(cov=CovModel.tridiagonal(4),
+                              noise=NoiseModel.none(), n=400, seed=3),
+            estimators=[
+                ("cov", {}),
+                ("pds", {"tau": 0.2}),
+                ("sps", {"tau": 0.2, "U": 1.0}),
+                ("hard", {"tau": 0.2, "U": 1.0}),
+                ("soft", {"tau": 0.2, "U": 1.0}),
+                ("elliptical", {"U": 1.0, "generator": "stable", "alpha": 1.5}),
+                ("lowrank", {"U": 1.0, "mc_samples": 256,
+                             "weight_mc_points": 10_000}),
+            ],
+            replications=1,
+            cv=shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0),
+            cv_rule="hard",
+        )
+        records = run_experiment(spec)
+        assert sorted(r.estimator for r in records) == sorted(harness.ESTIMATORS)
+        assert all(r.error is None for r in records), [r.error for r in records]
 
     def test_admissible_flag_requires_full_class_parameters(self):
         spec = small_spec(

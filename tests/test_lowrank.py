@@ -21,8 +21,6 @@ from speccov.lowrank import (
 )
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
 
-cp = pytest.importorskip("cvxpy")
-
 
 class TestDesignMatrix:
     def test_basis_vector(self):
@@ -191,6 +189,7 @@ class TestLowRankEstimate:
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_matches_convex_solver_on_frozen_quadrature(self):
+        cp = pytest.importorskip("cvxpy")
         from speccov.lowrank import _cf_targets
 
         p = 2

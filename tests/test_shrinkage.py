@@ -27,8 +27,6 @@ from speccov.simgen import (
 )
 from speccov.spectral import CovEstimate, spectral_estimate
 
-cp = pytest.importorskip("cvxpy")
-
 
 def sym(m):
     return 0.5 * (m + m.T)
@@ -79,6 +77,7 @@ class TestSoftThreshold:
         np.testing.assert_allclose(np.diag(out), [0.05, -0.25, 0.0], atol=1e-15)
 
     def test_matches_convex_solver_on_3x3(self):
+        cp = pytest.importorskip("cvxpy")
         rng = np.random.default_rng(2)
         shat = sym(rng.standard_normal((3, 3)))
         tau = 0.3
@@ -110,6 +109,7 @@ class TestPdSoftThreshold:
         assert np.linalg.norm(got - want) < 1e-4
 
     def test_matches_convex_solver_2x2(self):
+        cp = pytest.importorskip("cvxpy")
         shat = np.array([[1.0, 0.3], [0.3, 0.5]])
         tau, lam = 0.1, 1e-4
         got = pd_soft_threshold(shat, PdSoftConfig(tau=tau, lambda_barrier=lam)).matrix
@@ -217,6 +217,7 @@ class TestPdsBaseline:
         assert np.linalg.norm(got - cov) < 1e-4
 
     def test_matches_convex_solver_2x2(self):
+        cp = pytest.importorskip("cvxpy")
         Y = np.array([[1.0, 0.2], [-0.4, 1.1], [0.3, -0.9], [1.2, 0.5]])
         tau, lam = 0.1, 1e-4
         shat = sample_covariance(Y).matrix
@@ -229,12 +230,17 @@ class TestPdsBaseline:
         assert np.linalg.norm(got - S.value) < 1e-4
 
 
+def spectral_fit(rule, U):
+    """CV fit applying ``rule(estimate, tau)`` to the spectral estimate."""
+    return lambda train, tau: rule(spectral_estimate(train, U), tau)
+
+
 class TestCrossValidateTau:
     def test_single_point_grid(self):
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((40, 3))
         cfg = CvConfig(num_splits=3, tau_grid=[0.2], seed=0)
-        tau_hat, Q = cross_validate_tau(Y, 1.0, cfg, rule="soft")
+        tau_hat, Q = cross_validate_tau(Y, 1.0, cfg, spectral_fit(soft_threshold, 1.0))
         assert tau_hat == 0.2 and len(Q) == 1
 
     def test_tie_breaks_toward_smaller_tau(self):
@@ -244,14 +250,15 @@ class TestCrossValidateTau:
         rng = np.random.default_rng(10)
         Y = 0.05 * rng.standard_normal((60, 3))
         cfg = CvConfig(num_splits=4, tau_grid=[0.9, 1.0], seed=1)
-        tau_hat, Q = cross_validate_tau(Y, 1.0, cfg, rule="hard")
+        tau_hat, Q = cross_validate_tau(Y, 1.0, cfg, spectral_fit(hard_threshold, 1.0))
         assert Q[0] == Q[1]
         assert tau_hat == 0.9
 
     def test_split_sizes(self):
         with pytest.raises(ValueError):
-            cross_validate_tau(np.ones((3, 2)),
-                               1.0, CvConfig(num_splits=1, tau_grid=[0.1]))
+            cross_validate_tau(np.ones((3, 2)), 1.0,
+                               CvConfig(num_splits=1, tau_grid=[0.1]),
+                               spectral_fit(soft_threshold, 1.0))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -265,8 +272,9 @@ class TestCrossValidateTau:
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((50, 3))
         cfg = CvConfig(num_splits=5, tau_grid=[0.1, 0.3, 0.6], seed=42)
-        a = cross_validate_tau(Y, 1.0, cfg, rule="soft")
-        b = cross_validate_tau(Y, 1.0, cfg, rule="soft")
+        fit = spectral_fit(soft_threshold, 1.0)
+        a = cross_validate_tau(Y, 1.0, cfg, fit)
+        b = cross_validate_tau(Y, 1.0, cfg, fit)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -279,9 +287,9 @@ class TestCrossValidateTau:
         Y = sample_scenario(s)
         grid = [0.02, 0.1, 0.25, 0.6, 1.5]
         cfg = CvConfig(num_splits=20, tau_grid=grid, seed=0)
-        tau_hat, Q = cross_validate_tau(
-            Y, 3.0, cfg, rule="sps",
-            pd_cfg=PdSoftConfig(tau=1.0, rho_admm=20.0, tol=1e-6))
+        pd_soft = lambda est, tau: pd_soft_threshold(
+            est, PdSoftConfig(tau=tau, rho_admm=20.0, tol=1e-6))
+        tau_hat, Q = cross_validate_tau(Y, 3.0, cfg, spectral_fit(pd_soft, 3.0))
         k = int(np.argmin(Q))
         assert 0 < k < len(grid) - 1
         assert 0.05 <= tau_hat <= 0.8

@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from speccov.charfreq import direction_vector
 from speccov.spectral import (
     CovEstimate,
     EstimationError,
     PreAsymptoticError,
     SpectralConfig,
+    _assemble,
     admissible,
-    elliptical_estimate_from_cf,
-    elliptical_spectral_estimate,
     gaussian_generator,
     spectral_estimate,
-    spectral_estimate_from_cf,
     spectral_radius_star,
     stable_generator,
     tau_threshold,
@@ -26,6 +25,17 @@ def random_pd(p, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((p, p))
     return A @ A.T / p + 0.5 * np.eye(p)
+
+
+def exact_cf_estimate(cf, p, U, gen=None):
+    """Spectral estimate assembled from a closed-form characteristic function
+    evaluated at the probe frequencies U * u_ij."""
+    def logmod(i, j):
+        return math.log(abs(complex(cf(U * direction_vector(i + 1, j + 1, p)))))
+
+    diag = np.array([logmod(i, i) for i in range(p)])
+    pair = np.array([[logmod(i, j) for j in range(p)] for i in range(p)])
+    return _assemble(diag, pair, U, gen)
 
 
 class TestSpectralConfig:
@@ -67,7 +77,7 @@ class TestExactCfRecovery:
     def test_gaussian_cf_recovers_sigma(self, U):
         S = random_pd(4, 0)
         cf = lambda u: np.exp(-0.5 * float(u @ S @ u))
-        est = spectral_estimate_from_cf(cf, 4, U)
+        est = exact_cf_estimate(cf, 4, U)
         np.testing.assert_allclose(est.matrix, S, atol=1e-12)
 
     def test_diagonal_entries_depend_only_on_own_variance(self):
@@ -75,18 +85,18 @@ class TestExactCfRecovery:
         for s22 in (0.5, 1.0, 3.0):
             S = np.diag([0.7, s22, 1.3])
             cf = lambda u: np.exp(-0.5 * float(u @ S @ u))
-            est = spectral_estimate_from_cf(cf, 3, 1.0)
+            est = exact_cf_estimate(cf, 3, 1.0)
             assert est.matrix[0, 0] == pytest.approx(0.7, abs=1e-12)
 
     def test_stable_generator_cf_recovers_sigma(self):
         S = random_pd(3, 1)
         gen = stable_generator(1.0)
         cf = lambda u: np.exp(-math.sqrt(float(u @ S @ u)))
-        est = elliptical_estimate_from_cf(cf, 3, 1.5, gen)
+        est = exact_cf_estimate(cf, 3, 1.5, gen)
         np.testing.assert_allclose(est.matrix, S, atol=1e-10)
 
     def test_modulus_above_one_clamps_to_zero(self):
-        est = spectral_estimate_from_cf(lambda u: 1.05, 3, 1.0)
+        est = exact_cf_estimate(lambda u: 1.05, 3, 1.0)
         np.testing.assert_array_equal(est.matrix, np.zeros((3, 3)))
 
     def test_eta_inv_domain_violation_raises(self):
@@ -100,7 +110,7 @@ class TestExactCfRecovery:
             eta=lambda x: np.exp(x), eta_prime=np.exp, eta_inv=log_inv,
         )
         with pytest.raises(EstimationError):
-            elliptical_estimate_from_cf(lambda u: 1.05, 2, 1.0, gen)
+            exact_cf_estimate(lambda u: 1.05, 2, 1.0, gen)
 
 
 def oracle_spectral(Y, U):
@@ -160,9 +170,10 @@ class TestEllipticalReduction:
         rng = np.random.default_rng(13)
         for trial in range(5):
             Y = rng.standard_normal((30 + 10 * trial, 4))
-            a = spectral_estimate(Y, 2.0).matrix
-            b = elliptical_spectral_estimate(Y, 2.0, gaussian_generator()).matrix
-            assert np.array_equal(a, b)
+            a = spectral_estimate(Y, 2.0)
+            b = spectral_estimate(Y, 2.0, gaussian_generator())
+            assert np.array_equal(a.matrix, b.matrix)
+            assert b.estimator_kind == "elliptical"
 
     def test_generator_inverse_roundtrip(self):
         x = np.geomspace(1e-3, 10.0, 50)
