@@ -23,7 +23,6 @@ from .lowrank import (
     design_matrix,
     lambda_threshold,
     lowrank_estimate,
-    lowrank_objective,
 )
 from .shrinkage import (
     ConvergenceError,

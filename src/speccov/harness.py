@@ -112,11 +112,10 @@ def _spectral(Y, tuning):
 def _lowrank(Y, tuning):
     cfg = lowrank.LowRankConfig(
         U=tuning.get("U", 1.0),
-        lambda_nuc=tuning.get("lambda_nuc", tuning.get("lambda", 1e-4)),
+        lambda_nuc=tuning.get("lambda", 1e-4),
         mc_samples=int(tuning.get("mc_samples", 4096)),
     )
-    w = lowrank.bump_weight(Y.shape[1],
-                            mc_points=int(tuning.get("weight_mc_points", 10**5)))
+    w = lowrank.bump_weight(Y.shape[1])
     return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
 
 

@@ -2,21 +2,21 @@
 
 The data-fit term compares the rescaled log-modulus of the empirical
 characteristic function against the linear statistic <Theta(u), M> with
-rank-one design Theta(u) = -u u^T / |u|^2, integrated over an annulus of
-radius ~U with a smooth weight. The integral is replaced by a frozen,
-seeded Monte Carlo quadrature so the solver optimizes a deterministic
-finite-sum surrogate.
+rank-one design Theta(u) = -d d^T, d = u/|u|, integrated over an annulus of
+radius ~U against a smooth radial bump weight of unit mass, so lambda is in
+the paper's units. The integral is replaced by a frozen, seeded Monte Carlo
+quadrature (:func:`_surrogate`), and the estimate is constrained to the PSD
+cone, where the nuclear norm is the trace.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .charfreq import SampleMatrix
+from .charfreq import _as_data
 from .spectral import CovEstimate
 
 __all__ = [
@@ -25,10 +25,8 @@ __all__ = [
     "bump_weight",
     "design_matrix",
     "sample_annulus",
-    "lowrank_objective",
     "lowrank_estimate",
     "lambda_threshold",
-    "weighted_norm_sq",
     "nuclear_prox",
     "SolverError",
 ]
@@ -44,21 +42,28 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Radial weight supported on the annulus 1/4 <= |v| <= 1/2.
+    """Radial bump on the annulus 1/4 <= |v| <= 1/2, divided by its mass.
 
-    l1_mass is the total integral; kappa_lower the smaller isometry constant
-    int (v1^4/|v|^4) w(v) dv. Both depend on the ambient dimension p.
+    Calling it on radii gives the normalised profile. ``mass`` is the raw
+    bump's integral over R^p; ``kappa_lower`` is the smaller isometry
+    constant int (v1^4/|v|^4) w(v) dv.
     """
 
-    radial_profile: Callable
     p: int
-    l1_mass: float
+    mass: float
     kappa_lower: float
-    support: tuple = ANNULUS
 
     def __post_init__(self):
-        if self.l1_mass <= 0 or not (0 < self.kappa_lower <= self.l1_mass):
-            raise ValueError("need 0 < kappa_lower <= l1_mass")
+        if self.mass <= 0 or not (0 < self.kappa_lower <= self.l1_mass):
+            raise ValueError("need mass > 0 and 0 < kappa_lower <= 1")
+
+    @property
+    def l1_mass(self) -> float:
+        """Total integral of the weight: 1 by construction."""
+        return 1.0
+
+    def __call__(self, r):
+        return _bump_profile(r) / self.mass
 
 
 def _bump_profile(r):
@@ -69,6 +74,23 @@ def _bump_profile(r):
     rr = r[inside]
     out[inside] = np.exp(-1.0 / ((rr - lo) * (hi - rr)))
     return out
+
+
+def bump_weight(p, seed=0) -> WeightFunction:
+    """The default unit-mass bump weight in dimension p.
+
+    The raw mass is area(S^{p-1}) * int bump(r) r^{p-1} dr; the trapezoid
+    rule is spectrally accurate here because the bump and all its
+    derivatives vanish at both ends of the annulus. ``seed`` is unused: the
+    mass is computed exactly, and the argument is accepted for callers that
+    pass it.
+    """
+    lo, hi = ANNULUS
+    r = np.linspace(lo, hi, 2001)
+    radial = float(np.sum(_bump_profile(r) * r ** (p - 1))) * (hi - lo) / 2000
+    area = 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
+    # E[d_1^4] for d uniform on the unit sphere
+    return WeightFunction(p=p, mass=area * radial, kappa_lower=3.0 / (p * (p + 2.0)))
 
 
 def _ball_volume(p, radius):
@@ -90,26 +112,6 @@ def sample_annulus(p, U, m, rng):
     return dirs * radii[:, None], 1.0 / annulus_volume(p, U)
 
 
-@lru_cache(maxsize=16)
-def _bump_masses(p, mc_points, seed):
-    rng = np.random.default_rng([seed, p])
-    pts, density = sample_annulus(p, 1.0, mc_points, rng)
-    w = _bump_profile(np.linalg.norm(pts, axis=1))
-    vol = annulus_volume(p)
-    norms4 = np.linalg.norm(pts, axis=1) ** 4
-    l1 = float(np.mean(w) * vol)
-    kap = float(np.mean(pts[:, 0] ** 4 / norms4 * w) * vol)
-    return l1, kap
-
-
-def bump_weight(p, mc_points=10**6, seed=0) -> WeightFunction:
-    """Default smooth bump weight; masses estimated once by seeded MC."""
-    l1, kap = _bump_masses(p, mc_points, seed)
-    return WeightFunction(
-        radial_profile=_bump_profile, p=p, l1_mass=l1, kappa_lower=kap
-    )
-
-
 @dataclass(frozen=True)
 class LowRankConfig:
     U: float
@@ -118,7 +120,6 @@ class LowRankConfig:
     mc_samples: int = 4096
     max_iter: int = 2000
     tol: float = 1e-10
-    psd_constrained: bool = True
 
     def __post_init__(self):
         if self.U < 1:
@@ -140,133 +141,95 @@ def design_matrix(u) -> np.ndarray:
     return -np.outer(u, u) / nsq
 
 
-def _quad_weights(w: WeightFunction, U, quad_points, density):
-    """Importance weights w_U(u)/(m * density) for the frozen quadrature."""
-    m, p = quad_points.shape
-    radii = np.linalg.norm(quad_points, axis=1)
-    wvals = U ** (-p) * w.radial_profile(radii / U)
-    return wvals / (m * density)
+def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
+    """The frozen quadrature of the data-fit integral.
 
-
-def _cf_targets(Y, cfg, quad_points):
-    """Per-point regression targets 2 Re log ecf(u) 1{|ecf| >= iota} / |u|^2."""
-    data = Y.data if isinstance(Y, SampleMatrix) else np.asarray(Y, dtype=float)
-    n = data.shape[0]
+    Returns (D, omega, g, keep): unit directions D (m x p) of m seeded points
+    uniform on the annulus, importance weights omega = w_U(u)/(m density)
+    summing to about 1, and regression targets
+    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2 with keep the indicator.
+    The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
+    """
+    data = _as_data(Y)
+    n, p = data.shape
+    quad, density = sample_annulus(p, cfg.U, cfg.mc_samples,
+                                   np.random.default_rng(seed))
+    r = np.linalg.norm(quad, axis=1)
+    omega = w(r / cfg.U) / (cfg.U**p * cfg.mc_samples * density)
     iota = cfg.iota if cfg.iota is not None else 0.5 / math.sqrt(n)
-    cf = _kernels.ecf(data, quad_points)
-    mod = np.abs(cf)
+    mod = np.abs(_kernels.ecf(data, quad))
     keep = mod >= iota
-    nsq = np.sum(quad_points**2, axis=1)
-    g = np.zeros(len(cf))
-    g[keep] = 2.0 * np.log(mod[keep]) / nsq[keep]
-    return g, keep
+    g = np.zeros(len(mod))
+    g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
+    return quad / r[:, None], omega, g, keep
 
 
-def _theta_dot(quad_points, M):
-    """<Theta(u_k), M> for all quadrature points at once."""
-    nsq = np.sum(quad_points**2, axis=1)
-    s = np.einsum("ki,ij,kj->k", quad_points, M, quad_points)
-    return -s / nsq
+def _theta_dot(D, M):
+    """<Theta_k, M> = -d_k^T M d_k for every row d_k of D."""
+    return -np.einsum("ki,ij,kj->k", D, M, D)
 
 
-def nuclear_norm(M) -> float:
-    return float(np.sum(np.linalg.svd(M, compute_uv=False)))
+def _theta_adj(D, c):
+    """The adjoint map: sum_k c_k Theta_k."""
+    return -(D * c[:, None]).T @ D
 
 
-def nuclear_prox(M, t, psd=False):
-    """Prox of t * nuclear norm; with psd=True also projects onto PSD."""
-    if psd:
-        Ms = 0.5 * (M + M.T)
-        w, Q = np.linalg.eigh(Ms)
-        w = np.maximum(w - t, 0.0)
-        return (Q * w) @ Q.T
-    Uv, s, Vt = np.linalg.svd(M, full_matrices=False)
-    s = np.maximum(s - t, 0.0)
-    return (Uv * s) @ Vt
+def nuclear_prox(M, t):
+    """Prox of t * nuclear norm restricted to the PSD cone.
+
+    Soft-thresholds the eigenvalues of the symmetric part by t and clips
+    them at 0; on PSD matrices the nuclear norm is the trace.
+    """
+    w, Q = np.linalg.eigh(0.5 * (M + M.T))
+    return (Q * np.maximum(w - t, 0.0)) @ Q.T
 
 
-def lowrank_objective(M, Y, cfg: LowRankConfig, w: WeightFunction, quad_points,
-                      density=None) -> float:
-    """MC objective: weighted squared CF-regression misfit + nuclear penalty."""
-    if density is None:
-        density = 1.0 / annulus_volume(quad_points.shape[1], cfg.U)
-    omega = _quad_weights(w, cfg.U, quad_points, density)
-    g, _ = _cf_targets(Y, cfg, quad_points)
-    resid = g - _theta_dot(quad_points, np.asarray(M, dtype=float))
-    return float(np.sum(omega * resid**2)) + cfg.lambda_nuc * nuclear_norm(M)
-
-
-def weighted_norm_sq(A, w: WeightFunction, U, quad_points, density=None) -> float:
-    """MC estimate of the weighted design norm int <Theta(u), A>^2 w_U(u) du."""
-    if density is None:
-        density = 1.0 / annulus_volume(quad_points.shape[1], U)
-    omega = _quad_weights(w, U, quad_points, density)
-    vals = _theta_dot(quad_points, np.asarray(A, dtype=float))
-    return float(np.sum(omega * vals**2))
-
-
-def _smooth_grad(M, quad_points, omega, g):
-    nsq = np.sum(quad_points**2, axis=1)
-    resid = _theta_dot(quad_points, M) - g
-    c = 2.0 * omega * resid / nsq
-    return -(quad_points * c[:, None]).T @ quad_points
-
-
-def _lipschitz(quad_points, omega, p, iters=40):
+def _lipschitz(D, omega, iters=40):
     # power iteration on M -> sum_k omega_k <Theta_k, M> Theta_k
+    p = D.shape[1]
     rng = np.random.default_rng(0)
     M = rng.standard_normal((p, p))
     M = 0.5 * (M + M.T)
     M /= np.linalg.norm(M)
-    nsq = np.sum(quad_points**2, axis=1)
-    lam = 1.0
     for _ in range(iters):
-        vals = _theta_dot(quad_points, M)
-        c = omega * vals / nsq
-        AM = -(quad_points * c[:, None]).T @ quad_points
+        AM = _theta_adj(D, omega * _theta_dot(D, M))
         lam = float(np.linalg.norm(AM))
         if lam == 0.0:
-            # fall back to the crude bound 2*sum(omega) (unit-norm designs)
+            # every weight underflowed (few points near the annulus edges):
+            # fall back to the crude bound 2*sum(omega) for unit-norm designs
             return 2.0 * float(np.sum(omega)) + 1e-300
         M = AM / lam
     return 2.0 * lam
 
 
 def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEstimate:
-    """Nuclear-norm-penalized fit of the CF regression over the annulus.
+    """Nuclear-norm-penalized PSD fit of the CF regression over the annulus.
 
     Proximal gradient (FISTA with backtracking) on the frozen quadrature
-    surrogate; converged when the relative objective decrease drops below
-    cfg.tol.
+    surrogate with penalty lambda * tr(M); converged when the relative
+    objective decrease drops below cfg.tol.
     """
-    data = Y.data if isinstance(Y, SampleMatrix) else np.asarray(Y, dtype=float)
-    p = data.shape[1]
-    rng = np.random.default_rng(seed)
-    quad, density = sample_annulus(p, cfg.U, cfg.mc_samples, rng)
-    omega = _quad_weights(w, cfg.U, quad, density)
-    g, _ = _cf_targets(data, cfg, quad)
+    D, omega, g, _ = _surrogate(Y, cfg, w, seed)
+    p = D.shape[1]
 
     def smooth(M):
-        r = g - _theta_dot(quad, M)
-        return float(np.sum(omega * r**2))
+        return float(np.sum(omega * (g - _theta_dot(D, M)) ** 2))
 
     def total(M):
-        return smooth(M) + cfg.lambda_nuc * nuclear_norm(M)
+        return smooth(M) + cfg.lambda_nuc * float(np.trace(M))
 
-    # floor relative to the objective scale: the weight mass can be tiny
-    L = max(_lipschitz(quad, omega, p), 1e-12 * float(np.sum(omega)), 1e-300)
+    L = _lipschitz(D, omega)
     M = np.zeros((p, p))
     V = M
     t_mom = 1.0
     obj = total(M)
     trace = [obj]
     for _ in range(cfg.max_iter):
-        grad = _smooth_grad(V, quad, omega, g)
+        grad = _theta_adj(D, 2.0 * omega * (_theta_dot(D, V) - g))
         step = 1.0 / L
         fV = smooth(V)
         while True:
-            cand = nuclear_prox(V - step * grad, step * cfg.lambda_nuc,
-                                psd=cfg.psd_constrained)
+            cand = nuclear_prox(V - step * grad, step * cfg.lambda_nuc)
             diff = cand - V
             slack = 1e-12 * max(abs(fV), 1e-300)
             if smooth(cand) <= fV + float(np.sum(grad * diff)) + \

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charfreq import SampleMatrix
+from .charfreq import _as_data
 from .spectral import CovEstimate, spectral_estimate
 
 __all__ = [
@@ -159,7 +159,7 @@ def pd_soft_threshold(est, cfg: PdSoftConfig) -> CovEstimate:
 
 def sample_covariance(Y) -> CovEstimate:
     """Uncentered sample covariance (1/n) sum_k Y_k Y_k^T."""
-    data = Y.data if isinstance(Y, SampleMatrix) else np.asarray(Y, dtype=float)
+    data = _as_data(Y)
     n = data.shape[0]
     m = data.T @ data / n
     m = np.triu(m) + np.triu(m, k=1).T
@@ -183,7 +183,7 @@ def cross_validate_tau(Y, U, cfg: CvConfig, fit):
 
     Returns (tau_hat, Q) with Q the score for each grid point.
     """
-    data = Y.data if isinstance(Y, SampleMatrix) else np.asarray(Y, dtype=float)
+    data = _as_data(Y)
     n = data.shape[0]
     if n < 4:
         raise ValueError("need n >= 4 for a nondegenerate split")

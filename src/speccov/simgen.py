@@ -78,7 +78,6 @@ def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
 class CovModel:
     kind: str  # tridiagonal | block_diagonal | explicit
     p: int
-    offdiag: float = 0.4
     block_sizes: Optional[tuple] = None
     seed: int = 0
     matrix_value: Optional[np.ndarray] = None
@@ -118,7 +117,6 @@ class NoiseModel:
     beta: Optional[float] = None
     sigma: Optional[float] = None
     norm: str = "lbeta"  # lbeta (independent coords) | l2 (isotropic)
-    class_tag: Optional[tuple] = None  # (beta, T) when the noise class is known
 
     @classmethod
     def none(cls):
@@ -145,9 +143,8 @@ class NoiseModel:
             raise ValueError("sigma must be positive")
         if norm not in ("lbeta", "l2"):
             raise ValueError("norm must be 'lbeta' or 'l2'")
-        # |log|psi(u)|| = sigma |u|_norm^beta <= sigma (1 + |u|_beta^beta)
         return cls(kind="stable", beta=float(beta), sigma=float(sigma),
-                   norm=norm, class_tag=(float(beta), float(sigma)))
+                   norm=norm)
 
 
 @dataclass(frozen=True)

@@ -131,21 +131,16 @@ def _pd_soft_oracle(cp, shat, tau, lam):
 
 
 def _lowrank_oracle(cp, Y, cfg, w, seed):
-    from speccov.lowrank import _cf_targets, _quad_weights, sample_annulus
+    from speccov.lowrank import _surrogate
 
-    p = Y.shape[1]
-    quad, density = sample_annulus(p, cfg.U, cfg.mc_samples,
-                                   np.random.default_rng(seed))
-    omega = _quad_weights(w, cfg.U, quad, density)
-    g, _ = _cf_targets(Y, cfg, quad)
+    D, omega, g, _ = _surrogate(Y, cfg, w, seed)
+    p = D.shape[1]
     M = cp.Variable((p, p), PSD=True)
-    theta = -np.einsum("ki,kj->kij", quad, quad) / \
-        np.sum(quad**2, axis=1)[:, None, None]
+    theta = -np.einsum("ki,kj->kij", D, D)
     resid = g - theta.reshape(len(g), -1) @ cp.vec(M, order="F")
-    scale = 1.0 / w.l1_mass
     prob = cp.Problem(cp.Minimize(
-        cp.sum(cp.multiply(scale * omega, cp.square(resid)))
-        + (scale * cfg.lambda_nuc) * cp.trace(M)))
+        cp.sum(cp.multiply(omega, cp.square(resid)))
+        + cfg.lambda_nuc * cp.trace(M)))
     prob.solve(solver=cp.CLARABEL)
     return M.value
 
@@ -173,7 +168,7 @@ class TestCriterion4SolverOracles:
                 cov=CovModel.explicit(A @ A.T), noise=NoiseModel.none(),
                 n=2000, seed=[41, p])).data
             w = lowrank.bump_weight(p)
-            cfg = lowrank.LowRankConfig(U=1.0, lambda_nuc=0.1 * w.l1_mass,
+            cfg = lowrank.LowRankConfig(U=1.0, lambda_nuc=0.1,
                                         mc_samples=600, tol=1e-14,
                                         max_iter=20_000)
             est = lowrank.lowrank_estimate(Y, cfg, w, seed=3).matrix

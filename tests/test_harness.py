@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,8 +133,7 @@ class TestRunExperiment:
                 ("hard", {"tau": 0.2, "U": 1.0}),
                 ("soft", {"tau": 0.2, "U": 1.0}),
                 ("elliptical", {"U": 1.0, "generator": "stable", "alpha": 1.5}),
-                ("lowrank", {"U": 1.0, "mc_samples": 256,
-                             "weight_mc_points": 10_000}),
+                ("lowrank", {"U": 1.0, "mc_samples": 256}),
             ],
             replications=1,
             cv=shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0),
@@ -141,6 +142,22 @@ class TestRunExperiment:
         records = run_experiment(spec)
         assert sorted(r.estimator for r in records) == sorted(harness.ESTIMATORS)
         assert all(r.error is None for r in records), [r.error for r in records]
+
+    def test_lowrank_default_lambda_beats_zero_matrix(self):
+        p = 10
+        v = np.ones(p) / math.sqrt(p)
+        spec = ExperimentSpec(
+            scenario=Scenario(
+                cov=CovModel.explicit(2.0 * np.outer(v, v)),
+                noise=NoiseModel.gamma_elliptical(0.3 * np.eye(p), 1.0),
+                n=2000, seed=0),
+            estimators=[("lowrank", {})],
+            replications=2,
+        )
+        records = run_experiment(spec)
+        # the zero matrix's error is |2 v v^T|_F = 2
+        assert all(r.error is None and r.frob_error < 1.0 for r in records), \
+            [(r.frob_error, r.error) for r in records]
 
     def test_admissible_flag_requires_full_class_parameters(self):
         spec = small_spec(
@@ -151,6 +168,35 @@ class TestRunExperiment:
         records = run_experiment(spec)
         flags = {r.admissible_flag for r in records}
         assert flags == {None, True}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("run", [
+        lambda Y: harness.ESTIMATORS["cov"](Y, {}),
+        lambda Y: harness.ESTIMATORS["pds"](Y, {"tau": 0.1}),
+        lambda Y: harness.ESTIMATORS["lowrank"](Y, {"mc_samples": 64}),
+        lambda Y: shrinkage.cross_validate_tau(
+            Y, 1.0, shrinkage.CvConfig(num_splits=1, tau_grid=[0.1]),
+            harness.cv_fit("hard", {})),
+    ], ids=["cov", "pds", "lowrank", "cv"])
+    def test_nan_sample_rejected(self, run):
+        Y = np.random.default_rng(0).standard_normal((40, 3))
+        Y[7, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run(Y)
+
+
+class TestBenchmarkHooks:
+    def test_traced_sites_exist(self):
+        # perfbench only warns when a site it rebinds has gone missing
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        sites = [site[:2] for site in tracing.TIMED + tracing.COUNTED]
+        missing = [(mod, attr) for mod, attr in sites
+                   if not hasattr(importlib.import_module("speccov." + mod), attr)]
+        assert sites and not missing
 
 
 class TestSummarize:

@@ -12,14 +12,26 @@ from speccov.lowrank import (
     design_matrix,
     lambda_threshold,
     lowrank_estimate,
-    lowrank_objective,
-    nuclear_norm,
     nuclear_prox,
     sample_annulus,
-    weighted_norm_sq,
-    _quad_weights,
+    _bump_profile,
+    _lipschitz,
+    _surrogate,
+    _theta_adj,
+    _theta_dot,
 )
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
+
+
+def _two_dim_problem(lam=0.1):
+    """A p=2 noiseless sample with a penalty strong enough to bite."""
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((2, 2))
+    sc = Scenario(cov=CovModel.explicit(A @ A.T), noise=NoiseModel.none(),
+                  n=2000, seed=15)
+    cfg = LowRankConfig(U=1.0, lambda_nuc=lam, mc_samples=800,
+                        tol=1e-14, max_iter=20_000)
+    return sample_scenario(sc), cfg, bump_weight(2)
 
 
 class TestDesignMatrix:
@@ -50,29 +62,15 @@ class TestDesignMatrix:
 
 
 class TestNuclearProx:
-    def test_singular_value_soft_threshold_exact(self):
-        rng = np.random.default_rng(2)
-        q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        s = np.array([3.0, 1.5, 0.4, 0.1])
-        M = (q1 * s) @ q2.T
-        out = nuclear_prox(M, 0.5)
-        got = np.linalg.svd(out, compute_uv=False)
-        np.testing.assert_allclose(sorted(got, reverse=True),
-                                   np.maximum(s - 0.5, 0.0), atol=1e-12)
-
     def test_psd_variant_projects(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         w = np.array([2.0, 0.3, -1.0])
         M = (q * w) @ q.T
-        out = nuclear_prox(M, 0.2, psd=True)
+        out = nuclear_prox(M, 0.2)
         got = np.linalg.eigvalsh(out)
         np.testing.assert_allclose(sorted(got, reverse=True),
                                    [1.8, 0.1, 0.0], atol=1e-12)
-
-    def test_nuclear_norm_of_diagonal(self):
-        assert nuclear_norm(np.diag([2.0, -3.0])) == pytest.approx(5.0)
 
 
 class TestQuadrature:
@@ -85,32 +83,39 @@ class TestQuadrature:
         assert density == pytest.approx(1.0 / annulus_volume(3, 2.0))
 
     def test_weight_mass_recovered_by_mc(self):
-        # the importance weights integrate the weight function itself, whose
-        # total mass is scale invariant and precomputed
+        # the importance weights integrate the unit-mass weight, and their
+        # d_1^4-weighted sum its isometry constant, at any radius U
         p, U, m = 3, 2.0, 40000
-        w = bump_weight(p, mc_points=10**6)
-        rng = np.random.default_rng(5)
-        pts, density = sample_annulus(p, U, m, rng)
-        omega = _quad_weights(w, U, pts, density)
-        vals = omega * m  # per-point integrand w_U/density
-        got = float(np.sum(omega))
-        se = float(np.std(vals)) / math.sqrt(m)
-        assert abs(got - w.l1_mass) < 3 * se + 1e-12
+        w = bump_weight(p)
+        cfg = LowRankConfig(U=U, lambda_nuc=0.1, mc_samples=m)
+        D, omega, _, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=5)
+        for vals, want in ((omega, w.l1_mass),
+                           (omega * D[:, 0] ** 4, w.kappa_lower)):
+            se = float(np.std(vals * m)) / math.sqrt(m)
+            assert abs(float(np.sum(vals)) - want) < 3 * se
+
+    def test_exact_mass_matches_fine_quadrature(self):
+        lo, hi = ANNULUS
+        r = np.linspace(lo, hi, 200_001)
+        for p in (1, 2, 5, 10, 20):
+            radial = float(np.sum(_bump_profile(r) * r ** (p - 1))) \
+                * (hi - lo) / 200_000
+            area = 2.0 * math.pi ** (p / 2.0) / math.gamma(p / 2.0)
+            assert bump_weight(p).mass == pytest.approx(area * radial, rel=1e-12)
 
     def test_isometry_constants_bracket_weighted_norm(self):
         p, U, m = 3, 1.0, 60000
-        w = bump_weight(p, mc_points=10**6)
+        w = bump_weight(p)
+        cfg = LowRankConfig(U=U, lambda_nuc=0.1, mc_samples=m)
+        D, omega, _, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=6)
         rng = np.random.default_rng(6)
-        pts, density = sample_annulus(p, U, m, rng)
         A_ = rng.standard_normal((p, p))
         A = A_ @ A_.T
         fro_sq = float(np.sum(A * A))
-        got = weighted_norm_sq(A, w, U, pts, density)
+        integrand = omega * _theta_dot(D, A) ** 2
+        got = float(np.sum(integrand))
         # same-sample standard error of the MC integral
-        nsq = np.sum(pts**2, axis=1)
-        integrand = (np.einsum("ki,ij,kj->k", pts, A, pts) / nsq) ** 2 \
-            * _quad_weights(w, U, pts, density) * m
-        se = float(np.std(integrand)) / math.sqrt(m)
+        se = float(np.std(integrand * m)) / math.sqrt(m)
         assert got >= w.kappa_lower * fro_sq - 3 * se
         assert got <= w.l1_mass * fro_sq + 3 * se
 
@@ -118,42 +123,27 @@ class TestQuadrature:
         from speccov.lowrank import WeightFunction
 
         with pytest.raises(ValueError):
-            WeightFunction(radial_profile=lambda r: r, p=2, l1_mass=1.0,
-                           kappa_lower=2.0)
+            WeightFunction(p=2, mass=1.0, kappa_lower=2.0)
+        with pytest.raises(ValueError):
+            WeightFunction(p=2, mass=0.0, kappa_lower=0.1)
 
 
 class TestObjective:
     def test_zero_signal_zero_matrix_gives_zero(self):
         Y = np.zeros((20, 2))
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.5, mc_samples=500)
-        w = bump_weight(2, mc_points=10**5)
-        rng = np.random.default_rng(7)
-        pts, density = sample_annulus(2, 1.0, 500, rng)
-        assert lowrank_objective(np.zeros((2, 2)), Y, cfg, w, pts, density) == 0.0
-
-    def test_penalty_term_is_lambda_times_nuclear_norm(self):
-        Y = np.zeros((20, 2))
-        lam = 0.7
-        cfg = LowRankConfig(U=1.0, lambda_nuc=lam, mc_samples=500)
-        w = bump_weight(2, mc_points=10**5)
-        rng = np.random.default_rng(8)
-        pts, density = sample_annulus(2, 1.0, 500, rng)
-        M = np.diag([2.0, -3.0])
-        got = lowrank_objective(M, Y, cfg, w, pts, density)
-        datafit = weighted_norm_sq(M, w, 1.0, pts, density)
-        assert got == pytest.approx(datafit + lam * 5.0, rel=1e-12)
+        est = lowrank_estimate(Y, cfg, bump_weight(2), seed=7)
+        assert est.tuning["objective_trace"][0] == 0.0
+        np.testing.assert_array_equal(est.matrix, np.zeros((2, 2)))
 
     def test_truncation_rarely_active_on_calibrated_gaussian(self):
-        from speccov.lowrank import _cf_targets
-
         n = 1000
         s = Scenario(cov=CovModel.explicit(0.1 * np.eye(3)),
                      noise=NoiseModel.none(), n=n, seed=9)
         Y = sample_scenario(s)
-        cfg = LowRankConfig(U=1.0, lambda_nuc=0.1)  # iota defaults to 1/(2 sqrt n)
-        rng = np.random.default_rng(10)
-        pts, _ = sample_annulus(3, 1.0, 4000, rng)
-        _, keep = _cf_targets(Y, cfg, pts)
+        # iota defaults to 1/(2 sqrt n)
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=4000)
+        _, _, _, keep = _surrogate(Y, cfg, bump_weight(3), seed=10)
         assert keep.mean() >= 0.99
 
 
@@ -164,11 +154,8 @@ class TestLowRankEstimate:
         s = Scenario(cov=CovModel.explicit(S), noise=NoiseModel.none(),
                      n=50_000, seed=11)
         Y = sample_scenario(s)
-        # the bump weight carries a very small total mass, so "small" lambda
-        # means small relative to the data-fit scale set by that mass
-        w = bump_weight(4)
-        cfg = LowRankConfig(U=1.0, lambda_nuc=1e-3 * w.l1_mass, mc_samples=4096)
-        est = lowrank_estimate(Y, cfg, w, seed=0)
+        cfg = LowRankConfig(U=1.0, lambda_nuc=1e-3, mc_samples=4096)
+        est = lowrank_estimate(Y, cfg, bump_weight(4), seed=0)
         rel = np.linalg.norm(est.matrix - S) / np.linalg.norm(S)
         assert rel < 0.1
 
@@ -182,56 +169,44 @@ class TestLowRankEstimate:
     def test_objective_trace_non_increasing(self):
         rng = np.random.default_rng(13)
         Y = rng.standard_normal((400, 3)) @ np.diag([1.0, 0.7, 0.2])
-        w = bump_weight(3)
-        cfg = LowRankConfig(U=1.0, lambda_nuc=1e-3 * w.l1_mass, mc_samples=1024)
-        est = lowrank_estimate(Y, cfg, w, seed=1)
+        cfg = LowRankConfig(U=1.0, lambda_nuc=1e-3, mc_samples=1024)
+        est = lowrank_estimate(Y, cfg, bump_weight(3), seed=1)
         trace = np.asarray(est.tuning["objective_trace"])
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_matches_convex_solver_on_frozen_quadrature(self):
         cp = pytest.importorskip("cvxpy")
-        from speccov.lowrank import _cf_targets
+        from test_acceptance import _lowrank_oracle
 
-        p = 2
-        rng = np.random.default_rng(14)
-        A = rng.standard_normal((p, p))
-        S = A @ A.T
-        sc = Scenario(cov=CovModel.explicit(S), noise=NoiseModel.none(),
-                      n=2000, seed=15)
-        Y = sample_scenario(sc)
-        w = bump_weight(p)
-        lam = 0.1 * w.l1_mass  # strong enough to bite, weak enough to keep rank
-        cfg = LowRankConfig(U=1.0, lambda_nuc=lam, mc_samples=800,
-                            tol=1e-14, max_iter=20_000)
+        Y, cfg, w = _two_dim_problem()
         est = lowrank_estimate(Y, cfg, w, seed=3)
+        oracle = _lowrank_oracle(cp, Y, cfg, w, seed=3)
+        assert np.linalg.norm(est.matrix - oracle) < 1e-5
 
-        # rebuild the same frozen surrogate the solver saw
-        quad, density = sample_annulus(p, cfg.U, cfg.mc_samples,
-                                       np.random.default_rng(3))
-        omega = _quad_weights(w, cfg.U, quad, density)
-        g, _ = _cf_targets(Y, cfg, quad)
-        M = cp.Variable((p, p), PSD=True)
-        theta = -np.einsum("ki,kj->kij", quad, quad) / \
-            np.sum(quad**2, axis=1)[:, None, None]
-        # theta_k and M are both symmetric, so the vectorization order is moot
-        resid = g - theta.reshape(len(g), -1) @ cp.vec(M, order="F")
-        # normalize by the (tiny) weight mass; scaling the objective does not
-        # move the minimizer but keeps the conic solver well-conditioned
-        scale = 1.0 / w.l1_mass
-        prob = cp.Problem(cp.Minimize(
-            cp.sum(cp.multiply(scale * omega, cp.square(resid)))
-            + (scale * lam) * cp.trace(M)))
-        prob.solve(solver=cp.CLARABEL)
-        assert np.linalg.norm(est.matrix - M.value) < 1e-5
+    @pytest.mark.parametrize("lam", [1e-3, 0.1])
+    def test_prox_fixed_point_certificate(self, lam):
+        # M solves the problem iff M = prox_{t lam}(M - t grad f(M)) for t > 0
+        Y, cfg, w = _two_dim_problem(lam)
+        D, omega, g, _ = _surrogate(Y, cfg, w, seed=3)
+        t = 1.0 / _lipschitz(D, omega)
+
+        def residual(M):
+            grad = _theta_adj(D, 2.0 * omega * (_theta_dot(D, M) - g))
+            step = nuclear_prox(M - t * grad, t * lam)
+            return np.linalg.norm(M - step) / max(1.0, np.linalg.norm(M))
+
+        est = lowrank_estimate(Y, cfg, w, seed=3).matrix
+        E = np.random.default_rng(17).standard_normal(est.shape)
+        E = 0.5 * (E + E.T)
+        assert residual(est) < 1e-5
+        assert residual(est + 1e-3 * E / np.linalg.norm(E)) > 1e-5
 
     def test_nonconvergence_carries_trace(self):
         rng = np.random.default_rng(16)
         Y = rng.standard_normal((200, 3))
-        w = bump_weight(3)
-        cfg = LowRankConfig(U=1.0, lambda_nuc=1e-6 * w.l1_mass, mc_samples=512,
-                            max_iter=1)
+        cfg = LowRankConfig(U=1.0, lambda_nuc=1e-6, mc_samples=512, max_iter=1)
         with pytest.raises(SolverError) as ei:
-            lowrank_estimate(Y, cfg, w, seed=0)
+            lowrank_estimate(Y, cfg, bump_weight(3), seed=0)
         assert ei.value.objective_trace is not None
 
     def test_config_validation(self):

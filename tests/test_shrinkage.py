@@ -39,6 +39,20 @@ def pd_soft_objective(S, shat, tau, lam):
     return float(np.sum((S - shat) ** 2) + 2 * tau * np.sum(np.abs(S)) - lam * logdet)
 
 
+def pd_soft_kkt_residual(S, shat, tau, lam):
+    """Largest violation of 0 in 2(S - shat) + 2 tau d|S|_1 - lam S^-1.
+
+    The subgradient of |S|_1 is sign S_ij off the zero set and anything in
+    [-1, 1] on it; inf unless S is positive definite.
+    """
+    if np.linalg.eigvalsh(S).min() <= 0:
+        return np.inf
+    R = 2.0 * (S - shat) - lam * np.linalg.inv(S)
+    viol = np.where(np.abs(S) > 1e-6, np.abs(R + 2.0 * tau * np.sign(S)),
+                    np.maximum(np.abs(R) - 2.0 * tau, 0.0))
+    return float(viol.max())
+
+
 class TestHardThreshold:
     def test_zero_threshold_is_identity(self):
         m = sym(np.random.default_rng(0).standard_normal((4, 4)))
@@ -145,17 +159,22 @@ class TestPdSoftThreshold:
         out = pd_soft_threshold(
             shat, PdSoftConfig(tau=tau, lambda_barrier=lam, tol=tol,
                                max_iter=200_000)).matrix
-        grad = 2.0 * (out - shat) - lam * np.linalg.inv(out)
-        g = -grad / (2.0 * tau)  # candidate l1 subgradient
-        active = np.abs(out) > 1e-6
-        resid = 0.0
-        if active.any():
-            resid = np.abs(g[active] - np.sign(out[active])).max() * 2 * tau
-        if (~active).any():
-            resid = max(resid,
-                        float(np.maximum(np.abs(g[~active]) - 1.0, 0.0).max())
-                        * 2 * tau)
-        assert resid < 10 * tol
+        assert pd_soft_kkt_residual(out, shat, tau, lam) < 10 * tol
+
+    @pytest.mark.parametrize("rho", [1.0, 20.0])
+    @pytest.mark.parametrize("tau", [0.01, 0.05, 0.25])
+    def test_kkt_certificate_rejects_perturbation(self, tau, rho):
+        s = Scenario(cov=CovModel.tridiagonal(5),
+                     noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0),
+                     n=200, seed=3)
+        shat = spectral_estimate(sample_scenario(s), 1.0).matrix
+        lam = 1e-4
+        out = pd_soft_threshold(shat, PdSoftConfig(
+            tau=tau, lambda_barrier=lam, rho_admm=rho)).matrix
+        E = sym(np.random.default_rng(0).standard_normal((5, 5)))
+        assert pd_soft_kkt_residual(out, shat, tau, lam) < 1e-6
+        assert pd_soft_kkt_residual(out + 1e-3 * E / np.linalg.norm(E),
+                                    shat, tau, lam) > 1e-2
 
     def test_nonconvergence_raises_with_residuals(self):
         rng = np.random.default_rng(5)

@@ -244,10 +244,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             NoiseModel.stable(1.0, 1.0, norm="l1")
 
-    def test_stable_records_class_tag(self):
-        m = NoiseModel.stable(0.5, 0.02)
-        assert m.class_tag == (0.5, 0.02)
-
     def test_unknown_cov_kind(self):
         with pytest.raises(ValueError):
             CovModel(kind="mystery", p=2).matrix()
