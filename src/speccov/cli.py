@@ -67,7 +67,7 @@ def _cmd_cv(args):
     if args.grid:
         grid = [float(x) for x in args.grid.split(",")]
     else:
-        grid = np.geomspace(1e-3, 2.0, 40).tolist()
+        grid = shrinkage.DEFAULT_TAU_GRID
     cfg = CvConfig(num_splits=args.splits, tau_grid=grid, seed=args.seed)
     fit = harness.cv_fit(args.rule, {"U": args.u})
     tau_hat, Q = shrinkage.cross_validate_tau(Y, args.u, cfg, fit)

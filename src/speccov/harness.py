@@ -34,9 +34,6 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# estimators that take tau; a cv: block selects it and its rule is one of them
-THRESHOLD_TAGS = ("sps", "soft", "hard", "pds")
-
 CSV_HEADER = [
     "replication", "estimator", "frob_error", "wall_time_s",
     "tau", "U", "lambda", "admissible",
@@ -119,15 +116,41 @@ def _lowrank(Y, tuning):
     return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
 
 
+def _pd_soft(base, tuning, start=None):
+    return shrinkage.pd_soft_threshold(base, _pd_config(tuning), start)
+
+
+# The estimators that take tau, each a base estimate of Y followed by a rule
+# applied to it; a cv: block selects tau and its rule is one of them. CV
+# computes the base once per split and runs the rule along the tau grid.
+# base: fn(Y, tuning) -> CovEstimate. rule: fn(base, tuning, start) ->
+# CovEstimate, where start is the estimate at the previous tau of a path
+# (a warm start for PD-soft, ignored by hard and soft).
+_BASES = {
+    "sps": _spectral,
+    "soft": _spectral,
+    "hard": _spectral,
+    "pds": lambda Y, t: shrinkage.sample_covariance(Y),
+}
+_RULES = {
+    "sps": _pd_soft,
+    "soft": lambda base, t, start=None: shrinkage.soft_threshold(base, t.get("tau")),
+    "hard": lambda base, t, start=None: shrinkage.hard_threshold(base, t.get("tau")),
+    "pds": _pd_soft,
+}
+THRESHOLD_TAGS = tuple(_RULES)
+
+
+def _thresholded(tag):
+    return lambda Y, t: _RULES[tag](_BASES[tag](Y, t), t)
+
+
 # tag -> fn(Y, tuning) -> CovEstimate, for an (n, p) array Y. Entries call
 # package functions through their modules, so a rebound module attribute
 # (perfbench's tracer, a test's monkeypatch) takes effect.
 ESTIMATORS = {
     "cov": lambda Y, t: shrinkage.sample_covariance(Y),
-    "pds": lambda Y, t: shrinkage.pds_baseline(Y, _pd_config(t)),
-    "sps": lambda Y, t: shrinkage.pd_soft_threshold(_spectral(Y, t), _pd_config(t)),
-    "hard": lambda Y, t: shrinkage.hard_threshold(_spectral(Y, t), t.get("tau")),
-    "soft": lambda Y, t: shrinkage.soft_threshold(_spectral(Y, t), t.get("tau")),
+    **{tag: _thresholded(tag) for tag in THRESHOLD_TAGS},
     "lowrank": _lowrank,
     "elliptical": lambda Y, t: spectral.spectral_estimate(
         Y, t.get("U", 1.0), _generator_from_tuning(t)),
@@ -135,8 +158,20 @@ ESTIMATORS = {
 
 
 def cv_fit(tag, tuning):
-    """The ``fit(train, tau)`` callable of cross_validate_tau for one tag."""
-    return lambda train, tau: ESTIMATORS[tag](train, {**tuning, "tau": tau})
+    """The ``fit(train, taus)`` callable of cross_validate_tau for one tag.
+
+    It computes the base estimate of ``train`` once and applies the rule at
+    each tau in order, warm-starting each from the estimate at the one
+    before.
+    """
+    def fit(train, taus):
+        base = _BASES[tag](train, tuning)
+        ests = []
+        for tau in taus:
+            ests.append(_RULES[tag](base, {**tuning, "tau": tau},
+                                    ests[-1] if ests else None))
+        return ests
+    return fit
 
 
 def _admissible_flag(tuning, n, p):
@@ -154,7 +189,7 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
     """Run all replications; estimator failures are recorded, not raised."""
     truth = spec.scenario.cov.matrix()
     n, p = spec.scenario.n, truth.shape[0]
-    tau_cv = None
+    tau_cv = cv_error = None
     if spec.cv is not None:
         # select tau once on an independent sample drawn past the
         # replication seed range
@@ -166,7 +201,10 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
         rule_tuning = next((t for tag, t in spec.estimators
                             if tag == spec.cv_rule), {})
         fit = cv_fit(spec.cv_rule, {**rule_tuning, "U": U_cv})
-        tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
+        try:
+            tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
+        except Exception as exc:  # fails the tuned records only, below
+            cv_error = f"cross-validation failed: {type(exc).__name__}: {exc}"
     records = []
     for rep in range(spec.replications):
         sample = simgen.sample_scenario(
@@ -174,16 +212,14 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
                      n=n, seed=_rep_seed(spec.scenario.seed, rep)))
         for tag, tuning in spec.estimators:
             tuning = dict(tuning)
-            if tau_cv is not None and tag in THRESHOLD_TAGS:
+            tuned = spec.cv is not None and tag in THRESHOLD_TAGS
+            if tuned:
                 tuning["tau"] = tau_cv
             t0 = time.perf_counter()
-            try:
-                est = ESTIMATORS[tag](sample.data, tuning)
-                err_msg = None
-                frob = simgen.frobenius_error(est, truth)
-            except Exception as exc:  # isolate failures per record
-                err_msg = f"{type(exc).__name__}: {exc}"
-                frob = math.nan
+            if tuned and cv_error is not None:
+                frob, err_msg = math.nan, cv_error
+            else:
+                frob, err_msg = _run_estimator(tag, sample.data, tuning, truth)
             wall = time.perf_counter() - t0
             records.append(ResultRecord(
                 replication=rep,
@@ -196,6 +232,15 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
             ))
     records.sort(key=lambda r: (r.replication, r.estimator))
     return records
+
+
+def _run_estimator(tag, data, tuning, truth):
+    """(frob_error, error text or None) of one estimator on one sample."""
+    try:
+        est = ESTIMATORS[tag](data, tuning)
+        return simgen.frobenius_error(est, truth), None
+    except Exception as exc:  # isolate failures per record
+        return math.nan, f"{type(exc).__name__}: {exc}"
 
 
 def _rep_seed(seed, rep):
@@ -310,7 +355,7 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
         c = doc["cv"]
         grid = c.get("tau_grid")
         if grid is None:
-            grid = np.geomspace(1e-3, 2.0, 40).tolist()
+            grid = shrinkage.DEFAULT_TAU_GRID
         cv = CvConfig(num_splits=int(c.get("num_splits", 100)),
                       tau_grid=grid, seed=int(c.get("seed", 0)))
     return ExperimentSpec(

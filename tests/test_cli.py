@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from speccov.cli import main
+from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -100,6 +105,21 @@ class TestSimulate:
               "--output", str(out), "--replications", "1"])
         assert len(out.read_text().splitlines()) == 1 + 2
 
+    def test_cv_block_with_default_grid(self, tmp_path, capsys):
+        # at a fixed ADMM penalty this config stalled on the grid's large tau
+        doc = yaml.safe_load((CONFIGS / "tridiagonal_gamma.yaml").read_text())
+        doc["cv"] = {"num_splits": 5}
+        doc.pop("output")
+        cfg = tmp_path / "cv.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out),
+                     "--replications", "2"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 3 and all(row[2] != "nan" for row in rows)
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: {}\nestimators: []\nreplications: 1\n")
@@ -119,6 +139,21 @@ class TestCv:
         tau_hat = float(lines[0].split(",")[1])
         assert tau_hat in (0.2, 0.5, 1.0)
         assert len(lines) == 4  # header + one line per grid point
+
+    def test_default_grid_converges(self, tmp_path, capsys):
+        # the default grid reaches tau = 2 at the default ADMM penalty 1
+        p = 20
+        Y = sample_scenario(Scenario(
+            cov=CovModel.tridiagonal(p),
+            noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0), n=50, seed=0)).data
+        path = tmp_path / "y.csv"
+        np.savetxt(path, Y, delimiter=",", fmt="%.17g")
+        code = main(["cv", "--input", str(path), "--splits", "2"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1 + 40
+        assert all(np.isfinite(float(line.split(",")[1])) for line in lines)
 
 
 class TestRates:

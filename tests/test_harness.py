@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speccov import harness, shrinkage, simgen
+from speccov import harness, shrinkage, simgen, spectral
 from speccov.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -107,9 +107,9 @@ class TestRunExperiment:
         seen = []
         solve = shrinkage.pd_soft_threshold
 
-        def recording(est, cfg):
+        def recording(est, cfg, start=None):
             seen.append(cfg)
-            return solve(est, cfg)
+            return solve(est, cfg, start)
 
         monkeypatch.setattr(shrinkage, "pd_soft_threshold", recording)
         cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3, 0.6], seed=0)
@@ -121,6 +121,27 @@ class TestRunExperiment:
         # 2 splits x 3 grid points in CV, then the one replication
         assert len(seen) == 2 * 3 + 1
         assert all(c.rho_admm == 20.0 and c.lambda_barrier == 1e-3 for c in seen)
+
+    def test_cv_failure_fails_only_the_tuned_records(self, monkeypatch):
+        def diverging(est, cfg, start=None):
+            raise shrinkage.ConvergenceError("no convergence", iterations=7)
+
+        monkeypatch.setattr(shrinkage, "pd_soft_threshold", diverging)
+        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
+        spec = small_spec([("cov", {}), ("hard", {"tau": 0.2, "U": 1.0}),
+                           ("sps", {"tau": 0.2, "U": 1.0}),
+                           ("elliptical", {"U": 1.0})],
+                          replications=2, cv=cv, cv_rule="sps")
+        records = run_experiment(spec)
+        assert len(records) == 8
+        for r in records:
+            if r.estimator in ("hard", "sps"):
+                assert math.isnan(r.frob_error)
+                assert r.error.startswith("cross-validation failed: "
+                                          "ConvergenceError")
+                assert r.tuning_used["tau"] is None
+            else:
+                assert r.error is None and not math.isnan(r.frob_error)
 
     def test_every_table_tag_runs_through_the_harness(self):
         spec = ExperimentSpec(
@@ -168,6 +189,36 @@ class TestRunExperiment:
         records = run_experiment(spec)
         flags = {r.admissible_flag for r in records}
         assert flags == {None, True}
+
+
+class TestCvFit:
+    def test_one_base_estimate_per_split(self, monkeypatch):
+        calls = []
+        for mod in (shrinkage, spectral):
+            real = mod.spectral_estimate
+            monkeypatch.setattr(
+                mod, "spectral_estimate",
+                lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+        Y = simgen.sample_scenario(Scenario(
+            cov=CovModel.tridiagonal(5),
+            noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0), n=60, seed=1))
+        cfg = shrinkage.CvConfig(num_splits=3, tau_grid=[0.05, 0.1, 0.2, 0.4])
+        shrinkage.cross_validate_tau(Y, 1.0, cfg, harness.cv_fit("sps", {}))
+        # the validation estimate and the one training base, per split
+        assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("tag", harness.THRESHOLD_TAGS)
+    def test_path_matches_one_estimate_per_tau(self, tag):
+        Y = simgen.sample_scenario(Scenario(
+            cov=CovModel.tridiagonal(5),
+            noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0), n=60, seed=2))
+        tuning = {"U": 1.0, "rho_admm": 20.0}
+        taus = [0.02, 0.1, 0.3]
+        path = harness.cv_fit(tag, tuning)(Y, taus)
+        for tau, est in zip(taus, path):
+            one = harness.ESTIMATORS[tag](Y, {**tuning, "tau": tau})
+            assert est.estimator_kind == one.estimator_kind
+            np.testing.assert_allclose(est.matrix, one.matrix, rtol=0, atol=1e-5)
 
 
 class TestInputValidation:

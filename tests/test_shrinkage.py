@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from speccov.shrinkage import (
+    DEFAULT_TAU_GRID,
     ConvergenceError,
     CvConfig,
     PdSoftConfig,
@@ -182,6 +183,23 @@ class TestPdSoftThreshold:
         with pytest.raises(ConvergenceError) as ei:
             pd_soft_threshold(shat, PdSoftConfig(tau=0.3, max_iter=1))
         assert ei.value.primal is not None and ei.value.dual is not None
+        assert ei.value.iterations == 1 and ei.value.rho == 1.0
+
+    def test_tuning_records_solver_diagnostics(self):
+        rng = np.random.default_rng(5)
+        shat = sym(rng.standard_normal((4, 4)))
+        cfg = PdSoftConfig(tau=0.3, rho_admm=20.0)
+        t = pd_soft_threshold(shat, cfg).tuning
+        assert 1 <= t["iterations"] <= cfg.max_iter
+        assert max(t["primal"], t["dual"]) < cfg.tol
+        # rho only ever moves by whole factors of 10 from its start
+        assert math.log10(t["rho"] / 20.0) == pytest.approx(
+            round(math.log10(t["rho"] / 20.0)), abs=1e-9)
+
+    def test_start_must_be_positive_definite(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            pd_soft_threshold(np.eye(3), PdSoftConfig(tau=0.1),
+                              start=np.diag([1.0, 0.0, 1.0]))
 
     def test_kind_mapping(self):
         rng = np.random.default_rng(6)
@@ -198,6 +216,54 @@ class TestPdSoftThreshold:
             PdSoftConfig(tau=0.1, lambda_barrier=0.0)
         with pytest.raises(ValueError):
             PdSoftConfig(tau=0.1, tol=0.0)
+
+
+def _tridiagonal_gamma_base(p=20, n=50, seed=0):
+    s = Scenario(cov=CovModel.tridiagonal(p),
+                 noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0),
+                 n=n, seed=seed)
+    return spectral_estimate(sample_scenario(s), 1.0)
+
+
+class TestPdSoftPath:
+    """PD-soft along the default CV grid, cold and warm-started."""
+
+    @pytest.mark.parametrize("rho", [1.0, 20.0])
+    def test_kkt_certificate_on_default_grid(self, rho):
+        # at a fixed rho = 1 the solver stalled at tau >~ 0.5 on this base
+        base = _tridiagonal_gamma_base()
+        lam = 1e-4
+        prev = None
+        for tau in DEFAULT_TAU_GRID:
+            cfg = PdSoftConfig(tau=tau, lambda_barrier=lam, rho_admm=rho)
+            cold = pd_soft_threshold(base, cfg)
+            warm = pd_soft_threshold(base, cfg, start=prev)
+            for est in (cold, warm):
+                assert pd_soft_kkt_residual(est.matrix, base.matrix, tau, lam) \
+                    <= 1e-5, (tau, rho, est.tuning)
+            prev = warm
+
+    def test_warm_start_agrees_with_cold_solve(self):
+        base = _tridiagonal_gamma_base(seed=1)
+        prev = None
+        warm_iters = cold_iters = 0
+        for tau in DEFAULT_TAU_GRID:
+            cfg = PdSoftConfig(tau=tau, rho_admm=20.0)
+            cold = pd_soft_threshold(base, cfg)
+            warm = pd_soft_threshold(base, cfg, start=prev)
+            assert np.abs(warm.matrix - cold.matrix).max() <= 1e-5, tau
+            cold_iters += cold.tuning["iterations"]
+            warm_iters += warm.tuning["iterations"]
+            prev = warm
+        assert warm_iters < cold_iters
+
+    def test_warm_start_at_the_solution_stops_at_once(self):
+        base = _tridiagonal_gamma_base(p=5, n=200, seed=3)
+        cfg = PdSoftConfig(tau=0.05, rho_admm=20.0, tol=1e-9, max_iter=100_000)
+        sol = pd_soft_threshold(base, cfg)
+        again = pd_soft_threshold(base, cfg, start=sol)
+        assert again.tuning["iterations"] <= 2
+        np.testing.assert_allclose(again.matrix, sol.matrix, atol=1e-8)
 
 
 class TestSampleCovariance:
@@ -250,8 +316,12 @@ class TestPdsBaseline:
 
 
 def spectral_fit(rule, U):
-    """CV fit applying ``rule(estimate, tau)`` to the spectral estimate."""
-    return lambda train, tau: rule(spectral_estimate(train, U), tau)
+    """CV fit applying ``rule(estimate, tau)`` at each grid tau to one
+    spectral estimate of the training part."""
+    def fit(train, taus):
+        est = spectral_estimate(train, U)
+        return [rule(est, tau) for tau in taus]
+    return fit
 
 
 class TestCrossValidateTau:
@@ -278,6 +348,12 @@ class TestCrossValidateTau:
             cross_validate_tau(np.ones((3, 2)), 1.0,
                                CvConfig(num_splits=1, tau_grid=[0.1]),
                                spectral_fit(soft_threshold, 1.0))
+
+    def test_fit_must_return_one_estimate_per_tau(self):
+        Y = np.random.default_rng(9).standard_normal((40, 3))
+        cfg = CvConfig(num_splits=1, tau_grid=[0.1, 0.2], seed=0)
+        with pytest.raises(ValueError, match="2 grid points"):
+            cross_validate_tau(Y, 1.0, cfg, lambda train, taus: [np.eye(3)])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
