@@ -7,20 +7,11 @@ thresholding and positive-definite variants adapt it to sparsity, and a
 nuclear-norm variant handles low-rank structure.
 """
 
-from .charfreq import (
-    CfValue,
-    SampleMatrix,
-    direction_vector,
-    empirical_cf,
-    log_modulus_cf,
-    probe_log_moduli,
-)
 from .harness import ExperimentSpec, ResultRecord, SummaryStats, run_experiment, summarize
 from .lowrank import (
     LowRankConfig,
     WeightFunction,
     bump_weight,
-    design_matrix,
     lambda_threshold,
     lowrank_estimate,
 )
@@ -31,7 +22,6 @@ from .shrinkage import (
     cross_validate_tau,
     hard_threshold,
     pd_soft_threshold,
-    pds_baseline,
     sample_covariance,
     soft_threshold,
 )
@@ -47,12 +37,13 @@ from .simgen import (
 )
 from .spectral import (
     CovEstimate,
-    EllipticalGenerator,
     EstimationError,
     PreAsymptoticError,
+    SampleMatrix,
     SpectralConfig,
     admissible,
     gaussian_generator,
+    probe_log_moduli,
     spectral_estimate,
     spectral_radius_star,
     stable_generator,

@@ -36,7 +36,7 @@ __all__ = [
 
 CSV_HEADER = [
     "replication", "estimator", "frob_error", "wall_time_s",
-    "tau", "U", "lambda", "admissible",
+    "tau", "U", "lambda", "admissible", "error",
 ]
 
 
@@ -74,13 +74,18 @@ class ResultRecord:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    min: float
-    q25: float
-    median: float
-    q75: float
-    max: float
-    mean: float
-    stderr: float
+    """An estimator's record count ``n``, how many of them failed, and the
+    statistics of the others' errors (None when every record failed)."""
+
+    n: int
+    n_failed: int
+    min: Optional[float] = None
+    q25: Optional[float] = None
+    median: Optional[float] = None
+    q75: Optional[float] = None
+    max: Optional[float] = None
+    mean: Optional[float] = None
+    stderr: Optional[float] = None
 
 
 def _generator_from_tuning(tuning):
@@ -248,19 +253,24 @@ def _rep_seed(seed, rep):
 
 
 def summarize(records) -> dict:
-    """Per-estimator five-number summary plus mean and standard error."""
+    """Per-estimator five-number summary plus mean and standard error of the
+    errors of its successful records, with the failed (NaN) ones counted."""
     if not records:
         raise ValueError("no records to summarize")
     out = {}
     by_tag = {}
     for r in records:
-        if math.isnan(r.frob_error):
-            continue
         by_tag.setdefault(r.estimator, []).append(r.frob_error)
     for tag, vals in by_tag.items():
         arr = np.asarray(vals)
+        arr = arr[~np.isnan(arr)]
+        counts = {"n": len(vals), "n_failed": len(vals) - len(arr)}
+        if len(arr) == 0:
+            out[tag] = SummaryStats(**counts)
+            continue
         q25, med, q75 = np.quantile(arr, [0.25, 0.5, 0.75])
         out[tag] = SummaryStats(
+            **counts,
             min=float(arr.min()), q25=float(q25), median=float(med),
             q75=float(q75), max=float(arr.max()), mean=float(arr.mean()),
             stderr=float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0,
@@ -292,6 +302,7 @@ def records_to_csv(records) -> str:
             _fmt(r.tuning_used.get("U")),
             _fmt(r.tuning_used.get("lambda")),
             _fmt(r.admissible_flag),
+            _fmt(r.error),
         ])
     return buf.getvalue()
 
@@ -350,9 +361,10 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
         e = dict(e)
         tag = e.pop("tag")
         estimators.append((tag, e))
+    # a bare "cv:" key is an empty block: every CV default
+    c = doc.get("cv") or {}
     cv = None
     if "cv" in doc:
-        c = doc["cv"]
         grid = c.get("tau_grid")
         if grid is None:
             grid = shrinkage.DEFAULT_TAU_GRID
@@ -363,7 +375,7 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
         estimators=estimators,
         replications=int(doc["replications"]),
         cv=cv,
-        cv_rule=doc.get("cv", {}).get("rule", "sps"),
+        cv_rule=c.get("rule", "sps"),
         output=doc.get("output"),
     )
 

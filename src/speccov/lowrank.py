@@ -11,19 +11,16 @@ cone, where the nuclear norm is the trace.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .charfreq import _as_data
-from .spectral import CovEstimate
+from .spectral import CovEstimate, _as_data
 
 __all__ = [
     "WeightFunction",
     "LowRankConfig",
     "bump_weight",
-    "design_matrix",
     "sample_annulus",
     "lowrank_estimate",
     "lambda_threshold",
@@ -116,7 +113,6 @@ def sample_annulus(p, U, m, rng):
 class LowRankConfig:
     U: float
     lambda_nuc: float
-    iota: Optional[float] = None  # default 1/(2 sqrt(n)) at estimation time
     mc_samples: int = 4096
     max_iter: int = 2000
     tol: float = 1e-10
@@ -128,17 +124,6 @@ class LowRankConfig:
             raise ValueError("lambda_nuc must be positive")
         if self.mc_samples < 1 or self.max_iter < 1 or self.tol <= 0:
             raise ValueError("invalid solver controls")
-        if self.iota is not None and self.iota <= 0:
-            raise ValueError("iota must be positive")
-
-
-def design_matrix(u) -> np.ndarray:
-    """Rank-one design Theta(u) = -u u^T / |u|^2 (trace -1, spectral norm 1)."""
-    u = np.asarray(u, dtype=float)
-    nsq = float(u @ u)
-    if nsq == 0.0:
-        raise ValueError("zero frequency has no design matrix")
-    return -np.outer(u, u) / nsq
 
 
 def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
@@ -147,7 +132,8 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     Returns (D, omega, g, keep): unit directions D (m x p) of m seeded points
     uniform on the annulus, importance weights omega = w_U(u)/(m density)
     summing to about 1, and regression targets
-    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2 with keep the indicator.
+    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)),
+    with keep the indicator.
     The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
     """
     data = _as_data(Y)
@@ -156,9 +142,8 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
                                    np.random.default_rng(seed))
     r = np.linalg.norm(quad, axis=1)
     omega = w(r / cfg.U) / (cfg.U**p * cfg.mc_samples * density)
-    iota = cfg.iota if cfg.iota is not None else 0.5 / math.sqrt(n)
     mod = np.abs(_kernels.ecf(data, quad))
-    keep = mod >= iota
+    keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
     return quad / r[:, None], omega, g, keep

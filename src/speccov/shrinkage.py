@@ -18,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charfreq import _as_data
-from .spectral import CovEstimate, spectral_estimate
+from .spectral import CovEstimate, _as_data, spectral_estimate
 
 __all__ = [
     "PdSoftConfig",
@@ -27,7 +26,6 @@ __all__ = [
     "hard_threshold",
     "soft_threshold",
     "pd_soft_threshold",
-    "pds_baseline",
     "sample_covariance",
     "cross_validate_tau",
     "ConvergenceError",
@@ -207,11 +205,6 @@ def sample_covariance(Y) -> CovEstimate:
     m = data.T @ data / n
     m = np.triu(m) + np.triu(m, k=1).T
     return CovEstimate(m, "sample", {})
-
-
-def pds_baseline(Y, cfg: PdSoftConfig) -> CovEstimate:
-    """PD soft thresholding applied to the sample covariance."""
-    return pd_soft_threshold(sample_covariance(Y), cfg)
 
 
 def cross_validate_tau(Y, U, cfg: CvConfig, fit):

@@ -6,13 +6,12 @@ heavy-tailed stable models in particular have no moments to check.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .charfreq import CfValue, SampleMatrix
-from .spectral import CovEstimate
+from .spectral import CovEstimate, SampleMatrix
 
 __all__ = [
     "CovModel",
@@ -229,7 +228,7 @@ def sample_scenario(s: Scenario) -> SampleMatrix:
     return SampleMatrix(X + eps)
 
 
-def noise_cf(model: NoiseModel, u) -> CfValue:
+def noise_cf(model: NoiseModel, u) -> complex:
     """Closed-form noise characteristic function psi(u)."""
     u = np.asarray(u, dtype=float)
     if model.kind == "none":
@@ -247,7 +246,7 @@ def noise_cf(model: NoiseModel, u) -> CfValue:
         val = complex(np.exp(-model.sigma * r))
     else:
         raise ValueError(f"unknown noise model {model.kind!r}")
-    return CfValue(value=val, modulus=abs(val))
+    return val
 
 
 def frobenius_error(est, truth) -> float:

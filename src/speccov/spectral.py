@@ -7,6 +7,11 @@ noise contribution, which vanishes at rate U^(beta-2) when the noise
 characteristic function decays slower than a Gaussian. The same construction
 applies to elliptical signals with a known characteristic generator
 exp(-eta(<u, Sigma u>)); the Gaussian case is eta(x) = x/2.
+
+Every probe frequency is U * u_ij, where the unit direction u_ij is the
+standard basis vector e_i (i == j) or (e_i + e_j)/sqrt(2) (i != j);
+:func:`probe_log_moduli` evaluates the empirical characteristic function
+(ECF) at all p*(p+1)/2 of them in one pass over the data.
 """
 
 import math
@@ -15,12 +20,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charfreq import probe_log_moduli
+from . import _kernels
 
 __all__ = [
+    "SampleMatrix",
+    "probe_log_moduli",
     "SpectralConfig",
     "CovEstimate",
-    "EllipticalGenerator",
     "gaussian_generator",
     "stable_generator",
     "spectral_estimate",
@@ -34,6 +40,9 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+# |ecf| at or below this is treated as an exact zero and log|ecf| is set to 0.
+ZERO_MODULUS_TOL = 1e-300
+
 
 class EstimationError(RuntimeError):
     pass
@@ -41,6 +50,68 @@ class EstimationError(RuntimeError):
 
 class PreAsymptoticError(ValueError):
     """n is too small for the theory-driven spectral radius to be real."""
+
+
+@dataclass(frozen=True)
+class SampleMatrix:
+    """n observations of a p-vector, rows are observations."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("sample must be a 2-d array with n >= 1, p >= 1")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("sample contains non-finite entries")
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.data.shape[1]
+
+
+def _as_data(Y) -> np.ndarray:
+    if isinstance(Y, SampleMatrix):
+        return Y.data
+    return SampleMatrix(np.asarray(Y, dtype=float)).data
+
+
+def probe_log_moduli(Y, U: float):
+    """log|ecf| at all probe frequencies ``U * u_ij`` in a single data pass.
+
+    A modulus at or below ``ZERO_MODULUS_TOL`` carries no usable magnitude
+    information and maps to 0 rather than -inf, which keeps downstream
+    estimates finite.
+
+    Returns
+    -------
+    diag : ndarray, shape (p,)
+        log|ecf(U * e_i)|.
+    pair : ndarray, shape (p, p)
+        log|ecf(U * u_ij)| for i != j; the diagonal of ``pair`` is unused
+        filler. Exactly symmetric.
+    """
+    data = _as_data(Y)
+    if U <= 0:
+        raise ValueError("spectral radius U must be positive")
+    cf_diag, cf_pair = _kernels.probe_cf(data, float(U))
+    mod_diag = np.abs(cf_diag)
+    mod_pair = np.abs(cf_pair)
+    # mirror the upper triangle so symmetry is exact, not just up to BLAS
+    iu = np.triu_indices(mod_pair.shape[0], k=1)
+    sym = np.zeros_like(mod_pair)
+    sym[iu] = mod_pair[iu]
+    sym = sym + sym.T
+    np.fill_diagonal(sym, np.diag(mod_pair))
+    with np.errstate(divide="ignore"):
+        diag = np.where(mod_diag <= ZERO_MODULUS_TOL, 0.0, np.log(mod_diag))
+        pair = np.where(sym <= ZERO_MODULUS_TOL, 0.0, np.log(sym))
+    return diag, pair
 
 
 @dataclass(frozen=True)
@@ -87,45 +158,25 @@ class CovEstimate:
             raise ValueError("estimate must be exactly symmetric")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
 
+def gaussian_generator() -> Callable:
+    """eta_inv(y) = 2y of the Gaussian generator eta(x) = x/2.
 
-@dataclass(frozen=True)
-class EllipticalGenerator:
-    """Characteristic generator exp(-eta(.)) as a callable triple.
-
-    ``eta_inv`` must accept numpy arrays. No numeric inversion is attempted;
-    the generator is assumed known in closed form.
+    The estimator needs only eta_inv of a generator, so a generator is that
+    closed-form callable on numpy arrays.
     """
-
-    eta: Callable
-    eta_prime: Callable
-    eta_inv: Callable
-
-
-def gaussian_generator() -> EllipticalGenerator:
-    return EllipticalGenerator(
-        eta=lambda x: 0.5 * x,
-        eta_prime=lambda x: 0.5 * np.ones_like(np.asarray(x, dtype=float)),
-        eta_inv=lambda y: 2.0 * y,
-    )
+    return lambda y: 2.0 * y
 
 
 _GAUSSIAN = gaussian_generator()
 
 
-def stable_generator(alpha: float) -> EllipticalGenerator:
-    """Generator eta(x) = x**(alpha/2) of a multivariate alpha-stable law."""
+def stable_generator(alpha: float) -> Callable:
+    """eta_inv(y) = y**(2/alpha) of the alpha-stable generator x**(alpha/2)."""
     if not (0 < alpha <= 2):
         raise ValueError("alpha must lie in (0, 2]")
     h = alpha / 2.0
-    return EllipticalGenerator(
-        eta=lambda x: np.asarray(x, dtype=float) ** h,
-        eta_prime=lambda x: h * np.asarray(x, dtype=float) ** (h - 1.0),
-        eta_inv=lambda y: np.asarray(y, dtype=float) ** (1.0 / h),
-    )
+    return lambda y: np.asarray(y, dtype=float) ** (1.0 / h)
 
 
 def _assemble(diag_logmod, pair_logmod, U, gen=None):
@@ -133,10 +184,10 @@ def _assemble(diag_logmod, pair_logmod, U, gen=None):
 
     Negative -log|cf| values (|cf| > 1 by float error) are clamped to 0
     before eta_inv. Diagonal first, then off-diagonal corrected by the
-    diagonal halves. ``gen=None`` is the Gaussian generator and gives kind
-    "spectral"; any other generator gives kind "elliptical".
+    diagonal halves. ``gen`` is eta_inv; ``None`` is the Gaussian one and
+    gives kind "spectral", any other generator gives kind "elliptical".
     """
-    eta_inv = (_GAUSSIAN if gen is None else gen).eta_inv
+    eta_inv = _GAUSSIAN if gen is None else gen
     usq = U * U
     raw_diag = np.clip(-np.asarray(diag_logmod, dtype=float), 0.0, None)
     raw_pair = np.clip(-np.asarray(pair_logmod, dtype=float), 0.0, None)
@@ -158,14 +209,13 @@ def _assemble(diag_logmod, pair_logmod, U, gen=None):
     return CovEstimate(matrix=mat, estimator_kind=kind, tuning={"U": U})
 
 
-def spectral_estimate(
-    Y, U: float, gen: Optional[EllipticalGenerator] = None
-) -> CovEstimate:
+def spectral_estimate(Y, U: float, gen: Optional[Callable] = None) -> CovEstimate:
     """Spectral covariance estimate at probe radius U.
 
     Diagonal: sigma_ii = eta_inv(-log|ecf(U e_i)|)/U^2, by default with the
     Gaussian eta_inv(y) = 2y; off-diagonal entries subtract the diagonal
-    halves. Pass ``gen`` for an elliptical signal with a known generator.
+    halves. Pass ``gen``, the eta_inv of a known generator, for an
+    elliptical signal.
     """
     diag, pair = probe_log_moduli(Y, U)
     return _assemble(diag, pair, U, gen)

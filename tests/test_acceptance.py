@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from speccov import lowrank, shrinkage, spectral
-from speccov.charfreq import empirical_cf
+from speccov import _kernels, lowrank, shrinkage, spectral
 from speccov.shrinkage import PdSoftConfig
 from speccov.simgen import (
     CovModel,
@@ -46,7 +45,8 @@ def run_scenario_medians(noise, n_reps, seed_tag, U, tau, p=20, n=50,
                 frobenius_error(shrinkage.sample_covariance(Y), truth))
         if "pds" in errs:
             errs["pds"].append(
-                frobenius_error(shrinkage.pds_baseline(Y, cfg), truth))
+                frobenius_error(shrinkage.pd_soft_threshold(
+                    shrinkage.sample_covariance(Y), cfg), truth))
         if "sps" in errs:
             base = spectral.spectral_estimate(Y, U)
             errs["sps"].append(
@@ -223,9 +223,9 @@ class TestCriterion6GeneratorFidelity:
             eps = sample_scenario(Scenario(
                 cov=CovModel.explicit(np.zeros((p, p))), noise=model, n=n,
                 seed=[51, k])).data
-            for u in grid:
-                gap = abs(empirical_cf(eps, u).value - noise_cf(model, u).value)
-                worst = max(worst, gap)
+            ecf = _kernels.ecf(eps, grid)
+            for u, value in zip(grid, ecf):
+                worst = max(worst, abs(value - noise_cf(model, u)))
         bound = 3.0 / math.sqrt(n)
         ok = worst < bound
         report(6, ok, f"worst |ecf - psi| = {worst:.5f} < 3/sqrt(n) = {bound:.5f} "

@@ -1,3 +1,7 @@
+"""The empirical characteristic function (ECF): the sample type, the
+kernels of :mod:`speccov._kernels` and the probe geometry of
+:func:`speccov.spectral.probe_log_moduli`."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +9,24 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from speccov import _kernels
-from speccov.charfreq import (
-    SampleMatrix,
-    direction_vector,
-    empirical_cf,
-    log_modulus_cf,
-    probe_log_moduli,
-)
+from speccov.spectral import SampleMatrix, probe_log_moduli
+
+
+def direction(i, j, p):
+    """Unit probe direction u_ij of the (i, j) entry, 1-based indices:
+    e_i when i == j, (e_i + e_j)/sqrt(2) otherwise."""
+    u = np.zeros(p)
+    if i == j:
+        u[i - 1] = 1.0
+    else:
+        u[i - 1] = u[j - 1] = 1.0 / np.sqrt(2.0)
+    return u
+
+
+def ecf(Y, u):
+    """ECF of the rows of Y at one frequency u."""
+    return complex(_kernels.ecf(np.asarray(Y, dtype=float),
+                                np.asarray(u, dtype=float)[None, :])[0])
 
 
 class TestSampleMatrix:
@@ -36,25 +51,24 @@ class TestEmpiricalCf:
     def test_single_observation_has_unit_modulus(self):
         y = np.array([[0.3, -1.2, 4.0]])
         u = np.array([1.0, 2.0, -0.5])
-        out = empirical_cf(y, u)
-        assert out.value == pytest.approx(np.exp(1j * float(u @ y[0])))
-        assert out.modulus == pytest.approx(1.0)
+        out = ecf(y, u)
+        assert out == pytest.approx(np.exp(1j * float(u @ y[0])))
+        assert abs(out) == pytest.approx(1.0)
 
     def test_zero_frequency_is_exactly_one(self):
         rng = np.random.default_rng(0)
-        out = empirical_cf(rng.standard_normal((50, 3)), np.zeros(3))
-        assert out.value == 1.0 + 0.0j
+        assert ecf(rng.standard_normal((50, 3)), np.zeros(3)) == 1.0 + 0.0j
 
     def test_two_point_sample_at_pi(self):
         # (exp(i*pi) + exp(-i*pi)) / 2 = cos(pi) = -1
         Y = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        out = empirical_cf(Y, np.array([np.pi, 0.0]))
-        assert out.value.real == pytest.approx(-1.0, abs=1e-12)
-        assert abs(out.value.imag) < 1e-12
+        out = ecf(Y, np.array([np.pi, 0.0]))
+        assert out.real == pytest.approx(-1.0, abs=1e-12)
+        assert abs(out.imag) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            empirical_cf(np.ones((2, 3)), np.ones(2))
+            _kernels.ecf(np.ones((2, 3)), np.ones((1, 2)))
 
     @given(
         arrays(np.float64, (7, 2), elements=st.floats(-50, 50)),
@@ -62,7 +76,7 @@ class TestEmpiricalCf:
     )
     @settings(max_examples=60, deadline=None)
     def test_modulus_at_most_one(self, Y, u):
-        assert empirical_cf(Y, u).modulus <= 1.0 + 1e-12 * Y.shape[0]
+        assert abs(ecf(Y, u)) <= 1.0 + 1e-12 * Y.shape[0]
 
     @given(
         arrays(np.float64, (5, 3), elements=st.floats(-50, 50)),
@@ -70,63 +84,77 @@ class TestEmpiricalCf:
     )
     @settings(max_examples=60, deadline=None)
     def test_conjugate_symmetry(self, Y, u):
-        a = empirical_cf(Y, u).value
-        b = empirical_cf(Y, -u).value
-        assert a == pytest.approx(np.conj(b), abs=1e-12)
+        assert ecf(Y, u) == pytest.approx(np.conj(ecf(Y, -u)), abs=1e-12)
 
 
 class TestLogModulusCf:
+    """The log-moduli of :func:`probe_log_moduli`."""
+
     def test_zero_frequency_gives_zero(self):
-        rng = np.random.default_rng(1)
-        assert log_modulus_cf(rng.standard_normal((10, 2)), np.zeros(2)) == 0.0
+        # on an all-zero sample every probe sees <U u_ij, Y_k> = 0, as the
+        # zero frequency does, so the ECF is exactly 1
+        diag, pair = probe_log_moduli(np.zeros((10, 3)), 1.3)
+        assert np.all(diag == 0.0) and np.all(pair == 0.0)
 
     def test_vanishing_modulus_convention(self):
-        # cos(pi/2) = 0 exactly in real arithmetic; in floats the mean lands
-        # at ~6e-17, so the cutoff must be set above that to see the rule
-        Y = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        u = np.array([np.pi / 2.0, 0.0])
-        assert log_modulus_cf(Y, u, zero_tol=1e-10) == 0.0
+        # exp(i*pi) and exp(-i*pi) cancel exactly against two exp(0) terms,
+        # so the ECF at U = 1 is an exact 0, whose log maps to 0, not -inf
+        Y = np.array([[0.0], [0.0], [np.pi], [-np.pi]])
+        assert _kernels.probe_cf(Y, 1.0)[0][0] == 0.0
+        diag, _ = probe_log_moduli(Y, 1.0)
+        assert diag[0] == 0.0
 
     def test_default_cutoff_is_tiny(self):
-        Y = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        u = np.array([np.pi / 2.0, 0.0])
-        # without a raised cutoff the float residue survives the log
-        assert log_modulus_cf(Y, u) < -30.0
+        # cos(pi/2) = 0 in real arithmetic; in floats the ECF of this sample
+        # lands at ~6e-17, far above the cutoff, and its log stays finite
+        Y = np.array([[1.0], [-1.0]])
+        diag, _ = probe_log_moduli(Y, np.pi / 2.0)
+        assert np.isfinite(diag[0]) and diag[0] < -30.0
 
     def test_gaussian_large_sample_matches_theory(self):
         # standard normal in 2d: log|cf(e_1)| = -1/2
         rng = np.random.default_rng(2)
         Y = rng.standard_normal((200_000, 2))
-        got = log_modulus_cf(Y, np.array([1.0, 0.0]))
-        assert got == pytest.approx(-0.5, abs=0.02)
+        diag, _ = probe_log_moduli(Y, 1.0)
+        assert diag[0] == pytest.approx(-0.5, abs=0.02)
 
     @given(st.permutations(list(range(6))))
     @settings(max_examples=30, deadline=None)
     def test_row_permutation_invariance(self, perm):
         rng = np.random.default_rng(3)
         Y = rng.standard_normal((6, 2))
-        u = np.array([0.7, -0.4])
-        base = log_modulus_cf(Y, u)
-        assert log_modulus_cf(Y[perm], u) == pytest.approx(base, abs=1e-12)
+        diag, pair = probe_log_moduli(Y, 0.8)
+        diag_p, pair_p = probe_log_moduli(Y[perm], 0.8)
+        np.testing.assert_allclose(diag_p, diag, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair_p, pair, rtol=0, atol=1e-12)
 
 
 class TestDirectionVector:
+    """The probe directions of ``_kernels.probe_cf``."""
+
     def test_diagonal_is_basis_vector(self):
-        np.testing.assert_array_equal(direction_vector(1, 1, 3), [1.0, 0.0, 0.0])
+        rng = np.random.default_rng(9)
+        Y = rng.standard_normal((30, 3))
+        cf_diag, _ = _kernels.probe_cf(Y, 1.4)
+        for i in range(3):
+            want = ecf(Y, 1.4 * np.eye(3)[i])
+            assert cf_diag[i] == pytest.approx(want, abs=1e-13)
 
     def test_offdiagonal_pair(self):
-        np.testing.assert_allclose(
-            direction_vector(1, 2, 2), [1 / np.sqrt(2)] * 2, rtol=0, atol=0
-        )
+        rng = np.random.default_rng(10)
+        Y = rng.standard_normal((30, 2))
+        _, cf_pair = _kernels.probe_cf(Y, 1.4)
+        want = ecf(Y, 1.4 * np.array([1.0, 1.0]) / np.sqrt(2.0))
+        assert cf_pair[0, 1] == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("i,j,p", [(1, 1, 1), (2, 5, 7), (3, 3, 3)])
     def test_unit_norm(self, i, j, p):
-        assert np.linalg.norm(direction_vector(i, j, p)) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("i,j", [(0, 1), (1, 4), (-1, 2)])
-    def test_out_of_range(self, i, j):
-        with pytest.raises(IndexError):
-            direction_vector(i, j, 3)
+        # one observation s * u_ij has phase <U u_ij, s u_ij> = U s |u_ij|^2
+        # at the (i, j) probe, which is U s exactly when |u_ij| = 1
+        U, s = 1.3, 0.9
+        cf_diag, cf_pair = _kernels.probe_cf(s * direction(i, j, p)[None, :], U)
+        got = cf_diag[i - 1] if i == j else cf_pair[i - 1, j - 1]
+        assert got == pytest.approx(np.exp(1j * U * s), abs=1e-13)
 
     @given(st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -136,7 +164,7 @@ class TestDirectionVector:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((p, p))
         S = A + A.T
-        u = direction_vector(i, j, p)
+        u = direction(i, j, p)
         quad = float(u @ S @ u)
         if i == j:
             expected = S[i - 1, i - 1]
@@ -152,10 +180,10 @@ class TestProbeLogModuli:
         U = 1.7
         diag, pair = probe_log_moduli(Y, U)
         for i in range(4):
-            want = log_modulus_cf(Y, U * direction_vector(i + 1, i + 1, 4))
+            want = np.log(abs(ecf(Y, U * direction(i + 1, i + 1, 4))))
             assert diag[i] == pytest.approx(want, abs=1e-10)
             for j in range(i + 1, 4):
-                want = log_modulus_cf(Y, U * direction_vector(i + 1, j + 1, 4))
+                want = np.log(abs(ecf(Y, U * direction(i + 1, j + 1, 4))))
                 assert pair[i, j] == pytest.approx(want, abs=1e-10)
 
     def test_pair_block_exactly_symmetric(self):

@@ -120,6 +120,30 @@ class TestSimulate:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 2 * 3 and all(row[2] != "nan" for row in rows)
 
+    def test_bare_cv_key_runs_with_cv_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "bare_cv.yaml"
+        cfg.write_text(
+            """
+scenario:
+  covariance: {kind: tridiagonal, p: 2}
+  noise: {kind: none}
+  n: 20
+  seed: 2
+estimators:
+  - {tag: cov}
+  - {tag: hard, U: 1.0}
+replications: 1
+cv:
+"""
+        )
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["cov", "hard"]
+        assert all(row[2] != "nan" for row in rows)
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: {}\nestimators: []\nreplications: 1\n")

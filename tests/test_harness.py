@@ -1,4 +1,7 @@
+import csv
 import importlib.util
+import io
+import json
 import math
 from pathlib import Path
 
@@ -29,6 +32,20 @@ def small_spec(estimators, replications=2, n=40, seed=5, **kw):
         replications=replications,
         **kw,
     )
+
+
+def cv_failed_records(monkeypatch):
+    """Records of a run whose CV fails: sps and hard are tuned by it."""
+    def diverging(est, cfg, start=None):
+        raise shrinkage.ConvergenceError("no convergence", iterations=7)
+
+    monkeypatch.setattr(shrinkage, "pd_soft_threshold", diverging)
+    cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
+    spec = small_spec([("cov", {}), ("hard", {"tau": 0.2, "U": 1.0}),
+                       ("sps", {"tau": 0.2, "U": 1.0}),
+                       ("elliptical", {"U": 1.0})],
+                      replications=2, cv=cv, cv_rule="sps")
+    return run_experiment(spec)
 
 
 class TestSpecValidation:
@@ -123,16 +140,7 @@ class TestRunExperiment:
         assert all(c.rho_admm == 20.0 and c.lambda_barrier == 1e-3 for c in seen)
 
     def test_cv_failure_fails_only_the_tuned_records(self, monkeypatch):
-        def diverging(est, cfg, start=None):
-            raise shrinkage.ConvergenceError("no convergence", iterations=7)
-
-        monkeypatch.setattr(shrinkage, "pd_soft_threshold", diverging)
-        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
-        spec = small_spec([("cov", {}), ("hard", {"tau": 0.2, "U": 1.0}),
-                           ("sps", {"tau": 0.2, "U": 1.0}),
-                           ("elliptical", {"U": 1.0})],
-                          replications=2, cv=cv, cv_rule="sps")
-        records = run_experiment(spec)
+        records = cv_failed_records(monkeypatch)
         assert len(records) == 8
         for r in records:
             if r.estimator in ("hard", "sps"):
@@ -290,13 +298,23 @@ class TestSummarize:
                 ResultRecord(1, "x", 2.0, 0.0)]
         assert summarize(recs)["x"].median == 2.0
 
+    def test_failed_records_counted_and_kept(self, monkeypatch):
+        summary = summarize(cv_failed_records(monkeypatch))
+        assert sorted(summary) == ["cov", "elliptical", "hard", "sps"]
+        assert (summary["cov"].n, summary["cov"].n_failed) == (2, 0)
+        assert summary["cov"].median is not None
+        for tag in ("hard", "sps"):
+            assert summary[tag] == SummaryStats(n=2, n_failed=2)
+        doc = json.loads(summary_to_json(summary))
+        assert doc["sps"] == {"n": 2, "n_failed": 2, "min": None,
+                              "q25": None, "median": None, "q75": None,
+                              "max": None, "mean": None, "stderr": None}
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             summarize([])
 
     def test_json_roundtrip(self):
-        import json
-
         recs = [ResultRecord(0, "x", 1.0, 0.0)]
         doc = json.loads(summary_to_json(summarize(recs)))
         assert doc["x"]["median"] == 1.0
@@ -308,19 +326,31 @@ class TestCsv:
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
         assert CSV_HEADER == ["replication", "estimator", "frob_error",
                               "wall_time_s", "tau", "U", "lambda",
-                              "admissible"]
+                              "admissible", "error"]
 
     def test_row_formatting(self):
         rec = ResultRecord(3, "sps", 1.25, 0.5,
                            tuning_used={"tau": 0.3, "U": 1.0, "lambda": 1e-4},
                            admissible_flag=True)
         line = records_to_csv([rec]).splitlines()[1]
-        assert line == "3,sps,1.25,0.5,0.3,1.0,0.0001,true"
+        assert line == "3,sps,1.25,0.5,0.3,1.0,0.0001,true,"
 
     def test_missing_tuning_blank(self):
         rec = ResultRecord(0, "cov", 2.0, 0.1)
         line = records_to_csv([rec]).splitlines()[1]
-        assert line == "0,cov,2.0,0.1,,,,"
+        assert line == "0,cov,2.0,0.1,,,,,"
+
+    def test_cv_failure_in_error_column(self, monkeypatch):
+        text = records_to_csv(cv_failed_records(monkeypatch))
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 8
+        for row in rows:
+            if row["estimator"] in ("hard", "sps"):
+                assert row["frob_error"] == "nan"
+                assert row["error"].startswith(
+                    "cross-validation failed: ConvergenceError: no convergence")
+            else:
+                assert row["error"] == ""
 
 
 class TestConfigLoading:
@@ -355,6 +385,13 @@ class TestConfigLoading:
         spec = spec_from_dict(doc)
         assert spec.cv.num_splits == 5
         assert len(spec.cv.tau_grid) == 40
+
+    def test_bare_cv_key_takes_every_default(self):
+        spec = spec_from_dict({**self.DOC, "cv": None})
+        assert spec.cv.num_splits == 100 and spec.cv.seed == 0
+        np.testing.assert_array_equal(spec.cv.tau_grid,
+                                      shrinkage.DEFAULT_TAU_GRID)
+        assert spec.cv_rule == "sps"
 
     def test_committed_configs_load(self, tmp_path):
         import glob

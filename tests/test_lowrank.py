@@ -9,7 +9,6 @@ from speccov.lowrank import (
     SolverError,
     annulus_volume,
     bump_weight,
-    design_matrix,
     lambda_threshold,
     lowrank_estimate,
     nuclear_prox,
@@ -34,31 +33,44 @@ def _two_dim_problem(lam=0.1):
     return sample_scenario(sc), cfg, bump_weight(2)
 
 
+def _unit_rows(m, p, seed):
+    D = np.random.default_rng(seed).standard_normal((m, p))
+    return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
 class TestDesignMatrix:
+    """The design map M -> (<Theta_k, M>)_k and its adjoint, for the
+    rank-one designs Theta_k = -d_k d_k^T of unit directions d_k."""
+
     def test_basis_vector(self):
-        p = 3
-        e1 = np.eye(p)[0]
-        np.testing.assert_array_equal(design_matrix(e1), -np.outer(e1, e1))
+        e1 = np.eye(3)[:1]
+        M = np.arange(9.0).reshape(3, 3)
+        np.testing.assert_array_equal(_theta_dot(e1, M), [-M[0, 0]])
+        np.testing.assert_array_equal(_theta_adj(e1, np.ones(1)),
+                                      -np.outer(e1[0], e1[0]))
 
     def test_unit_spectral_norm_and_trace(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            u = rng.standard_normal(4)
-            th = design_matrix(u)
+        for d in _unit_rows(10, 4, seed=0):
+            th = _theta_adj(d[None, :], np.ones(1))
             assert np.linalg.norm(th, 2) == pytest.approx(1.0)
             assert np.trace(th) == pytest.approx(-1.0)
 
     def test_trace_identity_against_quadratic_form(self):
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(3)
-        A = rng.standard_normal((3, 3))
+        D = _unit_rows(7, 3, seed=1)
+        A = np.random.default_rng(2).standard_normal((3, 3))
         S = A @ A.T
-        got = float(np.sum(design_matrix(u) * S))
-        assert got == pytest.approx(-float(u @ S @ u) / float(u @ u))
+        got = _theta_dot(D, S)
+        for k, d in enumerate(D):
+            assert got[k] == pytest.approx(-float(d @ S @ d), rel=1e-12)
 
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            design_matrix(np.zeros(3))
+    def test_adjoint_identity(self):
+        # <theta_adj(D, c), M> = c . theta_dot(D, M)
+        D = _unit_rows(9, 4, seed=3)
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal(9)
+        M = rng.standard_normal((4, 4))
+        assert float(np.sum(_theta_adj(D, c) * M)) == pytest.approx(
+            float(c @ _theta_dot(D, M)), rel=1e-12)
 
 
 class TestNuclearProx:
@@ -141,7 +153,7 @@ class TestObjective:
         s = Scenario(cov=CovModel.explicit(0.1 * np.eye(3)),
                      noise=NoiseModel.none(), n=n, seed=9)
         Y = sample_scenario(s)
-        # iota defaults to 1/(2 sqrt n)
+        # the truncation cutoff is 1/(2 sqrt n)
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=4000)
         _, _, _, keep = _surrogate(Y, cfg, bump_weight(3), seed=10)
         assert keep.mean() >= 0.99
@@ -214,8 +226,6 @@ class TestLowRankEstimate:
             LowRankConfig(U=0.5, lambda_nuc=0.1)
         with pytest.raises(ValueError):
             LowRankConfig(U=1.0, lambda_nuc=0.0)
-        with pytest.raises(ValueError):
-            LowRankConfig(U=1.0, lambda_nuc=0.1, iota=-1.0)
 
 
 class TestLambdaThreshold:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from speccov.harness import ESTIMATORS
 from speccov.shrinkage import (
     DEFAULT_TAU_GRID,
     ConvergenceError,
@@ -15,7 +16,6 @@ from speccov.shrinkage import (
     cross_validate_tau,
     hard_threshold,
     pd_soft_threshold,
-    pds_baseline,
     sample_covariance,
     soft_threshold,
 )
@@ -298,7 +298,7 @@ class TestPdsBaseline:
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((200, 3))
         cov = sample_covariance(Y).matrix
-        got = pds_baseline(Y, PdSoftConfig(tau=1e-9, lambda_barrier=1e-9)).matrix
+        got = ESTIMATORS["pds"](Y, {"tau": 1e-9, "lambda": 1e-9}).matrix
         assert np.linalg.norm(got - cov) < 1e-4
 
     def test_matches_convex_solver_2x2(self):
@@ -306,7 +306,7 @@ class TestPdsBaseline:
         Y = np.array([[1.0, 0.2], [-0.4, 1.1], [0.3, -0.9], [1.2, 0.5]])
         tau, lam = 0.1, 1e-4
         shat = sample_covariance(Y).matrix
-        got = pds_baseline(Y, PdSoftConfig(tau=tau, lambda_barrier=lam)).matrix
+        got = ESTIMATORS["pds"](Y, {"tau": tau, "lambda": lam}).matrix
         S = cp.Variable((2, 2), symmetric=True)
         prob = cp.Problem(cp.Minimize(
             cp.sum_squares(S - shat) + 2 * tau * cp.sum(cp.abs(S))

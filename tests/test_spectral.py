@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from speccov.charfreq import direction_vector
 from speccov.spectral import (
     CovEstimate,
     EstimationError,
@@ -19,6 +18,7 @@ from speccov.spectral import (
     tau_threshold,
     theoretical_rate,
 )
+from test_charfreq import direction
 
 
 def random_pd(p, seed):
@@ -31,7 +31,7 @@ def exact_cf_estimate(cf, p, U, gen=None):
     """Spectral estimate assembled from a closed-form characteristic function
     evaluated at the probe frequencies U * u_ij."""
     def logmod(i, j):
-        return math.log(abs(complex(cf(U * direction_vector(i + 1, j + 1, p)))))
+        return math.log(abs(complex(cf(U * direction(i + 1, j + 1, p)))))
 
     diag = np.array([logmod(i, i) for i in range(p)])
     pair = np.array([[logmod(i, j) for j in range(p)] for i in range(p)])
@@ -100,17 +100,12 @@ class TestExactCfRecovery:
         np.testing.assert_array_equal(est.matrix, np.zeros((3, 3)))
 
     def test_eta_inv_domain_violation_raises(self):
-        from speccov.spectral import EllipticalGenerator
-
-        def log_inv(y):
+        def log_inv(y):  # eta_inv of eta = exp
             with np.errstate(divide="ignore"):
                 return np.log(y)  # -inf at the clamped value 0
 
-        gen = EllipticalGenerator(
-            eta=lambda x: np.exp(x), eta_prime=np.exp, eta_inv=log_inv,
-        )
         with pytest.raises(EstimationError):
-            exact_cf_estimate(lambda u: 1.05, 2, 1.0, gen)
+            exact_cf_estimate(lambda u: 1.05, 2, 1.0, log_inv)
 
 
 def oracle_spectral(Y, U):
@@ -176,11 +171,12 @@ class TestEllipticalReduction:
             assert b.estimator_kind == "elliptical"
 
     def test_generator_inverse_roundtrip(self):
+        # each generator is eta_inv of its closed-form eta
         x = np.geomspace(1e-3, 10.0, 50)
-        for gen in (gaussian_generator(), stable_generator(0.7), stable_generator(1.3)):
-            vals = gen.eta(x)
-            assert np.all(np.diff(vals) > 0)
-            np.testing.assert_allclose(gen.eta_inv(vals), x, rtol=1e-9)
+        pairs = [(gaussian_generator(), 0.5 * x)] + [
+            (stable_generator(a), x ** (a / 2.0)) for a in (0.7, 1.3)]
+        for eta_inv, eta_x in pairs:
+            np.testing.assert_allclose(eta_inv(eta_x), x, rtol=1e-9)
 
 
 class TestTauThreshold:
