@@ -203,8 +203,9 @@ def _sample_noise(model: NoiseModel, n, p, rng):
         return model.rho * rng.standard_normal((n, p))
     if model.kind == "gamma_elliptical":
         W = rng.gamma(model.theta, 1.0, size=n)
-        Z = rng.standard_normal((n, p))
-        return np.sqrt(W)[:, None] * (Z @ model.A.T)
+        Z = rng.standard_normal((n, p)) @ model.A.T
+        Z *= np.sqrt(W)[:, None]
+        return Z
     if model.kind == "stable":
         if model.norm == "lbeta":
             scale = model.sigma ** (1.0 / model.beta)
@@ -224,8 +225,8 @@ def sample_scenario(s: Scenario) -> SampleMatrix:
     p = sigma.shape[0]
     rng = np.random.default_rng(s.seed)
     X = rng.standard_normal((s.n, p)) @ covariance_sqrt(sigma)
-    eps = _sample_noise(s.noise, s.n, p, rng)
-    return SampleMatrix(X + eps)
+    X += _sample_noise(s.noise, s.n, p, rng)
+    return SampleMatrix(X)
 
 
 def noise_cf(model: NoiseModel, u) -> complex:

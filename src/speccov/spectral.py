@@ -101,16 +101,10 @@ def probe_log_moduli(Y, U: float):
         raise ValueError("spectral radius U must be positive")
     cf_diag, cf_pair = _kernels.probe_cf(data, float(U))
     mod_diag = np.abs(cf_diag)
-    mod_pair = np.abs(cf_pair)
-    # mirror the upper triangle so symmetry is exact, not just up to BLAS
-    iu = np.triu_indices(mod_pair.shape[0], k=1)
-    sym = np.zeros_like(mod_pair)
-    sym[iu] = mod_pair[iu]
-    sym = sym + sym.T
-    np.fill_diagonal(sym, np.diag(mod_pair))
+    mod_pair = np.abs(cf_pair)  # exactly symmetric, as cf_pair is
     with np.errstate(divide="ignore"):
         diag = np.where(mod_diag <= ZERO_MODULUS_TOL, 0.0, np.log(mod_diag))
-        pair = np.where(sym <= ZERO_MODULUS_TOL, 0.0, np.log(sym))
+        pair = np.where(mod_pair <= ZERO_MODULUS_TOL, 0.0, np.log(mod_pair))
     return diag, pair
 
 

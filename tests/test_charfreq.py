@@ -2,6 +2,8 @@
 kernels of :mod:`speccov._kernels` and the probe geometry of
 :func:`speccov.spectral.probe_log_moduli`."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,7 +230,7 @@ def _ecf_loops(Y, freqs):
 
 
 class TestKernelPaths:
-    """The vectorised kernels must agree with direct summation."""
+    """The blocked kernels must agree with direct summation."""
 
     def test_probe_cf_paths_agree(self):
         rng = np.random.default_rng(7)
@@ -245,3 +247,82 @@ class TestKernelPaths:
         np.testing.assert_allclose(
             _kernels.ecf(Y, F), _ecf_loops(Y, F), atol=1e-12
         )
+
+
+def _around_block(rows):
+    """Sample sizes at the edges of a block of ``rows`` rows."""
+    return sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 1})
+
+
+# p = 2 keeps the direct-summation oracle cheap at two blocks of rows
+_PROBE_P = 2
+_PROBE_ROWS = _kernels._BLOCK // (2 * _PROBE_P)
+_ECF_M = 512
+_ECF_ROWS = _kernels._BLOCK // _ECF_M
+
+
+class TestBlockBoundaries:
+    """Block edges change the summation order, never the sums."""
+
+    @pytest.mark.parametrize("n", _around_block(_PROBE_ROWS))
+    def test_probe_cf_matches_loops(self, n):
+        Y = np.random.default_rng(n).standard_normal((n, _PROBE_P))
+        cf_diag, cf_pair = _kernels.probe_cf(Y, 1.3)
+        d_lp, p_lp = _probe_cf_loops(Y, 1.3)
+        np.testing.assert_allclose(cf_diag, d_lp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cf_pair, p_lp, rtol=0, atol=1e-12)
+        assert np.array_equal(cf_pair, cf_pair.T)
+        again = _kernels.probe_cf(Y, 1.3)
+        assert cf_diag.tobytes() == again[0].tobytes()
+        assert cf_pair.tobytes() == again[1].tobytes()
+
+    @pytest.mark.parametrize("n", _around_block(_ECF_ROWS))
+    def test_ecf_matches_loops(self, n):
+        rng = np.random.default_rng(n)
+        Y = rng.standard_normal((n, 2))
+        F = rng.standard_normal((_ECF_M, 2))
+        out = _kernels.ecf(Y, F)
+        np.testing.assert_allclose(out, _ecf_loops(Y, F), rtol=0, atol=1e-12)
+        assert out.tobytes() == _kernels.ecf(Y, F).tobytes()
+
+    def test_ecf_one_row_per_block(self):
+        # more frequencies than half a block: every block is a single row
+        m = _kernels._BLOCK // 2 + 1
+        rng = np.random.default_rng(11)
+        Y = rng.standard_normal((3, 2))
+        F = rng.standard_normal((m, 2))
+        out = _kernels.ecf(Y, F)
+        np.testing.assert_allclose(out, _ecf_loops(Y, F), rtol=0, atol=1e-12)
+        assert out.tobytes() == _kernels.ecf(Y, F).tobytes()
+
+    def test_probe_cf_pair_symmetric_over_many_blocks(self):
+        Y = np.random.default_rng(12).standard_normal((3 * _PROBE_ROWS, 7))
+        _, cf_pair = _kernels.probe_cf(Y, 2.1)
+        assert np.array_equal(cf_pair, cf_pair.T)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryFlat:
+    """Working memory is bounded by the block, not by the sample size."""
+
+    BOUND = 4 * 2**20
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_ecf(self, n):
+        rng = np.random.default_rng(13)
+        Y = rng.standard_normal((n, 5))
+        F = rng.standard_normal((1024, 5))
+        assert _peak_bytes(_kernels.ecf, Y, F) < self.BOUND
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_probe_cf(self, n):
+        Y = np.random.default_rng(14).standard_normal((n, 20))
+        assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < self.BOUND

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,24 @@ class TestSampleScenario:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             Scenario(cov=CovModel.tridiagonal(2), noise=NoiseModel.none(), n=0)
+
+    @pytest.mark.parametrize("noise,bound", [
+        (NoiseModel.gamma_elliptical(0.5 * np.eye(20), 1.5), 3.5),
+        (NoiseModel.gaussian(0.7), 2.5),
+    ])
+    def test_peak_memory_is_a_few_outputs(self, noise, bound):
+        # the signal and the noise are drawn into the output in place: the
+        # peak allocation is the output, the standard normals behind the
+        # signal and, for gamma, the normals behind the noise
+        s = Scenario(cov=CovModel.tridiagonal(20), noise=noise, n=20_000,
+                     seed=3)
+        tracemalloc.start()
+        try:
+            Y = sample_scenario(s).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * Y.nbytes
 
 
 class TestNoiseCfClosedForms:
