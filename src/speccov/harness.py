@@ -54,9 +54,12 @@ class ExperimentSpec:
             raise ValueError("replications must be >= 1")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
-        for tag, _ in self.estimators:
+        for tag, tuning in self.estimators:
             if tag not in ESTIMATORS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
+            if (tag in THRESHOLD_TAGS and self.cv is None
+                    and tuning.get("tau") is None):
+                raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
         if self.cv is not None and self.cv_rule not in THRESHOLD_TAGS:
             raise ValueError(f"unknown cv rule {self.cv_rule!r}")
 

@@ -175,11 +175,19 @@ def stable_symmetric(rng, beta, size):
     """Symmetric beta-stable draws with cf exp(-|t|^beta) (unit scale)."""
     V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     E = rng.exponential(1.0, size=size)
-    return (
-        np.sin(beta * V)
-        / np.cos(V) ** (1.0 / beta)
-        * (np.cos((1.0 - beta) * V) / E) ** ((1.0 - beta) / beta)
-    )
+    # sin(beta V) / cos(V)^(1/beta) * (cos((1 - beta) V) / E)^((1 - beta)/beta),
+    # in place over three buffers, each step in the order of that expression
+    P = (1.0 - beta) * V
+    np.cos(P, out=P)
+    P /= E
+    P **= (1.0 - beta) / beta
+    np.cos(V, out=E)
+    E **= 1.0 / beta
+    V *= beta
+    np.sin(V, out=V)
+    V /= E
+    V *= P
+    return V
 
 
 def stable_one_sided(rng, alpha, size):
@@ -208,14 +216,16 @@ def _sample_noise(model: NoiseModel, n, p, rng):
         return Z
     if model.kind == "stable":
         if model.norm == "lbeta":
-            scale = model.sigma ** (1.0 / model.beta)
-            return scale * stable_symmetric(rng, model.beta, (n, p))
+            noise = stable_symmetric(rng, model.beta, (n, p))
+            noise *= model.sigma ** (1.0 / model.beta)
+            return noise
         # isotropic: sqrt of a one-sided (beta/2)-stable mixes a Gaussian;
         # scaling chosen so the cf is exp(-sigma |u|_2^beta)
         W = stable_one_sided(rng, model.beta / 2.0, n)
         G = rng.standard_normal((n, p))
         scale = model.sigma ** (1.0 / model.beta) * math.sqrt(2.0)
-        return scale * np.sqrt(W)[:, None] * G
+        G *= scale * np.sqrt(W)[:, None]
+        return G
     raise ValueError(f"unknown noise model {model.kind!r}")
 
 

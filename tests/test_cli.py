@@ -144,6 +144,29 @@ cv:
         assert [row[1] for row in rows] == ["cov", "hard"]
         assert all(row[2] != "nan" for row in rows)
 
+    def test_threshold_tag_without_tau_or_cv_exits_nonzero(self, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "no_tau.yaml"
+        cfg.write_text(
+            """
+scenario:
+  covariance: {kind: tridiagonal, p: 2}
+  noise: {kind: none}
+  n: 20
+  seed: 2
+estimators:
+  - {tag: cov}
+  - {tag: sps, U: 1.0}
+replications: 1
+"""
+        )
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.removeprefix("ERROR "))
+        assert "'sps' needs a tau" in err["message"]
+        assert not out.exists()
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: {}\nestimators: []\nreplications: 1\n")

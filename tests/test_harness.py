@@ -66,6 +66,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec([("cov", {})], cv=cv, cv_rule="cov")
 
+    @pytest.mark.parametrize("tag", ["sps", "pds", "hard", "soft"])
+    def test_rejects_threshold_tag_without_tau_or_cv(self, tag):
+        with pytest.raises(ValueError, match=f"'{tag}' needs a tau"):
+            small_spec([("cov", {}), (tag, {"U": 1.0})])
+        # a cv: block supplies the tau
+        cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
+        small_spec([(tag, {"U": 1.0})], cv=cv, cv_rule=tag)
+
 
 class TestRunExperiment:
     def test_single_cov_record_matches_direct_computation(self):
@@ -91,12 +99,14 @@ class TestRunExperiment:
         assert keys == sorted(keys)
 
     def test_failure_isolated_to_its_record(self):
-        # hard thresholding without tau fails; cov in the same run must not
-        spec = small_spec([("hard", {"U": 1.0}), ("cov", {})], replications=2)
+        # an unknown generator fails the elliptical estimate when it runs;
+        # cov in the same run must not fail
+        spec = small_spec([("elliptical", {"U": 1.0, "generator": "bogus"}),
+                           ("cov", {})], replications=2)
         records = run_experiment(spec)
-        hard = [r for r in records if r.estimator == "hard"]
+        bad = [r for r in records if r.estimator == "elliptical"]
         cov = [r for r in records if r.estimator == "cov"]
-        assert all(math.isnan(r.frob_error) and r.error for r in hard)
+        assert all(math.isnan(r.frob_error) and r.error for r in bad)
         assert all(not math.isnan(r.frob_error) and r.error is None for r in cov)
 
     def test_deterministic_rerun_byte_identical_csv(self):

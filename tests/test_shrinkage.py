@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speccov.harness import ESTIMATORS
+from speccov.harness import ESTIMATORS, load_spec
 from speccov.shrinkage import (
     DEFAULT_TAU_GRID,
     ConvergenceError,
@@ -196,6 +198,36 @@ class TestPdSoftThreshold:
         assert math.log10(t["rho"] / 20.0) == pytest.approx(
             round(math.log10(t["rho"] / 20.0)), abs=1e-9)
 
+    @pytest.mark.parametrize("tau", [0.01, 0.25, 1.0])
+    def test_diagonal_problem_solved_by_the_start_point(self, tau):
+        # entries above, between and below tau, zero and negative ones
+        s = np.array([2.0, 0.5, 0.2, 0.005, 0.0, -0.3, -1.0])
+        lam = 1e-4
+        out = pd_soft_threshold(np.diag(s), PdSoftConfig(tau=tau,
+                                                         lambda_barrier=lam))
+        assert out.tuning["iterations"] == 1
+        want = ((s - tau) + np.sqrt((s - tau) ** 2 + 2.0 * lam)) / 2.0
+        np.testing.assert_allclose(out.matrix, np.diag(want), rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_large_indefinite_input_stays_finite(self, scale):
+        # far below zero the textbook root (t + sqrt(t^2 + 4c))/2 cancels
+        # to 0, which made the start point singular
+        shat = scale * sym(np.random.default_rng(3).standard_normal((5, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pd_soft_threshold(shat, PdSoftConfig(tau=0.2)).matrix
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out, out.T)
+
+    def test_start_far_from_the_solution_costs_no_iterations(self):
+        base = _tridiagonal_gamma_base()
+        cfg = PdSoftConfig(tau=0.05, rho_admm=20.0)
+        cold = pd_soft_threshold(base, cfg)
+        far = pd_soft_threshold(base, cfg, start=100.0 * np.eye(20))
+        assert far.tuning["iterations"] <= cold.tuning["iterations"]
+
     def test_start_must_be_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
             pd_soft_threshold(np.eye(3), PdSoftConfig(tau=0.1),
@@ -264,6 +296,25 @@ class TestPdSoftPath:
         again = pd_soft_threshold(base, cfg, start=sol)
         assert again.tuning["iterations"] <= 2
         np.testing.assert_allclose(again.matrix, sol.matrix, atol=1e-8)
+
+
+class TestAdmmIterationBudget:
+    def test_simulation_config_iteration_count(self):
+        # The counts are deterministic: 1100 sps + 109 pds iterations with
+        # the closed-form start and over-relaxation, 1459 + 440 with a
+        # projected soft-threshold start and no relaxation. The bound is
+        # about 1.15 times the former.
+        spec = load_spec(Path(__file__).resolve().parents[1] / "configs"
+                         / "tridiagonal_gamma.yaml")
+        total = 0
+        for rep in range(20):
+            Y = sample_scenario(Scenario(
+                cov=spec.scenario.cov, noise=spec.scenario.noise,
+                n=spec.scenario.n, seed=[spec.scenario.seed, rep]))
+            for tag, tuning in spec.estimators:
+                if tag in ("sps", "pds"):
+                    total += ESTIMATORS[tag](Y, tuning).tuning["iterations"]
+        assert total <= 1390
 
 
 class TestSampleCovariance:

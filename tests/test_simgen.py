@@ -130,11 +130,14 @@ class TestSampleScenario:
     @pytest.mark.parametrize("noise,bound", [
         (NoiseModel.gamma_elliptical(0.5 * np.eye(20), 1.5), 3.5),
         (NoiseModel.gaussian(0.7), 2.5),
+        (NoiseModel.stable(1.5, 0.7, "lbeta"), 4.5),
+        (NoiseModel.stable(1.5, 0.7, "l2"), 2.5),
     ])
     def test_peak_memory_is_a_few_outputs(self, noise, bound):
         # the signal and the noise are drawn into the output in place: the
         # peak allocation is the output, the standard normals behind the
-        # signal and, for gamma, the normals behind the noise
+        # signal and, for gamma, the normals behind the noise; stable lbeta
+        # noise is computed over three buffers
         s = Scenario(cov=CovModel.tridiagonal(20), noise=noise, n=20_000,
                      seed=3)
         tracemalloc.start()
