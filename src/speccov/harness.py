@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -383,7 +384,18 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     )
 
 
+class _SpecLoader(yaml.SafeLoader):
+    """YAML 1.1 reads a float without a dot, such as 1e-4, as a string;
+    this loader reads it as a float. Quoted scalars stay strings."""
+
+
+_SpecLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
 def load_spec(path) -> ExperimentSpec:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=_SpecLoader)
     return spec_from_dict(doc)

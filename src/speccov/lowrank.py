@@ -149,14 +149,16 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     return quad / r[:, None], omega, g, keep
 
 
-def _theta_dot(D, M):
-    """<Theta_k, M> = -d_k^T M d_k for every row d_k of D."""
-    return -np.einsum("ki,ij,kj->k", D, M, D)
+def _design(D, omega):
+    """The weighted design rows sqrt(omega_k) vec(d_k d_k^T), an m x p^2 array.
 
-
-def _theta_adj(D, c):
-    """The adjoint map: sum_k c_k Theta_k."""
-    return -(D * c[:, None]).T @ D
+    <Theta_k, M> = -vec(d_k d_k^T) . vec(M), so the data fit at M is
+    |sqrt(omega) g + A vec(M)|^2 for the returned A.
+    """
+    m, p = D.shape
+    A = np.einsum("ki,kj->kij", D, D).reshape(m, p * p)
+    A *= np.sqrt(omega)[:, None]
+    return A
 
 
 def nuclear_prox(M, t):
@@ -169,61 +171,39 @@ def nuclear_prox(M, t):
     return (Q * np.maximum(w - t, 0.0)) @ Q.T
 
 
-def _lipschitz(D, omega, iters=40):
-    # power iteration on M -> sum_k omega_k <Theta_k, M> Theta_k
-    p = D.shape[1]
-    rng = np.random.default_rng(0)
-    M = rng.standard_normal((p, p))
-    M = 0.5 * (M + M.T)
-    M /= np.linalg.norm(M)
-    for _ in range(iters):
-        AM = _theta_adj(D, omega * _theta_dot(D, M))
-        lam = float(np.linalg.norm(AM))
-        if lam == 0.0:
-            # every weight underflowed (few points near the annulus edges):
-            # fall back to the crude bound 2*sum(omega) for unit-norm designs
-            return 2.0 * float(np.sum(omega)) + 1e-300
-        M = AM / lam
-    return 2.0 * lam
-
-
 def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEstimate:
     """Nuclear-norm-penalized PSD fit of the CF regression over the annulus.
 
-    Proximal gradient (FISTA with backtracking) on the frozen quadrature
-    surrogate with penalty lambda * tr(M); converged when the relative
-    objective decrease drops below cfg.tol.
+    On the frozen quadrature the data fit is least squares in vec(M), with
+    normal-equation matrix G = A^T A for the rows A of :func:`_design`, so
+    FISTA takes the exact step 1/L, L = 2 lambda_max(G), on the penalty
+    lambda * tr(M); converged when the relative objective decrease drops
+    below cfg.tol. ``w`` must be the weight of the data's dimension.
     """
     D, omega, g, _ = _surrogate(Y, cfg, w, seed)
     p = D.shape[1]
-
-    def smooth(M):
-        return float(np.sum(omega * (g - _theta_dot(D, M)) ** 2))
+    if w.p != p:
+        raise ValueError(f"weight is for dimension {w.p}, data have {p}")
+    A = _design(D, omega)
+    target = np.sqrt(omega) * g
+    G = A.T @ A
+    b = A.T @ target
+    L = 2.0 * float(np.linalg.eigvalsh(G)[-1])
+    # all weights zero: the fit is constant and any step is exact
+    step = 1.0 / L if L > 0 else 1.0
 
     def total(M):
-        return smooth(M) + cfg.lambda_nuc * float(np.trace(M))
+        r = target + A @ M.ravel()
+        return float(r @ r) + cfg.lambda_nuc * float(np.trace(M))
 
-    L = _lipschitz(D, omega)
     M = np.zeros((p, p))
     V = M
     t_mom = 1.0
     obj = total(M)
     trace = [obj]
     for _ in range(cfg.max_iter):
-        grad = _theta_adj(D, 2.0 * omega * (_theta_dot(D, V) - g))
-        step = 1.0 / L
-        fV = smooth(V)
-        while True:
-            cand = nuclear_prox(V - step * grad, step * cfg.lambda_nuc)
-            diff = cand - V
-            slack = 1e-12 * max(abs(fV), 1e-300)
-            if smooth(cand) <= fV + float(np.sum(grad * diff)) + \
-                    np.sum(diff**2) / (2.0 * step) + slack:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                raise SolverError("backtracking failed", objective_trace=trace)
-        L = 1.0 / step
+        grad = 2.0 * (G @ V.ravel() + b).reshape(p, p)
+        cand = nuclear_prox(V - step * grad, step * cfg.lambda_nuc)
         new_obj = total(cand)
         if new_obj > obj:  # enforce monotonicity (FISTA restart)
             V = M

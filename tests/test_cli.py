@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from speccov.cli import main
+from speccov.harness import load_spec
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -104,6 +105,38 @@ class TestSimulate:
         main(["simulate", "--config", str(config_file),
               "--output", str(out), "--replications", "1"])
         assert len(out.read_text().splitlines()) == 1 + 2
+
+    def test_exponent_floats_without_a_dot(self, tmp_path, capsys):
+        # YAML 1.1 reads 1e-4 and 25e-2 as strings unless load_spec
+        # resolves them as floats
+        body = """
+scenario:
+  covariance: {{kind: tridiagonal, p: 3}}
+  noise: {{kind: none}}
+  n: 40
+  seed: 2
+estimators:
+  - {{tag: sps, tau: {tau}, U: 1.0, lambda: {lam}, rho_admm: 20.0}}
+  - {{tag: hard, tau: {tau}, U: 1.0}}
+replications: 2
+output: "1e3"
+"""
+        rows = []
+        for name, tau, lam in (("dot", "0.25", "1.0e-4"),
+                               ("exp", "25e-2", "1e-4")):
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(body.format(tau=tau, lam=lam))
+            out = tmp_path / f"{name}.csv"
+            assert main(["simulate", "--config", str(cfg),
+                         "--output", str(out)]) == 0
+            rows.append([r.split(",") for r in out.read_text().splitlines()])
+            for r in rows[-1][1:]:
+                r[3] = ""
+        assert capsys.readouterr().err == ""
+        assert rows[0] == rows[1]
+        assert all(r[-1] == "" for r in rows[1][1:])
+        # a quoted scalar stays a string
+        assert load_spec(tmp_path / "exp.yaml").output == "1e3"
 
     def test_cv_block_with_default_grid(self, tmp_path, capsys):
         # at a fixed ADMM penalty this config stalled on the grid's large tau

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,8 @@ from speccov.lowrank import (
     nuclear_prox,
     sample_annulus,
     _bump_profile,
-    _lipschitz,
+    _design,
     _surrogate,
-    _theta_adj,
-    _theta_dot,
 )
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
 
@@ -38,39 +37,64 @@ def _unit_rows(m, p, seed):
     return D / np.linalg.norm(D, axis=1, keepdims=True)
 
 
+def _normal_equations(Y, cfg, w, seed):
+    """(G, b, L) of the frozen quadrature: the data fit's gradient at M is
+    2 (G vec(M) + b), and L = 2 lambda_max(G) its Lipschitz constant."""
+    D, omega, g, _ = _surrogate(Y, cfg, w, seed)
+    A = _design(D, omega)
+    G = A.T @ A
+    return G, A.T @ (np.sqrt(omega) * g), 2.0 * np.linalg.eigvalsh(G)[-1]
+
+
 class TestDesignMatrix:
-    """The design map M -> (<Theta_k, M>)_k and its adjoint, for the
-    rank-one designs Theta_k = -d_k d_k^T of unit directions d_k."""
+    """The weighted design rows sqrt(omega_k) vec(d_k d_k^T) = -sqrt(omega_k)
+    vec(Theta_k), for the rank-one designs Theta_k = -d_k d_k^T of unit
+    directions d_k."""
 
     def test_basis_vector(self):
         e1 = np.eye(3)[:1]
         M = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(_theta_dot(e1, M), [-M[0, 0]])
-        np.testing.assert_array_equal(_theta_adj(e1, np.ones(1)),
-                                      -np.outer(e1[0], e1[0]))
+        A = _design(e1, np.ones(1))
+        np.testing.assert_array_equal(A, np.outer(e1[0], e1[0]).reshape(1, 9))
+        np.testing.assert_array_equal(A @ M.ravel(), [M[0, 0]])
 
     def test_unit_spectral_norm_and_trace(self):
-        for d in _unit_rows(10, 4, seed=0):
-            th = _theta_adj(d[None, :], np.ones(1))
-            assert np.linalg.norm(th, 2) == pytest.approx(1.0)
-            assert np.trace(th) == pytest.approx(-1.0)
+        for row in _design(_unit_rows(10, 4, seed=0), np.ones(10)):
+            theta = -row.reshape(4, 4)
+            assert np.linalg.norm(theta, 2) == pytest.approx(1.0)
+            assert np.trace(theta) == pytest.approx(-1.0)
 
     def test_trace_identity_against_quadratic_form(self):
+        # sqrt(omega_k) d_k^T S d_k, and the normal equations' quadratic form
+        # vec(S)^T G vec(S) = sum_k omega_k (d_k^T S d_k)^2
         D = _unit_rows(7, 3, seed=1)
-        A = np.random.default_rng(2).standard_normal((3, 3))
-        S = A @ A.T
-        got = _theta_dot(D, S)
+        rng = np.random.default_rng(2)
+        omega = rng.uniform(0.1, 2.0, 7)
+        A_ = rng.standard_normal((3, 3))
+        S = A_ @ A_.T
+        A = _design(D, omega)
+        got = A @ S.ravel()
         for k, d in enumerate(D):
-            assert got[k] == pytest.approx(-float(d @ S @ d), rel=1e-12)
+            assert got[k] == pytest.approx(math.sqrt(omega[k]) * float(d @ S @ d),
+                                           rel=1e-12)
+        quad = np.array([float(d @ S @ d) for d in D])
+        assert float(S.ravel() @ (A.T @ A) @ S.ravel()) == pytest.approx(
+            float(omega @ quad**2), rel=1e-12)
 
     def test_adjoint_identity(self):
-        # <theta_adj(D, c), M> = c . theta_dot(D, M)
+        # A^T c, reshaped, is sum_k c_k sqrt(omega_k) d_k d_k^T, so
+        # <A^T c, M> = c . (A vec(M))
         D = _unit_rows(9, 4, seed=3)
         rng = np.random.default_rng(4)
+        omega = rng.uniform(0.1, 2.0, 9)
         c = rng.standard_normal(9)
         M = rng.standard_normal((4, 4))
-        assert float(np.sum(_theta_adj(D, c) * M)) == pytest.approx(
-            float(c @ _theta_dot(D, M)), rel=1e-12)
+        A = _design(D, omega)
+        adj = (A.T @ c).reshape(4, 4)
+        np.testing.assert_allclose(adj, (D * (c * np.sqrt(omega))[:, None]).T @ D,
+                                   rtol=1e-12, atol=1e-14)
+        assert float(np.sum(adj * M)) == pytest.approx(float(c @ (A @ M.ravel())),
+                                                       rel=1e-12)
 
 
 class TestNuclearProx:
@@ -124,7 +148,7 @@ class TestQuadrature:
         A_ = rng.standard_normal((p, p))
         A = A_ @ A_.T
         fro_sq = float(np.sum(A * A))
-        integrand = omega * _theta_dot(D, A) ** 2
+        integrand = (_design(D, omega) @ A.ravel()) ** 2
         got = float(np.sum(integrand))
         # same-sample standard error of the MC integral
         se = float(np.std(integrand * m)) / math.sqrt(m)
@@ -199,11 +223,11 @@ class TestLowRankEstimate:
     def test_prox_fixed_point_certificate(self, lam):
         # M solves the problem iff M = prox_{t lam}(M - t grad f(M)) for t > 0
         Y, cfg, w = _two_dim_problem(lam)
-        D, omega, g, _ = _surrogate(Y, cfg, w, seed=3)
-        t = 1.0 / _lipschitz(D, omega)
+        G, b, L = _normal_equations(Y, cfg, w, seed=3)
+        t = 1.0 / L
 
         def residual(M):
-            grad = _theta_adj(D, 2.0 * omega * (_theta_dot(D, M) - g))
+            grad = 2.0 * (G @ M.ravel() + b).reshape(M.shape)
             step = nuclear_prox(M - t * grad, t * lam)
             return np.linalg.norm(M - step) / max(1.0, np.linalg.norm(M))
 
@@ -212,6 +236,26 @@ class TestLowRankEstimate:
         E = 0.5 * (E + E.T)
         assert residual(est) < 1e-5
         assert residual(est + 1e-3 * E / np.linalg.norm(E)) > 1e-5
+
+    def test_zero_weights_give_the_zero_matrix(self):
+        # the single quadrature point of seed 13 gets weight 0, so the fit is
+        # constant and its Lipschitz constant 0
+        Y = np.random.default_rng(0).standard_normal((100, 5))
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=1)
+        w = bump_weight(5)
+        _, omega, _, _ = _surrogate(Y, cfg, w, seed=13)
+        assert np.all(omega == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lowrank_estimate(Y, cfg, w, seed=13)
+        np.testing.assert_array_equal(est.matrix, np.zeros((5, 5)))
+        assert all(v == 0.0 for v in est.tuning["objective_trace"])
+
+    def test_rejects_weight_of_another_dimension(self):
+        Y = np.random.default_rng(1).standard_normal((100, 5))
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=256)
+        with pytest.raises(ValueError, match="dimension 2"):
+            lowrank_estimate(Y, cfg, bump_weight(2))
 
     def test_nonconvergence_carries_trace(self):
         rng = np.random.default_rng(16)
