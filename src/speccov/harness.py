@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -35,6 +36,27 @@ __all__ = [
     "spec_from_dict",
 ]
 
+# Tuning keys read as numbers; the integer ones also must be whole.
+_NUMERIC_KEYS = ("tau", "U", "lambda", "rho_admm", "tol", "alpha")
+_INTEGER_KEYS = ("max_iter", "mc_samples", "seed")
+
+
+def _check_tuning(tag, tuning):
+    """Raise ValueError naming ``tag`` and the key for a tuning value that
+    is not a finite real number (a whole one for an integer key). A None
+    tau is left to be chosen by cross-validation."""
+    for key in _NUMERIC_KEYS + _INTEGER_KEYS:
+        if key not in tuning or (key == "tau" and tuning[key] is None):
+            continue
+        v = tuning[key]
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not math.isfinite(v)
+                or (key in _INTEGER_KEYS and v != int(v))):
+            kind = "a whole number" if key in _INTEGER_KEYS else "a number"
+            raise ValueError(
+                f"estimator {tag!r}: {key} must be {kind}, got {v!r}")
+
+
 CSV_HEADER = [
     "replication", "estimator", "frob_error", "wall_time_s",
     "tau", "U", "lambda", "admissible", "error",
@@ -58,6 +80,7 @@ class ExperimentSpec:
         for tag, tuning in self.estimators:
             if tag not in ESTIMATORS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
+            _check_tuning(tag, tuning)
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")

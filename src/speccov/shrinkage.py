@@ -150,7 +150,13 @@ def _objective(S, w, shat, tau, lam):
 
 
 def pd_soft_threshold(est, cfg: PdSoftConfig, start=None) -> CovEstimate:
-    """Soft thresholding with a log-det barrier; output strictly PD.
+    """Soft thresholding with a log-det barrier; output PD up to rounding.
+
+    The solution is positive definite in exact arithmetic. In floating
+    point the returned X has eigenvalues >= -p * eps * |X|_2: the barrier
+    keeps them at about lam/|t| or more, which the rebuild (Q * x) @ Q.T
+    rounds away once |X|_2 is large (around 1e6 at lam=1e-4), so there a
+    Cholesky factor of X can fail.
 
     ADMM on the splitting f(X) = |X - Shat|^2 - lam log det X,
     g(Z) = 2 tau |Z|_1, over-relaxed by ``_RELAX``, starting at penalty

@@ -249,6 +249,41 @@ class TestKernelPaths:
         )
 
 
+class TestHalfAngleCosSin:
+    """``_kernels._cos_sin`` against libm's cos and sin."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def cos_sin(x):
+        s = np.array(x, dtype=float)
+        c = np.empty_like(s)
+        _kernels._cos_sin(s, c)
+        return c, s
+
+    def test_zero_is_exact(self):
+        c, s = self.cos_sin([0.0, -0.0])
+        assert np.all(c == 1.0) and np.all(s == 0.0)
+
+    def test_within_four_eps_of_libm(self):
+        rng = np.random.default_rng(15)
+        k = np.arange(-10**6, 10**6 + 1, dtype=float)
+        big = np.logspace(0, 15, 2001)
+        x = np.concatenate([
+            [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi],
+            k * np.pi,
+            big, -big,
+            rng.normal(0.0, 50.0, 100_000),
+            # x/2 is the float64 nearest an odd multiple of pi/2, where
+            # tan(x/2) is largest (about 2.1e18)
+            [np.ldexp(6381956970095103.0, 798)],
+        ])
+        c, s = self.cos_sin(x)
+        assert np.max(np.abs(c - np.cos(x))) <= 4 * self.EPS
+        assert np.max(np.abs(s - np.sin(x))) <= 4 * self.EPS
+        assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * self.EPS
+
+
 def _around_block(rows):
     """Sample sizes at the edges of a block of ``rows`` rows."""
     return sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 1})

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from speccov import simgen
 from speccov.cli import main
 from speccov.harness import load_spec
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
@@ -198,6 +199,40 @@ replications: 1
         assert code == 1
         err = json.loads(capsys.readouterr().err.removeprefix("ERROR "))
         assert "'sps' needs a tau" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,key", [
+        ('{tag: sps, tau: "0.25", U: 1.0}', "tau"),
+        ('{tag: sps, tau: 0.25, U: "1"}', "U"),
+    ])
+    def test_quoted_number_exits_before_sampling(self, tmp_path, capsys,
+                                                 monkeypatch, line, key):
+        def no_sampling(scenario):
+            raise AssertionError("sampled before the spec was checked")
+
+        monkeypatch.setattr(simgen, "sample_scenario", no_sampling)
+        cfg = tmp_path / "quoted.yaml"
+        cfg.write_text(
+            f"""
+scenario:
+  covariance: {{kind: tridiagonal, p: 3}}
+  noise: {{kind: none}}
+  n: 20
+  seed: 2
+estimators:
+  - {{tag: cov}}
+  - {line}
+replications: 1
+"""
+        )
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        doc = json.loads(err.removeprefix("ERROR "))
+        assert doc["type"] == "ValueError"
+        assert f"estimator 'sps': {key} must be a number" in doc["message"]
         assert not out.exists()
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):

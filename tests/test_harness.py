@@ -74,6 +74,20 @@ class TestSpecValidation:
         cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
         small_spec([(tag, {"U": 1.0})], cv=cv, cv_rule=tag)
 
+    @pytest.mark.parametrize("key", ["tau", "U", "lambda", "rho_admm",
+                                     "tol", "max_iter", "mc_samples",
+                                     "seed", "alpha"])
+    @pytest.mark.parametrize("value", ["1", True, float("nan")])
+    def test_rejects_non_numeric_tuning(self, key, value):
+        with pytest.raises(ValueError, match=f"estimator 'sps': {key} must"):
+            small_spec([("cov", {}), ("sps", {"tau": 0.2, key: value})])
+
+    @pytest.mark.parametrize("key", ["max_iter", "mc_samples", "seed"])
+    def test_integer_tuning_must_be_whole(self, key):
+        with pytest.raises(ValueError, match=f"'lowrank': {key} must be a whole"):
+            small_spec([("lowrank", {key: 2.5})])
+        small_spec([("lowrank", {key: 3.0})])
+
 
 class TestRunExperiment:
     def test_single_cov_record_matches_direct_computation(self):

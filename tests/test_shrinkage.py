@@ -221,6 +221,17 @@ class TestPdSoftThreshold:
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, out.T)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e8])
+    def test_positive_definite_up_to_rounding(self, scale):
+        # the barrier eigenvalues (about lam/|t|) fall below the rounding of
+        # the rebuilt matrix at large scale, so only -p*eps*|X|_2 holds
+        shat = scale * sym(np.random.default_rng(3).standard_normal((5, 5)))
+        out = pd_soft_threshold(shat, PdSoftConfig(tau=0.2)).matrix
+        bound = 5 * np.finfo(float).eps * np.linalg.norm(out, 2)
+        assert np.linalg.eigvalsh(out).min() >= -bound
+        if scale == 1.0:
+            assert np.linalg.eigvalsh(out).min() > 0.0
+
     def test_start_far_from_the_solution_costs_no_iterations(self):
         base = _tridiagonal_gamma_base()
         cfg = PdSoftConfig(tau=0.05, rho_admm=20.0)
