@@ -27,8 +27,9 @@ _BLOCK = 1 << 16
 
 
 def _rows_per_block(width):
-    """Rows of a block whose working arrays are ``width`` elements wide."""
-    return max(1, _BLOCK // width)
+    """Rows of a block whose working arrays are ``width`` elements wide
+    (``width`` may be 0)."""
+    return max(1, _BLOCK // max(width, 1))
 
 
 def _cos_sin(x, cos):

@@ -39,22 +39,33 @@ __all__ = [
 # Tuning keys read as numbers; the integer ones also must be whole.
 _NUMERIC_KEYS = ("tau", "U", "lambda", "rho_admm", "tol", "alpha")
 _INTEGER_KEYS = ("max_iter", "mc_samples", "seed")
+# Config keys whose value is a list of numbers.
+_LIST_KEYS = ("block_sizes", "tau_grid")
 
 
-def _check_tuning(tag, tuning):
-    """Raise ValueError naming ``tag`` and the key for a tuning value that
-    is not a finite real number (a whole one for an integer key). A None
-    tau is left to be chosen by cross-validation."""
-    for key in _NUMERIC_KEYS + _INTEGER_KEYS:
-        if key not in tuning or (key == "tau" and tuning[key] is None):
+def _check_numbers(block, d, real=(), whole=()):
+    """Raise ValueError naming ``block`` and the key for a value of ``d``
+    that is not a finite real number (a key of ``real``) or not a whole one
+    (a key of ``whole``); under a key of ``_LIST_KEYS``, for a value that is
+    not a list of them. An absent key is skipped."""
+    for key in real + whole:
+        if key not in d:
             continue
-        v = tuning[key]
-        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                or not math.isfinite(v)
-                or (key in _INTEGER_KEYS and v != int(v))):
-            kind = "a whole number" if key in _INTEGER_KEYS else "a number"
-            raise ValueError(
-                f"estimator {tag!r}: {key} must be {kind}, got {v!r}")
+        v, is_whole = d[key], key in whole
+        kind = "whole number" if is_whole else "number"
+        if key in _LIST_KEYS:
+            ok = (isinstance(v, (list, tuple, np.ndarray))
+                  and all(_is_number(x, is_whole) for x in v))
+            kind = f"list of {kind}s"
+        else:
+            ok = _is_number(v, is_whole)
+        if not ok:
+            raise ValueError(f"{block}: {key} must be a {kind}, got {v!r}")
+
+
+def _is_number(x, whole):
+    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
+            and math.isfinite(x) and not (whole and x != int(x)))
 
 
 CSV_HEADER = [
@@ -80,7 +91,11 @@ class ExperimentSpec:
         for tag, tuning in self.estimators:
             if tag not in ESTIMATORS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
-            _check_tuning(tag, tuning)
+            # a None tau is left to be chosen by cross-validation
+            _check_numbers(f"estimator {tag!r}",
+                           {k: v for k, v in tuning.items()
+                            if not (k == "tau" and v is None)},
+                           _NUMERIC_KEYS, _INTEGER_KEYS)
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
@@ -379,6 +394,15 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     Schema (YAML): see configs/tridiagonal_gamma.yaml for a complete example.
     """
     sc = doc["scenario"]
+    # numbers are checked here, not coerced: int("20") would pass silently
+    _check_numbers("scenario", sc, whole=("n", "seed"))
+    _check_numbers("covariance", sc["covariance"],
+                   whole=("p", "block_sizes", "seed"))
+    _check_numbers("noise", sc.get("noise", {}),
+                   real=("theta", "rho", "beta", "sigma"))
+    _check_numbers("config", doc, whole=("replications",))
+    _check_numbers("cv", doc.get("cv") or {}, real=("tau_grid",),
+                   whole=("num_splits", "seed"))
     cov = _cov_from_dict(sc["covariance"])
     noise = _noise_from_dict(sc.get("noise", {"kind": "none"}), cov.p)
     scenario = Scenario(cov=cov, noise=noise, n=int(sc["n"]),

@@ -129,11 +129,14 @@ class LowRankConfig:
 def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     """The frozen quadrature of the data-fit integral.
 
-    Returns (D, omega, g, keep): unit directions D (m x p) of m seeded points
-    uniform on the annulus, importance weights omega = w_U(u)/(m density)
-    summing to about 1, and regression targets
-    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)),
-    with keep the indicator.
+    Draws m seeded points u uniform on the annulus with importance weights
+    omega = w_U(u)/(m density), summing to about 1, and keeps the points
+    with omega > eps * mean(omega): the others sum to at most eps *
+    sum(omega), below one rounding of the total, so the ECF is evaluated at
+    the kept points only. Returns (D, omega, g, keep) over the kept points:
+    unit directions D (one row each), their weights omega, and regression
+    targets g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2,
+    iota = 1/(2 sqrt(n)), with keep the indicator.
     The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
     """
     data = _as_data(Y)
@@ -142,6 +145,8 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
                                    np.random.default_rng(seed))
     r = np.linalg.norm(quad, axis=1)
     omega = w(r / cfg.U) / (cfg.U**p * cfg.mc_samples * density)
+    heavy = omega > np.finfo(float).eps * omega.mean()
+    quad, r, omega = quad[heavy], r[heavy], omega[heavy]
     mod = np.abs(_kernels.ecf(data, quad))
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
@@ -180,10 +185,11 @@ def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEst
     lambda * tr(M); converged when the relative objective decrease drops
     below cfg.tol. ``w`` must be the weight of the data's dimension.
     """
-    D, omega, g, _ = _surrogate(Y, cfg, w, seed)
-    p = D.shape[1]
+    data = _as_data(Y)
+    p = data.shape[1]
     if w.p != p:
         raise ValueError(f"weight is for dimension {w.p}, data have {p}")
+    D, omega, g, _ = _surrogate(data, cfg, w, seed)
     A = _design(D, omega)
     target = np.sqrt(omega) * g
     G = A.T @ A

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [--report]
 
 It rewrites every ``*.csv`` in this directory:
 
@@ -14,20 +14,23 @@ It rewrites every ``*.csv`` in this directory:
   the same input and the default tau grid.
 
 Any change to these files is a change of test data: say which numbers
-moved and why.
+moved and why. ``--report`` recomputes the outputs, rewrites nothing, and
+prints for each file the largest relative change of any of its numbers
+against the committed file (or the first cell whose text differs).
 """
 
+import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from speccov import harness
-from speccov.cli import main
+from speccov import cli, harness
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
 
 HERE = Path(__file__).resolve().parent
@@ -48,7 +51,7 @@ def write_input(path):
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
+        code = cli.main(argv)
     if code != 0:
         raise RuntimeError(f"speccov {' '.join(argv)} exited {code}")
     return out.getvalue()
@@ -86,9 +89,56 @@ def golden_outputs():
     return outs
 
 
-if __name__ == "__main__":
+def drift(got, want):
+    """The largest relative change of a number in the CSV text ``got``
+    against ``want``, each number against its own magnitude (inf where a
+    0, an inf or a NaN changed), or a note on the first cell whose text differs."""
+    rows_g = list(csv.reader(io.StringIO(got)))
+    rows_w = list(csv.reader(io.StringIO(want)))
+    if [len(r) for r in rows_g] != [len(r) for r in rows_w]:
+        return "rows or columns differ"
+    worst = 0.0
+    for k, (row_g, row_w) in enumerate(zip(rows_g, rows_w), start=1):
+        for g, w in zip(row_g, row_w):
+            try:
+                g, w = float(g), float(w)
+            except ValueError:
+                if g != w:
+                    return f"text differs on line {k}: {g!r} != {w!r}"
+                continue
+            if g == w or (math.isnan(g) and math.isnan(w)):
+                continue
+            rel = abs(g - w) / abs(w) if w else math.inf
+            worst = max(worst, math.inf if math.isnan(rel) else rel)
+    return worst
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--report", action="store_true",
+                        help="print the drift against the committed files "
+                             "and rewrite nothing")
+    args = parser.parse_args(argv)
+    outs = golden_outputs()
+    if args.report:
+        committed = {p.name for p in HERE.glob("*.csv")}
+        for name in sorted(committed | set(outs)):
+            if name not in outs:
+                change = "no longer produced"
+            elif name not in committed:
+                change = "new file"
+            else:
+                change = drift(outs[name], (HERE / name).read_text())
+            if isinstance(change, float):
+                change = f"{change:.3g}"
+            print(f"{name}: {change}")
+        return
     for old in HERE.glob("*.csv"):
         old.unlink()
-    for name, text in golden_outputs().items():
+    for name, text in outs.items():
         (HERE / name).write_text(text)
         print(f"wrote {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -72,6 +72,11 @@ class TestEmpiricalCf:
         with pytest.raises(ValueError):
             _kernels.ecf(np.ones((2, 3)), np.ones((1, 2)))
 
+    def test_no_frequencies_give_an_empty_array(self):
+        # the low-rank quadrature passes none when every weight is 0
+        out = _kernels.ecf(np.ones((5, 3)), np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == complex
+
     @given(
         arrays(np.float64, (7, 2), elements=st.floats(-50, 50)),
         arrays(np.float64, (2,), elements=st.floats(-20, 20)),

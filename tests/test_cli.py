@@ -235,6 +235,38 @@ replications: 1
         assert f"estimator 'sps': {key} must be a number" in doc["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise,n,message", [
+        ('{kind: gamma_elliptical, theta: "1.0"}', "20",
+         "noise: theta must be a number"),
+        ("{kind: none}", '"20"', "scenario: n must be a whole number"),
+    ])
+    def test_quoted_scenario_number_exits_before_sampling(
+            self, tmp_path, capsys, monkeypatch, noise, n, message):
+        def no_sampling(scenario):
+            raise AssertionError("sampled before the spec was checked")
+
+        monkeypatch.setattr(simgen, "sample_scenario", no_sampling)
+        cfg = tmp_path / "quoted.yaml"
+        cfg.write_text(
+            f"""
+scenario:
+  covariance: {{kind: tridiagonal, p: 3}}
+  noise: {noise}
+  n: {n}
+  seed: 2
+estimators:
+  - {{tag: cov}}
+replications: 1
+"""
+        )
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().err.removeprefix("ERROR "))
+        assert doc["type"] == "ValueError"
+        assert message in doc["message"]
+        assert not out.exists()
+
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario: {}\nestimators: []\nreplications: 1\n")

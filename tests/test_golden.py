@@ -103,3 +103,16 @@ def test_matches_golden(outputs, name):
 
 def test_every_output_has_a_golden_file(outputs):
     assert sorted(outputs) == sorted(p.name for p in GOLDEN.glob("*.csv"))
+
+
+def test_drift_report():
+    drift = _load_regenerate().drift
+    want = "a,b\n1.0,nan\n0.0,-2.0\n"
+    assert drift(want, want) == 0.0
+    assert drift("a,b\n1.0,nan\n0.0,-2.002\n", want) == pytest.approx(1e-3)
+    assert drift("a,b\n1.0,nan\n1e-300,-2.0\n", want) == math.inf
+    assert drift("a,b\n1.0,3.0\n0.0,-2.0\n", want) == math.inf
+    assert drift("a,b\n1.0,nan\n0.0,nan\n", want) == math.inf
+    assert drift("a,c\n1.0,nan\n0.0,-2.0\n", want).startswith(
+        "text differs on line 1")
+    assert drift("a,b\n1.0,nan\n", want) == "rows or columns differ"

@@ -1,8 +1,10 @@
+import copy
 import csv
 import importlib.util
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +427,54 @@ class TestConfigLoading:
         for path in paths:
             spec = load_spec(path)
             assert spec.replications >= 1
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("scenario", "n"), "20", "scenario: n must be a whole number"),
+        (("scenario", "n"), 20.5, "scenario: n must be a whole number"),
+        (("scenario", "seed"), "4", "scenario: seed must be a whole number"),
+        (("scenario", "covariance", "p"), "3",
+         "covariance: p must be a whole number"),
+        (("scenario", "covariance"),
+         {"kind": "block_diagonal", "p": 3, "block_sizes": [1, "2"]},
+         "covariance: block_sizes must be a list of whole numbers"),
+        (("scenario", "covariance"),
+         {"kind": "block_diagonal", "p": 3, "block_sizes": [1, 2],
+          "seed": 1.5},
+         "covariance: seed must be a whole number"),
+        (("scenario", "noise", "theta"), "1.0", "noise: theta must be a number"),
+        (("scenario", "noise", "theta"), math.inf,
+         "noise: theta must be a number"),
+        (("scenario", "noise"), {"kind": "gaussian", "rho": "0.5"},
+         "noise: rho must be a number"),
+        (("scenario", "noise"), {"kind": "stable", "beta": "1.5", "sigma": 1.0},
+         "noise: beta must be a number"),
+        (("scenario", "noise"), {"kind": "stable", "beta": 1.5, "sigma": None},
+         "noise: sigma must be a number"),
+        (("replications",), "2", "config: replications must be a whole number"),
+        (("cv", "num_splits"), "5", "cv: num_splits must be a whole number"),
+        (("cv", "seed"), True, "cv: seed must be a whole number"),
+        (("cv", "tau_grid"), [0.1, "0.2"],
+         "cv: tau_grid must be a list of numbers"),
+        (("cv", "tau_grid"), 0.1, "cv: tau_grid must be a list of numbers"),
+    ])
+    def test_rejects_non_numeric_config_values(self, path, value, message):
+        # checked, not coerced by int() or passed on to a model's constructor
+        doc = copy.deepcopy({**self.DOC, "cv": {}})
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec_from_dict(doc)
+
+    def test_accepts_numeric_config_values(self):
+        doc = copy.deepcopy(self.DOC)
+        doc["scenario"]["covariance"] = {"kind": "block_diagonal", "p": 3,
+                                         "block_sizes": [1, 2], "seed": 2.0}
+        doc["cv"] = {"num_splits": 3, "seed": 1, "tau_grid": [0.1, 1]}
+        spec = spec_from_dict(doc)
+        assert spec.scenario.cov.p == 3
+        assert spec.cv.num_splits == 3 and list(spec.cv.tau_grid) == [0.1, 1]
 
     def test_unknown_noise_kind(self):
         doc = {

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from speccov import _kernels, lowrank
 from speccov.lowrank import (
     ANNULUS,
     LowRankConfig,
@@ -32,9 +33,43 @@ def _two_dim_problem(lam=0.1):
     return sample_scenario(sc), cfg, bump_weight(2)
 
 
+def _rank_one_problem(p, n=2000):
+    """A rank-one covariance observed through gamma-elliptical noise, with
+    the default quadrature and a penalty that leaves the estimate nonzero."""
+    v = np.ones(p) / math.sqrt(p)
+    sc = Scenario(cov=CovModel.explicit(2.0 * np.outer(v, v)),
+                  noise=NoiseModel.gamma_elliptical(0.3 * np.eye(p), 1.0),
+                  n=n, seed=p)
+    cfg = LowRankConfig(U=1.0, lambda_nuc=0.01)
+    return sample_scenario(sc).data, cfg, bump_weight(p)
+
+
+def _full_surrogate(Y, cfg, w, seed):
+    """:func:`_surrogate` with the ECF evaluated at every one of the m
+    points, the light ones included."""
+    n, p = Y.shape
+    quad, density = sample_annulus(p, cfg.U, cfg.mc_samples,
+                                   np.random.default_rng(seed))
+    r = np.linalg.norm(quad, axis=1)
+    omega = w(r / cfg.U) / (cfg.U**p * cfg.mc_samples * density)
+    mod = np.abs(_kernels.ecf(Y, quad))
+    keep = mod >= 0.5 / math.sqrt(n)
+    g = np.zeros(len(mod))
+    g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
+    return quad / r[:, None], omega, g, keep
+
+
 def _unit_rows(m, p, seed):
     D = np.random.default_rng(seed).standard_normal((m, p))
     return D / np.linalg.norm(D, axis=1, keepdims=True)
+
+
+def _mc_stderr(vals, m):
+    """Standard error of the m-point Monte Carlo sum whose nonzero terms are
+    ``vals``: the points the quadrature skips weigh (to float64) nothing."""
+    terms = np.zeros(m)
+    terms[:len(vals)] = vals * m
+    return float(np.std(terms)) / math.sqrt(m)
 
 
 def _normal_equations(Y, cfg, w, seed):
@@ -127,8 +162,7 @@ class TestQuadrature:
         D, omega, _, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=5)
         for vals, want in ((omega, w.l1_mass),
                            (omega * D[:, 0] ** 4, w.kappa_lower)):
-            se = float(np.std(vals * m)) / math.sqrt(m)
-            assert abs(float(np.sum(vals)) - want) < 3 * se
+            assert abs(float(np.sum(vals)) - want) < 3 * _mc_stderr(vals, m)
 
     def test_exact_mass_matches_fine_quadrature(self):
         lo, hi = ANNULUS
@@ -151,7 +185,7 @@ class TestQuadrature:
         integrand = (_design(D, omega) @ A.ravel()) ** 2
         got = float(np.sum(integrand))
         # same-sample standard error of the MC integral
-        se = float(np.std(integrand * m)) / math.sqrt(m)
+        se = _mc_stderr(integrand, m)
         assert got >= w.kappa_lower * fro_sq - 3 * se
         assert got <= w.l1_mass * fro_sq + 3 * se
 
@@ -162,6 +196,37 @@ class TestQuadrature:
             WeightFunction(p=2, mass=1.0, kappa_lower=2.0)
         with pytest.raises(ValueError):
             WeightFunction(p=2, mass=0.0, kappa_lower=0.1)
+
+
+class TestLightPoints:
+    """The quadrature skips the points whose weight is at most eps times the
+    mean: together they weigh at most eps * sum(omega), so the fit is the
+    full quadrature's to float64 precision."""
+
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_kept_rows_are_the_full_rows(self, p):
+        Y, cfg, w = _rank_one_problem(p)
+        D, omega, g, keep = _full_surrogate(Y, cfg, w, seed=0)
+        heavy = omega > np.finfo(float).eps * omega.mean()
+        assert 0 < heavy.sum() < cfg.mc_samples
+        D_k, omega_k, g_k, keep_k = _surrogate(Y, cfg, w, seed=0)
+        np.testing.assert_array_equal(D_k, D[heavy])
+        np.testing.assert_array_equal(omega_k, omega[heavy])
+        np.testing.assert_array_equal(keep_k, keep[heavy])
+        # the ECF sums its rows in blocks sized by the number of points, so
+        # g may differ in the last bits
+        np.testing.assert_allclose(g_k, g[heavy], rtol=1e-12, atol=0)
+        assert float(np.sum(omega[~heavy])) <= (
+            np.finfo(float).eps * float(np.sum(omega)))
+
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_estimate_matches_the_full_quadrature(self, p, monkeypatch):
+        Y, cfg, w = _rank_one_problem(p)
+        est = lowrank_estimate(Y, cfg, w).matrix
+        assert np.linalg.norm(est) > 0.1
+        monkeypatch.setattr(lowrank, "_surrogate", _full_surrogate)
+        full = lowrank_estimate(Y, cfg, w).matrix
+        assert float(np.max(np.abs(est - full))) <= 1e-12
 
 
 class TestObjective:
@@ -251,7 +316,11 @@ class TestLowRankEstimate:
         np.testing.assert_array_equal(est.matrix, np.zeros((5, 5)))
         assert all(v == 0.0 for v in est.tuning["objective_trace"])
 
-    def test_rejects_weight_of_another_dimension(self):
+    def test_rejects_weight_of_another_dimension(self, monkeypatch):
+        def no_ecf(Y, freqs):
+            raise AssertionError("ECF evaluated before the weight was checked")
+
+        monkeypatch.setattr(_kernels, "ecf", no_ecf)
         Y = np.random.default_rng(1).standard_normal((100, 5))
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=256)
         with pytest.raises(ValueError, match="dimension 2"):
