@@ -36,8 +36,10 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# Tuning keys read as numbers; the integer ones also must be whole.
-_NUMERIC_KEYS = ("tau", "U", "lambda", "rho_admm", "tol", "alpha")
+# Tuning keys read as numbers; the integer ones also must be whole. R, T,
+# beta and gamma are the theory constants of the admissibility check.
+_NUMERIC_KEYS = ("tau", "U", "lambda", "rho_admm", "tol", "alpha",
+                 "R", "T", "beta", "gamma")
 _INTEGER_KEYS = ("max_iter", "mc_samples", "seed")
 # Config keys whose value is a list of numbers.
 _LIST_KEYS = ("block_sizes", "tau_grid")
@@ -394,17 +396,18 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     Schema (YAML): see configs/tridiagonal_gamma.yaml for a complete example.
     """
     sc = doc["scenario"]
+    # a bare "noise:" key, like an absent one, is no noise
+    noise_doc = sc.get("noise") or {"kind": "none"}
     # numbers are checked here, not coerced: int("20") would pass silently
     _check_numbers("scenario", sc, whole=("n", "seed"))
     _check_numbers("covariance", sc["covariance"],
                    whole=("p", "block_sizes", "seed"))
-    _check_numbers("noise", sc.get("noise", {}),
-                   real=("theta", "rho", "beta", "sigma"))
+    _check_numbers("noise", noise_doc, real=("theta", "rho", "beta", "sigma"))
     _check_numbers("config", doc, whole=("replications",))
     _check_numbers("cv", doc.get("cv") or {}, real=("tau_grid",),
                    whole=("num_splits", "seed"))
     cov = _cov_from_dict(sc["covariance"])
-    noise = _noise_from_dict(sc.get("noise", {"kind": "none"}), cov.p)
+    noise = _noise_from_dict(noise_doc, cov.p)
     scenario = Scenario(cov=cov, noise=noise, n=int(sc["n"]),
                         seed=int(sc.get("seed", 0)))
     estimators = []

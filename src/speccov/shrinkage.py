@@ -7,12 +7,16 @@ included. The positive-definite soft threshold solves
 
 by over-relaxed ADMM with two closed-form proximal maps: entrywise soft
 thresholding and an eigenvalue map for the quadratic-plus-log-barrier
-block. The solver starts from a closed-form point, exact when the
-thresholded matrix is diagonal, or from a given start when that has the
-lower objective. The ADMM penalty adapts by residual balancing, so
-``PdSoftConfig.rho_admm`` is only the starting penalty: it changes the
-iteration count, not the solution, and the solver converges on the whole
-default CV grid ``DEFAULT_TAU_GRID``.
+block. Type-II Anderson acceleration extrapolates the ADMM state from its
+last five steps, with a safeguard that falls back to the plain ADMM step
+whenever an extrapolated point's fixed-point residual grows; this about
+halves the iterations, each of which costs one p x p eigendecomposition.
+The solver starts from a closed-form point, exact when the thresholded
+matrix is diagonal, or from a given start when that has the lower
+objective. The ADMM penalty adapts by residual balancing, which clears the
+acceleration's memory, so ``PdSoftConfig.rho_admm`` is only the starting
+penalty: it changes the iteration count, not the solution, and the solver
+converges on the whole default CV grid ``DEFAULT_TAU_GRID``.
 """
 
 import math
@@ -49,6 +53,14 @@ _BALANCE_FACTOR = 10.0
 # Over-relaxation (Boyd et al. 2011, ADMM, section 3.4.3): the Z- and dual
 # updates see _RELAX * X + (1 - _RELAX) * Z_old in place of X.
 _RELAX = 1.5
+# Anderson acceleration of the ADMM map (see _Anderson): the number of
+# difference pairs kept, and the Tikhonov weight of its least-squares
+# system relative to the trace of the Gram matrix. On 16 CV paths of 40
+# tau (p=20), memory 3, 5 and 10 took 7313, 7072 and 6961 iterations, and
+# plain ADMM 12885; the weight moved the count by under 1% from 1e-14 to
+# 1e-6.
+_AA_MEMORY = 5
+_AA_REG = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -102,8 +114,8 @@ def _kind(est, default="explicit") -> str:
     return est.estimator_kind if isinstance(est, CovEstimate) else default
 
 
-def _soft(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+def _soft(x, t, out=None):
+    return np.multiply(np.sign(x), np.maximum(np.abs(x) - t, 0.0), out=out)
 
 
 def hard_threshold(est, tau: float) -> CovEstimate:
@@ -132,15 +144,96 @@ def _pos_root(t, c):
     return np.where(t >= 0, 0.5 * m, 2.0 * c / m)
 
 
-def _barrier_prox(V, target, rho, lam):
+def _barrier_prox(V, two_target, rho, lam):
     """argmin_X |X - target|^2 + (rho/2)|X - V|^2 - lam log det X.
 
     Stationarity gives (2 + rho) X - lam X^{-1} = 2 target + rho V, solved
     per eigenvalue d of the right-hand side (eigh reads its lower triangle):
-    x is the positive root of x^2 - d x - lam/(2 + rho) = 0.
+    x is the positive root of x^2 - d x - lam/(2 + rho) = 0. The caller
+    passes ``two_target`` = 2 target, which is fixed over a solve.
     """
-    d, Q = np.linalg.eigh((2.0 * target + rho * V) / (2.0 + rho))
+    d, Q = np.linalg.eigh((two_target + rho * V) / (2.0 + rho))
     return (Q * _pos_root(d, lam / (2.0 + rho))) @ Q.T
+
+
+def _norm(a):
+    """The Frobenius norm, as np.linalg.norm computes it, without its
+    argument handling."""
+    a = a.ravel()
+    return math.sqrt(a.dot(a))
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point map s -> g(s) on flat
+    arrays (Walker & Ni 2011, SIAM J. Numer. Anal.), with the safeguard of
+    Zhang, O'Donoghue & Boyd (2020, SIAM J. Optim.).
+
+    With f = g - s and the last ``_AA_MEMORY`` differences dF of f and dG
+    of g (= ds + df) between successive points, the next point is
+    g - dG gamma, where gamma minimises |f - dF gamma|^2 plus a Tikhonov
+    term of weight ``_AA_REG`` times trace(dF^T dF). The Gram matrix
+    dF^T dF gains one row and column per step.
+
+    Safeguard: when |f| at an accelerated point exceeds |f| at the point
+    before it, that point is rejected: the next point is the plain step g
+    from the point before, and the memory is cleared. Extrapolation then
+    resumes only once the memory is full again, so that a map on which the
+    secant model keeps failing runs nearly plain instead of spending every
+    other step on a rejected point.
+    """
+
+    def __init__(self, size):
+        self.dG = np.empty((_AA_MEMORY, size))
+        self.dF = np.empty((_AA_MEMORY, size))
+        self.gram = np.empty((_AA_MEMORY, _AA_MEMORY))
+        self.sq = [0.0] * _AA_MEMORY  # the diagonal of gram
+        self.eye = np.eye(_AA_MEMORY)
+        self.g_prev = np.empty(size)
+        self.clear()
+
+    def clear(self):
+        """Forget the memory and the last point, as for a new map."""
+        self.pairs = 0  # differences taken since the memory was cleared
+        self.need = 1  # the pairs needed before the next extrapolation
+        self.f_prev = None
+        self.f_norm_prev = math.inf
+        self.extrapolated = False  # whether s came from an accelerated step
+
+    def step(self, s, g):
+        """Overwrite the point s, whose image is g, by the next point."""
+        f = g - s
+        f_norm = _norm(f)
+        if self.extrapolated and f_norm > self.f_norm_prev:
+            s[:] = self.g_prev
+            self.pairs = 0
+            self.need = _AA_MEMORY
+            self.extrapolated = False
+            return
+        gamma = None
+        if self.f_prev is not None:
+            j = self.pairs % _AA_MEMORY
+            np.subtract(g, self.g_prev, out=self.dG[j])
+            np.subtract(f, self.f_prev, out=self.dF[j])
+            self.pairs += 1
+            m = min(self.pairs, _AA_MEMORY)
+            dF = self.dF[:m]
+            row = dF @ dF[j]
+            self.gram[j, :m] = row
+            self.gram[:m, j] = row
+            self.sq[j] = float(row[j])
+            trace = sum(self.sq[:m])
+            if self.pairs >= self.need and trace > 0:
+                gamma = np.linalg.solve(
+                    self.gram[:m, :m] + (_AA_REG * trace) * self.eye[:m, :m],
+                    dF @ f)
+        self.g_prev[:] = g
+        self.f_prev = f
+        self.f_norm_prev = f_norm
+        self.extrapolated = gamma is not None
+        if gamma is None:
+            s[:] = g
+        else:
+            np.subtract(g, gamma @ self.dG[:m], out=s)
 
 
 def _objective(S, w, shat, tau, lam):
@@ -161,7 +254,13 @@ def pd_soft_threshold(est, cfg: PdSoftConfig, start=None) -> CovEstimate:
     ADMM on the splitting f(X) = |X - Shat|^2 - lam log det X,
     g(Z) = 2 tau |Z|_1, over-relaxed by ``_RELAX``, starting at penalty
     ``cfg.rho_admm`` and balancing the residuals as it goes. Stops when
-    max(primal, dual residual) < tol.
+    max(primal, dual residual) < tol. One iteration maps the state
+    s = (Z, scaled dual) to F(s), and ``_Anderson`` takes the next state
+    from F(s) and the last ``_AA_MEMORY`` steps. Its safeguard rejects an
+    extrapolated point whose residual |F(s) - s| exceeds that of the point
+    before, and goes on from the plain step F of that point. A change of
+    rho changes F, so it clears the memory. Each iteration, a rejected one
+    included, costs one eigendecomposition and counts toward ``max_iter``.
 
     The start point Z0 minimizes |S - T|^2 - lam log det S, where T is the
     soft threshold of Shat off the diagonal and Shat_ii - tau on it: the
@@ -193,29 +292,47 @@ def pd_soft_threshold(est, cfg: PdSoftConfig, start=None) -> CovEstimate:
             Z, w, Q = S, ws, Qs
     # the first X-update then returns Z itself
     Dual = (2.0 * (shat - Z) + lam * (Q / w) @ Q.T) / rho
+    two_shat = 2.0 * shat
+    two_tau = 2.0 * cfg.tau
+    # the ADMM state s = (Z, Dual) and its image g = F(s) under one
+    # iteration, each a (2, p, p) array; Z, Dual and Z_new, Dual_new are
+    # views of them
+    s = np.stack([Z, Dual])
+    g = np.empty_like(s)
+    Z, Dual = s
+    Z_new, Dual_new = g
+    sv, gv = s.reshape(-1), g.reshape(-1)
+    aa = _Anderson(sv.size)
     primal = dual = math.inf
     for it in range(1, cfg.max_iter + 1):
-        X = _barrier_prox(Z - Dual, shat, rho, lam)
-        Z_old = Z
-        X_relaxed = _RELAX * X + (1.0 - _RELAX) * Z_old
-        Z = _soft(X_relaxed + Dual, 2.0 * cfg.tau / rho)
-        Dual = Dual + X_relaxed - Z
+        X = _barrier_prox(Z - Dual, two_shat, rho, lam)
+        X_relaxed = _RELAX * X + (1.0 - _RELAX) * Z
+        A = X_relaxed + Dual
+        _soft(A, two_tau / rho, out=Z_new)
+        np.subtract(A, Z_new, out=Dual_new)
         # residuals scaled by iterate magnitudes, floored at 1 so that
         # small-scale problems keep an absolute criterion
-        primal_scale = max(1.0, np.linalg.norm(X), np.linalg.norm(Z))
-        dual_scale = max(1.0, rho * np.linalg.norm(Dual))
-        primal = np.linalg.norm(X - Z) / primal_scale
-        dual = rho * np.linalg.norm(Z - Z_old) / dual_scale
+        primal_scale = max(1.0, _norm(X), _norm(Z_new))
+        dual_scale = max(1.0, rho * _norm(Dual_new))
+        primal = _norm(X - Z_new) / primal_scale
+        dual = rho * _norm(Z_new - Z) / dual_scale
         if max(primal, dual) < cfg.tol:
             break
         if it % _BALANCE_EVERY == 0:
             # the scaled dual is the unscaled one over rho
+            rho_old = rho
             if primal > _BALANCE_RATIO * dual:
                 rho *= _BALANCE_FACTOR
-                Dual = Dual / _BALANCE_FACTOR
+                Dual_new /= _BALANCE_FACTOR
             elif dual > _BALANCE_RATIO * primal:
                 rho /= _BALANCE_FACTOR
-                Dual = Dual * _BALANCE_FACTOR
+                Dual_new *= _BALANCE_FACTOR
+            if rho != rho_old:
+                # a new rho is a new map, which the old differences miss
+                aa.clear()
+                s[:] = g
+                continue
+        aa.step(sv, gv)
     else:
         raise ConvergenceError(
             f"ADMM did not converge in {cfg.max_iter} iterations "

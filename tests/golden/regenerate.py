@@ -16,7 +16,9 @@ It rewrites every ``*.csv`` in this directory:
 Any change to these files is a change of test data: say which numbers
 moved and why. ``--report`` recomputes the outputs, rewrites nothing, and
 prints for each file the largest relative change of any of its numbers
-against the committed file (or the first cell whose text differs).
+against the committed file (or the first cell whose text differs), on the
+scale of ``tests/test_golden.py``: each number against its own magnitude,
+and an ``estimate_*`` matrix entry against the largest entry of the matrix.
 """
 
 import argparse
@@ -89,28 +91,40 @@ def golden_outputs():
     return outs
 
 
-def drift(got, want):
+def drift(got, want, common_scale=False):
     """The largest relative change of a number in the CSV text ``got``
-    against ``want``, each number against its own magnitude (inf where a
-    0, an inf or a NaN changed), or a note on the first cell whose text differs."""
+    against ``want`` (inf where a 0, an inf or a NaN changed), or a note on
+    the first cell whose text differs. A change is relative to the number's
+    own magnitude or, with ``common_scale``, to the largest finite magnitude
+    in ``want``."""
     rows_g = list(csv.reader(io.StringIO(got)))
     rows_w = list(csv.reader(io.StringIO(want)))
     if [len(r) for r in rows_g] != [len(r) for r in rows_w]:
         return "rows or columns differ"
-    worst = 0.0
+    pairs = []
     for k, (row_g, row_w) in enumerate(zip(rows_g, rows_w), start=1):
         for g, w in zip(row_g, row_w):
             try:
-                g, w = float(g), float(w)
+                pairs.append((float(g), float(w)))
             except ValueError:
                 if g != w:
                     return f"text differs on line {k}: {g!r} != {w!r}"
-                continue
-            if g == w or (math.isnan(g) and math.isnan(w)):
-                continue
-            rel = abs(g - w) / abs(w) if w else math.inf
-            worst = max(worst, math.inf if math.isnan(rel) else rel)
+    scale = max((abs(w) for _, w in pairs if math.isfinite(w)), default=0.0)
+    worst = 0.0
+    for g, w in pairs:
+        if g == w or (math.isnan(g) and math.isnan(w)):
+            continue
+        ref = scale if common_scale else abs(w)
+        rel = abs(g - w) / ref if ref else math.inf
+        worst = max(worst, math.inf if math.isnan(rel) else rel)
     return worst
+
+
+def file_drift(name, got, want):
+    """``drift`` on the scale that ``tests/test_golden.py`` checks the file
+    on: an estimate matrix against its largest entry, any other file number
+    by number."""
+    return drift(got, want, common_scale=name.startswith("estimate_"))
 
 
 def main(argv=None):
@@ -128,7 +142,8 @@ def main(argv=None):
             elif name not in committed:
                 change = "new file"
             else:
-                change = drift(outs[name], (HERE / name).read_text())
+                change = file_drift(name, outs[name],
+                                    (HERE / name).read_text())
             if isinstance(change, float):
                 change = f"{change:.3g}"
             print(f"{name}: {change}")

@@ -178,6 +178,27 @@ cv:
         assert [row[1] for row in rows] == ["cov", "hard"]
         assert all(row[2] != "nan" for row in rows)
 
+    def test_bare_noise_key_runs_without_noise(self, tmp_path, capsys):
+        cfg = tmp_path / "bare_noise.yaml"
+        cfg.write_text(
+            """
+scenario:
+  covariance: {kind: tridiagonal, p: 3}
+  noise:
+  n: 20
+  seed: 2
+estimators:
+  - {tag: cov}
+replications: 1
+"""
+        )
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 1 and rows[0][2] != "nan"
+
     def test_threshold_tag_without_tau_or_cv_exits_nonzero(self, tmp_path,
                                                             capsys):
         cfg = tmp_path / "no_tau.yaml"
@@ -204,6 +225,7 @@ replications: 1
     @pytest.mark.parametrize("line,key", [
         ('{tag: sps, tau: "0.25", U: 1.0}', "tau"),
         ('{tag: sps, tau: 0.25, U: "1"}', "U"),
+        ('{tag: sps, tau: 0.25, U: 1.0, R: "0.1", T: 0.01, beta: 1.0}', "R"),
     ])
     def test_quoted_number_exits_before_sampling(self, tmp_path, capsys,
                                                  monkeypatch, line, key):

@@ -106,7 +106,8 @@ def test_every_output_has_a_golden_file(outputs):
 
 
 def test_drift_report():
-    drift = _load_regenerate().drift
+    regenerate = _load_regenerate()
+    drift = regenerate.drift
     want = "a,b\n1.0,nan\n0.0,-2.0\n"
     assert drift(want, want) == 0.0
     assert drift("a,b\n1.0,nan\n0.0,-2.002\n", want) == pytest.approx(1e-3)
@@ -116,3 +117,13 @@ def test_drift_report():
     assert drift("a,c\n1.0,nan\n0.0,-2.0\n", want).startswith(
         "text differs on line 1")
     assert drift("a,b\n1.0,nan\n", want) == "rows or columns differ"
+    # an estimate matrix is measured against its largest entry, as
+    # _check_estimate tests it: a near-zero entry's own scale would alarm
+    want = "1.0,1e-9\n-2.0,0.0\n"
+    got = "1.0,2e-9\n-2.0,1e-12\n"
+    assert drift(got, want) == math.inf
+    assert drift(got, want, common_scale=True) == pytest.approx(5e-10)
+    assert regenerate.file_drift("estimate_sps.csv", got, want) == \
+        pytest.approx(5e-10)
+    assert regenerate.file_drift("cv_sps.csv", got, want) == math.inf
+    assert drift("1.0,0.0\n", "0.0,0.0\n", common_scale=True) == math.inf

@@ -78,7 +78,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("key", ["tau", "U", "lambda", "rho_admm",
                                      "tol", "max_iter", "mc_samples",
-                                     "seed", "alpha"])
+                                     "seed", "alpha", "R", "T", "beta",
+                                     "gamma"])
     @pytest.mark.parametrize("value", ["1", True, float("nan")])
     def test_rejects_non_numeric_tuning(self, key, value):
         with pytest.raises(ValueError, match=f"estimator 'sps': {key} must"):
@@ -418,6 +419,11 @@ class TestConfigLoading:
         np.testing.assert_array_equal(spec.cv.tau_grid,
                                       shrinkage.DEFAULT_TAU_GRID)
         assert spec.cv_rule == "sps"
+
+    def test_bare_noise_key_is_no_noise(self):
+        doc = copy.deepcopy(self.DOC)
+        doc["scenario"]["noise"] = None
+        assert spec_from_dict(doc).scenario.noise.kind == "none"
 
     def test_committed_configs_load(self, tmp_path):
         import glob
