@@ -108,7 +108,7 @@ def build_parser():
     est.add_argument("--u", type=float, default=1.0, help="probe radius U")
     est.add_argument("--tau", type=float, default=0.25)
     est.add_argument("--barrier", type=float, default=1e-4,
-                     help="log-det barrier weight")
+                     help="log-det barrier weight; lowrank's nuclear penalty")
     est.add_argument("--output", default=None, help="output path (default stdout)")
     est.set_defaults(func=_cmd_estimate)
 

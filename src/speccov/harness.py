@@ -65,6 +65,17 @@ def _check_numbers(block, d, real=(), whole=()):
             raise ValueError(f"{block}: {key} must be a {kind}, got {v!r}")
 
 
+def _block(block, d, *keys):
+    """Return ``d`` after raising ValueError naming ``block`` when it is not
+    a mapping or lacks a key of ``keys``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{block}: must be a mapping, got {d!r}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{block}: missing key {key!r}")
+    return d
+
+
 def _is_number(x, whole):
     return (not isinstance(x, bool) and isinstance(x, numbers.Real)
             and math.isfinite(x) and not (whole and x != int(x)))
@@ -368,12 +379,15 @@ def _noise_from_dict(d, p):
     if kind == "none":
         return NoiseModel.none()
     if kind == "gamma_elliptical":
+        _block("noise", d, "theta")
         A = d.get("A", "identity")
         A = np.eye(p) if (isinstance(A, str) and A == "identity") else np.asarray(A, float)
         return NoiseModel.gamma_elliptical(A, d["theta"])
     if kind == "gaussian":
+        _block("noise", d, "rho")
         return NoiseModel.gaussian(d["rho"])
     if kind == "stable":
+        _block("noise", d, "beta", "sigma")
         return NoiseModel.stable(d["beta"], d["sigma"], d.get("norm", "lbeta"))
     raise ValueError(f"unknown noise kind {kind!r}")
 
@@ -381,11 +395,14 @@ def _noise_from_dict(d, p):
 def _cov_from_dict(d):
     kind = d["kind"]
     if kind == "tridiagonal":
+        _block("covariance", d, "p")
         return CovModel.tridiagonal(int(d["p"]))
     if kind == "block_diagonal":
+        _block("covariance", d, "p", "block_sizes")
         return CovModel.block_diagonal(int(d["p"]), d["block_sizes"],
                                        int(d.get("seed", 0)))
     if kind == "explicit":
+        _block("covariance", d, "matrix")
         return CovModel.explicit(d["matrix"])
     raise ValueError(f"unknown covariance kind {kind!r}")
 
@@ -395,28 +412,28 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
 
     Schema (YAML): see configs/tridiagonal_gamma.yaml for a complete example.
     """
-    sc = doc["scenario"]
+    _block("config", doc, "scenario", "estimators", "replications")
+    sc = _block("scenario", doc["scenario"], "covariance", "n")
+    cov_doc = _block("covariance", sc["covariance"], "kind")
     # a bare "noise:" key, like an absent one, is no noise
-    noise_doc = sc.get("noise") or {"kind": "none"}
+    noise_doc = _block("noise", sc.get("noise") or {"kind": "none"})
+    # only a bare "cv:" key is an empty block: every CV default
+    c = _block("cv", {} if doc.get("cv") is None else doc["cv"])
     # numbers are checked here, not coerced: int("20") would pass silently
     _check_numbers("scenario", sc, whole=("n", "seed"))
-    _check_numbers("covariance", sc["covariance"],
-                   whole=("p", "block_sizes", "seed"))
+    _check_numbers("covariance", cov_doc, whole=("p", "block_sizes", "seed"))
     _check_numbers("noise", noise_doc, real=("theta", "rho", "beta", "sigma"))
     _check_numbers("config", doc, whole=("replications",))
-    _check_numbers("cv", doc.get("cv") or {}, real=("tau_grid",),
-                   whole=("num_splits", "seed"))
-    cov = _cov_from_dict(sc["covariance"])
+    _check_numbers("cv", c, real=("tau_grid",), whole=("num_splits", "seed"))
+    cov = _cov_from_dict(cov_doc)
     noise = _noise_from_dict(noise_doc, cov.p)
     scenario = Scenario(cov=cov, noise=noise, n=int(sc["n"]),
                         seed=int(sc.get("seed", 0)))
     estimators = []
-    for e in doc["estimators"]:
-        e = dict(e)
+    for i, e in enumerate(doc["estimators"] or []):
+        e = dict(_block(f"estimator {i}", e, "tag"))
         tag = e.pop("tag")
         estimators.append((tag, e))
-    # a bare "cv:" key is an empty block: every CV default
-    c = doc.get("cv") or {}
     cv = None
     if "cv" in doc:
         grid = c.get("tau_grid")

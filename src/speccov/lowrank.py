@@ -90,23 +90,14 @@ def bump_weight(p, seed=0) -> WeightFunction:
     return WeightFunction(p=p, mass=area * radial, kappa_lower=3.0 / (p * (p + 2.0)))
 
 
-def _ball_volume(p, radius):
-    return math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * radius**p
-
-
-def annulus_volume(p, U=1.0):
-    lo, hi = ANNULUS
-    return _ball_volume(p, hi * U) - _ball_volume(p, lo * U)
-
-
 def sample_annulus(p, U, m, rng):
-    """m points uniform on {U/4 <= |u| <= U/2}; returns (points, density)."""
+    """m points uniform on {U/4 <= |u| <= U/2}, as (unit directions, radii)."""
     lo, hi = ANNULUS[0] * U, ANNULUS[1] * U
     g = rng.standard_normal((m, p))
     dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     # radius density prop. to r^(p-1) on [lo, hi]
     radii = (rng.uniform(lo**p, hi**p, size=m)) ** (1.0 / p)
-    return dirs * radii[:, None], 1.0 / annulus_volume(p, U)
+    return dirs, radii
 
 
 @dataclass(frozen=True)
@@ -129,29 +120,33 @@ class LowRankConfig:
 def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     """The frozen quadrature of the data-fit integral.
 
-    Draws m seeded points u uniform on the annulus with importance weights
-    omega = w_U(u)/(m density), summing to about 1, and keeps the points
-    with omega > eps * mean(omega): the others sum to at most eps *
-    sum(omega), below one rounding of the total, so the ECF is evaluated at
-    the kept points only. Returns (D, omega, g, keep) over the kept points:
-    unit directions D (one row each), their weights omega, and regression
-    targets g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2,
-    iota = 1/(2 sqrt(n)), with keep the indicator.
+    Draws m seeded points u = d r uniform on the annulus U/4 <= |u| <= U/2
+    (unit direction d, radius r). The annulus has volume U^p vol1, with
+    vol1 = pi^(p/2) / Gamma(p/2 + 1) (1/2^p - 1/4^p), so the unit-mass
+    weight w(r/U)/U^p gives the importance weights omega = w(r/U) vol1 / m,
+    which sum to about 1. It keeps the points with omega > eps * mean(omega):
+    the others sum to at most eps * sum(omega), below one rounding of the
+    total, so the ECF is evaluated at the kept points only. Returns
+    (D, omega, g, keep) over the kept points: unit directions D (one row
+    each), their weights omega, and regression targets
+    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)),
+    with keep the indicator.
     The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
     """
     data = _as_data(Y)
     n, p = data.shape
-    quad, density = sample_annulus(p, cfg.U, cfg.mc_samples,
-                                   np.random.default_rng(seed))
-    r = np.linalg.norm(quad, axis=1)
-    omega = w(r / cfg.U) / (cfg.U**p * cfg.mc_samples * density)
+    D, r = sample_annulus(p, cfg.U, cfg.mc_samples,
+                          np.random.default_rng(seed))
+    lo, hi = ANNULUS
+    vol1 = math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * (hi**p - lo**p)
+    omega = w(r / cfg.U) * (vol1 / cfg.mc_samples)
     heavy = omega > np.finfo(float).eps * omega.mean()
-    quad, r, omega = quad[heavy], r[heavy], omega[heavy]
-    mod = np.abs(_kernels.ecf(data, quad))
+    D, r, omega = D[heavy], r[heavy], omega[heavy]
+    mod = np.abs(_kernels.ecf(data, D * r[:, None]))
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
-    return quad / r[:, None], omega, g, keep
+    return D, omega, g, keep
 
 
 def _design(D, omega):
@@ -229,13 +224,9 @@ def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEst
             f"proximal gradient did not converge in {cfg.max_iter} iterations",
             objective_trace=trace,
         )
-    out = 0.5 * (M + M.T)
-    return CovEstimate(
-        out,
-        "lowrank",
-        {"U": cfg.U, "lambda": cfg.lambda_nuc, "mc_samples": cfg.mc_samples,
-         "seed": seed, "objective_trace": tuple(trace)},
-    )
+    return CovEstimate(0.5 * (M + M.T), {
+        "U": cfg.U, "lambda": cfg.lambda_nuc, "mc_samples": cfg.mc_samples,
+        "seed": seed, "objective_trace": tuple(trace)})
 
 
 def lambda_threshold(cfg: LowRankConfig, sigma_norm, T, beta, gamma, n):

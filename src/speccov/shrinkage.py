@@ -110,10 +110,6 @@ def _matrix(est) -> np.ndarray:
     return np.asarray(est, dtype=float)
 
 
-def _kind(est, default="explicit") -> str:
-    return est.estimator_kind if isinstance(est, CovEstimate) else default
-
-
 def _soft(x, t, out=None):
     return np.multiply(np.sign(x), np.maximum(np.abs(x) - t, 0.0), out=out)
 
@@ -121,14 +117,12 @@ def _soft(x, t, out=None):
 def hard_threshold(est, tau: float) -> CovEstimate:
     """Zero out entries with |value| <= tau (strict survival rule)."""
     m = _matrix(est)
-    out = np.where(np.abs(m) > tau, m, 0.0)
-    return CovEstimate(out, "hard", {"tau": tau, "base": _kind(est)})
+    return CovEstimate(np.where(np.abs(m) > tau, m, 0.0), {"tau": tau})
 
 
 def soft_threshold(est, tau: float) -> CovEstimate:
     """Shrink every entry toward zero by tau: sign(x) * (|x| - tau)_+."""
-    out = _soft(_matrix(est), tau)
-    return CovEstimate(out, "soft", {"tau": tau, "base": _kind(est)})
+    return CovEstimate(_soft(_matrix(est), tau), {"tau": tau})
 
 
 def _pos_root(t, c):
@@ -172,7 +166,7 @@ class _Anderson:
     of g (= ds + df) between successive points, the next point is
     g - dG gamma, where gamma minimises |f - dF gamma|^2 plus a Tikhonov
     term of weight ``_AA_REG`` times trace(dF^T dF). The Gram matrix
-    dF^T dF gains one row and column per step.
+    dF^T dF, at most ``_AA_MEMORY`` square, is formed at each extrapolation.
 
     Safeguard: when |f| at an accelerated point exceeds |f| at the point
     before it, that point is rejected: the next point is the plain step g
@@ -185,9 +179,6 @@ class _Anderson:
     def __init__(self, size):
         self.dG = np.empty((_AA_MEMORY, size))
         self.dF = np.empty((_AA_MEMORY, size))
-        self.gram = np.empty((_AA_MEMORY, _AA_MEMORY))
-        self.sq = [0.0] * _AA_MEMORY  # the diagonal of gram
-        self.eye = np.eye(_AA_MEMORY)
         self.g_prev = np.empty(size)
         self.clear()
 
@@ -216,16 +207,13 @@ class _Anderson:
             np.subtract(f, self.f_prev, out=self.dF[j])
             self.pairs += 1
             m = min(self.pairs, _AA_MEMORY)
-            dF = self.dF[:m]
-            row = dF @ dF[j]
-            self.gram[j, :m] = row
-            self.gram[:m, j] = row
-            self.sq[j] = float(row[j])
-            trace = sum(self.sq[:m])
-            if self.pairs >= self.need and trace > 0:
-                gamma = np.linalg.solve(
-                    self.gram[:m, :m] + (_AA_REG * trace) * self.eye[:m, :m],
-                    dF @ f)
+            if self.pairs >= self.need:
+                dF = self.dF[:m]
+                gram = dF @ dF.T
+                trace = gram.trace()
+                if trace > 0:
+                    gram.flat[::m + 1] += _AA_REG * trace
+                    gamma = np.linalg.solve(gram, dF @ f)
         self.g_prev[:] = g
         self.f_prev = f
         self.f_norm_prev = f_norm
@@ -342,15 +330,9 @@ def pd_soft_threshold(est, cfg: PdSoftConfig, start=None) -> CovEstimate:
             iterations=cfg.max_iter,
             rho=rho,
         )
-    out = 0.5 * (X + X.T)
-    base = _kind(est)
-    kind = {"spectral": "sps", "sample": "pds"}.get(base, "pdsoft")
-    return CovEstimate(
-        out,
-        kind,
-        {"tau": cfg.tau, "lambda": lam, "base": base, "iterations": it,
-         "primal": float(primal), "dual": float(dual), "rho": rho},
-    )
+    return CovEstimate(0.5 * (X + X.T), {
+        "tau": cfg.tau, "lambda": lam, "iterations": it,
+        "primal": float(primal), "dual": float(dual), "rho": rho})
 
 
 def sample_covariance(Y) -> CovEstimate:
@@ -359,7 +341,7 @@ def sample_covariance(Y) -> CovEstimate:
     n = data.shape[0]
     m = data.T @ data / n
     m = np.triu(m) + np.triu(m, k=1).T
-    return CovEstimate(m, "sample", {})
+    return CovEstimate(m)
 
 
 def cross_validate_tau(Y, U, cfg: CvConfig, fit):

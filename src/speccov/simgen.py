@@ -73,36 +73,32 @@ def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
     return shifted / (lmax + c)
 
 
-@dataclass(frozen=True)
 class CovModel:
-    kind: str  # tridiagonal | block_diagonal | explicit
-    p: int
-    block_sizes: Optional[tuple] = None
-    seed: int = 0
-    matrix_value: Optional[np.ndarray] = None
+    """A covariance matrix, built once by a constructor and held read-only."""
+
+    def __init__(self, matrix):
+        m = np.array(matrix, dtype=float)
+        m.setflags(write=False)
+        self._matrix = m
 
     @classmethod
     def tridiagonal(cls, p):
-        return cls(kind="tridiagonal", p=p)
+        return cls(make_tridiagonal(p))
 
     @classmethod
     def block_diagonal(cls, p, block_sizes, seed=0):
-        return cls(kind="block_diagonal", p=p, block_sizes=tuple(block_sizes),
-                   seed=seed)
+        return cls(make_block_diagonal(p, block_sizes, seed))
 
     @classmethod
     def explicit(cls, matrix):
-        m = np.asarray(matrix, dtype=float)
-        return cls(kind="explicit", p=m.shape[0], matrix_value=m)
+        return cls(matrix)
+
+    @property
+    def p(self) -> int:
+        return self._matrix.shape[0]
 
     def matrix(self) -> np.ndarray:
-        if self.kind == "tridiagonal":
-            return make_tridiagonal(self.p)
-        if self.kind == "block_diagonal":
-            return make_block_diagonal(self.p, self.block_sizes, self.seed)
-        if self.kind == "explicit":
-            return self.matrix_value
-        raise ValueError(f"unknown covariance model {self.kind!r}")
+        return self._matrix
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ standard basis vector e_i (i == j) or (e_i + e_j)/sqrt(2) (i != j);
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -65,14 +65,6 @@ class SampleMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample contains non-finite entries")
         object.__setattr__(self, "data", arr)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[1]
 
 
 def _as_data(Y) -> np.ndarray:
@@ -136,10 +128,9 @@ class SpectralConfig:
 
 @dataclass(frozen=True)
 class CovEstimate:
-    """A symmetric covariance estimate plus provenance."""
+    """A symmetric covariance estimate and the tuning that produced it."""
 
     matrix: np.ndarray
-    estimator_kind: str
     tuning: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -173,15 +164,13 @@ def stable_generator(alpha: float) -> Callable:
     return lambda y: np.asarray(y, dtype=float) ** (1.0 / h)
 
 
-def _assemble(diag_logmod, pair_logmod, U, gen=None):
+def _assemble(diag_logmod, pair_logmod, U, eta_inv=_GAUSSIAN):
     """Build the symmetric estimate from probe log-moduli.
 
     Negative -log|cf| values (|cf| > 1 by float error) are clamped to 0
     before eta_inv. Diagonal first, then off-diagonal corrected by the
-    diagonal halves. ``gen`` is eta_inv; ``None`` is the Gaussian one and
-    gives kind "spectral", any other generator gives kind "elliptical".
+    diagonal halves.
     """
-    eta_inv = _GAUSSIAN if gen is None else gen
     usq = U * U
     raw_diag = np.clip(-np.asarray(diag_logmod, dtype=float), 0.0, None)
     raw_pair = np.clip(-np.asarray(pair_logmod, dtype=float), 0.0, None)
@@ -199,11 +188,10 @@ def _assemble(diag_logmod, pair_logmod, U, gen=None):
         i, j = np.argwhere(bad)[0]
         raise EstimationError(f"eta_inv out of domain at probe ({i}, {j})")
     # q is exactly symmetric and the diagonal correction term is too
-    kind = "spectral" if gen is None else "elliptical"
-    return CovEstimate(matrix=mat, estimator_kind=kind, tuning={"U": U})
+    return CovEstimate(mat, {"U": U})
 
 
-def spectral_estimate(Y, U: float, gen: Optional[Callable] = None) -> CovEstimate:
+def spectral_estimate(Y, U: float, gen: Callable = _GAUSSIAN) -> CovEstimate:
     """Spectral covariance estimate at probe radius U.
 
     Diagonal: sigma_ii = eta_inv(-log|ecf(U e_i)|)/U^2, by default with the

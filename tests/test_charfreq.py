@@ -34,7 +34,7 @@ def ecf(Y, u):
 class TestSampleMatrix:
     def test_wraps_2d_array(self):
         s = SampleMatrix(np.ones((3, 2)))
-        assert s.n == 3 and s.p == 2
+        assert s.data.shape == (3, 2)
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,10 @@ from speccov.harness import (
 from speccov.simgen import CovModel, NoiseModel, Scenario
 
 
+# a parametrized config value that deletes its key
+_ABSENT = object()
+
+
 def small_spec(estimators, replications=2, n=40, seed=5, **kw):
     return ExperimentSpec(
         scenario=Scenario(cov=CovModel.tridiagonal(3),
@@ -252,7 +256,6 @@ class TestCvFit:
         path = harness.cv_fit(tag, tuning)(Y, taus)
         for tau, est in zip(taus, path):
             one = harness.ESTIMATORS[tag](Y, {**tuning, "tau": tau})
-            assert est.estimator_kind == one.estimator_kind
             np.testing.assert_allclose(est.matrix, one.matrix, rtol=0, atol=1e-5)
 
 
@@ -272,17 +275,36 @@ class TestInputValidation:
             run(Y)
 
 
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkHooks:
     def test_traced_sites_exist(self):
         # perfbench only warns when a site it rebinds has gone missing
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _load_perfbench("tracing")
         sites = [site[:2] for site in tracing.TIMED + tracing.COUNTED]
         missing = [(mod, attr) for mod, attr in sites
                    if not hasattr(importlib.import_module("speccov." + mod), attr)]
         assert sites and not missing
+
+
+class TestBenchmarkWorkloads:
+    @pytest.mark.parametrize("name", ["simulate", "cv", "large_n", "lowrank"])
+    def test_one_call_of_each_workload(self, name, tmp_path):
+        # one untimed call through perfbench's own set-up, without its gates
+        workloads = _load_perfbench("workloads")
+        w = workloads.WORKLOADS[name](0, tmp_path,
+                                      Path(__file__).resolve().parents[1])
+        w.setup(0)
+        arg = w.prepare(0)
+        outcome = w.collect(arg, w.call(arg))
+        assert outcome.items >= 1
+        assert outcome.failed == 0 and outcome.error is None
 
 
 class TestSummarize:
@@ -490,6 +512,53 @@ class TestConfigLoading:
             "replications": 1,
         }
         with pytest.raises(ValueError):
+            spec_from_dict(doc)
+
+    def test_unknown_cov_kind(self):
+        doc = copy.deepcopy(self.DOC)
+        doc["scenario"]["covariance"] = {"kind": "mystery"}
+        with pytest.raises(ValueError,
+                           match="unknown covariance kind 'mystery'"):
+            spec_from_dict(doc)
+
+    def test_bad_block_sizes_rejected_when_parsed(self):
+        # the parser builds the covariance matrix, before any sampling
+        doc = copy.deepcopy(self.DOC)
+        doc["scenario"]["covariance"] = {"kind": "block_diagonal", "p": 3,
+                                         "block_sizes": [1, 1]}
+        with pytest.raises(ValueError, match="block sizes must sum to p"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("scenario", "noise"), "gaussian",
+         "noise: must be a mapping, got 'gaussian'"),
+        (("scenario", "noise"), {"kind": "gaussian"},
+         "noise: missing key 'rho'"),
+        (("scenario", "noise"), {"kind": "stable", "beta": 1},
+         "noise: missing key 'sigma'"),
+        (("scenario", "noise"), {"kind": "gamma_elliptical"},
+         "noise: missing key 'theta'"),
+        (("scenario", "covariance"), None,
+         "covariance: must be a mapping, got None"),
+        (("scenario", "covariance"), {"p": 3},
+         "covariance: missing key 'kind'"),
+        (("scenario", "covariance"), {"kind": "block_diagonal", "p": 3},
+         "covariance: missing key 'block_sizes'"),
+        (("scenario", "n"), _ABSENT, "scenario: missing key 'n'"),
+        (("estimators",), [{"tau": 0.25}], "estimator 0: missing key 'tag'"),
+        (("cv",), True, "cv: must be a mapping, got True"),
+        (("cv",), False, "cv: must be a mapping, got False"),
+    ])
+    def test_malformed_block_names_block_and_key(self, path, value, message):
+        doc = copy.deepcopy(self.DOC)
+        block = doc
+        for key in path[:-1]:
+            block = block[key]
+        if value is _ABSENT:
+            del block[path[-1]]
+        else:
+            block[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             spec_from_dict(doc)
 
 

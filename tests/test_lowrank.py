@@ -9,7 +9,6 @@ from speccov.lowrank import (
     ANNULUS,
     LowRankConfig,
     SolverError,
-    annulus_volume,
     bump_weight,
     lambda_threshold,
     lowrank_estimate,
@@ -48,15 +47,16 @@ def _full_surrogate(Y, cfg, w, seed):
     """:func:`_surrogate` with the ECF evaluated at every one of the m
     points, the light ones included."""
     n, p = Y.shape
-    quad, density = sample_annulus(p, cfg.U, cfg.mc_samples,
-                                   np.random.default_rng(seed))
-    r = np.linalg.norm(quad, axis=1)
-    omega = w(r / cfg.U) / (cfg.U**p * cfg.mc_samples * density)
-    mod = np.abs(_kernels.ecf(Y, quad))
+    D, r = sample_annulus(p, cfg.U, cfg.mc_samples,
+                          np.random.default_rng(seed))
+    lo, hi = ANNULUS
+    vol1 = math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * (hi**p - lo**p)
+    omega = w(r / cfg.U) * (vol1 / cfg.mc_samples)
+    mod = np.abs(_kernels.ecf(Y, D * r[:, None]))
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
-    return quad / r[:, None], omega, g, keep
+    return D, omega, g, keep
 
 
 def _unit_rows(m, p, seed):
@@ -146,12 +146,16 @@ class TestNuclearProx:
 
 class TestQuadrature:
     def test_sample_radii_inside_annulus(self):
-        rng = np.random.default_rng(4)
-        pts, density = sample_annulus(3, 2.0, 5000, rng)
-        r = np.linalg.norm(pts, axis=1)
-        assert r.min() >= ANNULUS[0] * 2.0 - 1e-12
-        assert r.max() <= ANNULUS[1] * 2.0 + 1e-12
-        assert density == pytest.approx(1.0 / annulus_volume(3, 2.0))
+        p, U = 3, 2.0
+        D, r = sample_annulus(p, U, 5000, np.random.default_rng(4))
+        np.testing.assert_allclose(np.linalg.norm(D, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        lo, hi = ANNULUS[0] * U, ANNULUS[1] * U
+        assert lo <= r.min() and r.max() <= hi
+        # uniform on the annulus: r^p is uniform on [lo^p, hi^p]
+        t = (r**p - lo**p) / (hi**p - lo**p)
+        qs = np.linspace(0.05, 0.95, 19)
+        np.testing.assert_allclose(np.quantile(t, qs), qs, rtol=0, atol=0.03)
 
     def test_weight_mass_recovered_by_mc(self):
         # the importance weights integrate the unit-mass weight, and their

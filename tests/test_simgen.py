@@ -266,10 +266,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             NoiseModel.stable(1.0, 1.0, norm="l1")
 
-    def test_unknown_cov_kind(self):
-        with pytest.raises(ValueError):
-            CovModel(kind="mystery", p=2).matrix()
-
 
 class TestFrobeniusError:
     def test_exact_match_is_zero(self):
