@@ -158,7 +158,7 @@ def _pd_config(tuning):
         lambda_barrier=tuning.get("lambda", 1e-4),
         max_iter=int(tuning.get("max_iter", 10_000)),
         tol=float(tuning.get("tol", 1e-7)),
-        rho_admm=float(tuning.get("rho_admm", 1.0)),
+        rho_admm=float(tuning.get("rho_admm", 2.0)),
     )
 
 
@@ -176,16 +176,16 @@ def _lowrank(Y, tuning):
     return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
 
 
-def _pd_soft(base, tuning, start=None):
-    return shrinkage.pd_soft_threshold(base, _pd_config(tuning), start)
+def _pd_soft(base, tuning, taus):
+    return shrinkage.pd_soft_threshold(
+        base, [_pd_config({**tuning, "tau": tau}) for tau in taus])
 
 
 # The estimators that take tau, each a base estimate of Y followed by a rule
-# applied to it; a cv: block selects tau and its rule is one of them. CV
-# computes the base once per split and runs the rule along the tau grid.
-# base: fn(Y, tuning) -> CovEstimate. rule: fn(base, tuning, start) ->
-# CovEstimate, where start is the estimate at the previous tau of a path
-# (a warm start for PD-soft, ignored by hard and soft).
+# applied to it; a cv: block selects tau and its rule is one of them.
+# base: fn(Y, tuning) -> CovEstimate. rule: fn(base, tuning, taus) -> the
+# estimate at each tau of taus, so that CV computes the base once per split
+# and hands the rule the whole grid, which PD-soft solves as stacks.
 _BASES = {
     "sps": _spectral,
     "soft": _spectral,
@@ -194,15 +194,17 @@ _BASES = {
 }
 _RULES = {
     "sps": _pd_soft,
-    "soft": lambda base, t, start=None: shrinkage.soft_threshold(base, t.get("tau")),
-    "hard": lambda base, t, start=None: shrinkage.hard_threshold(base, t.get("tau")),
+    "soft": lambda base, t, taus: [shrinkage.soft_threshold(base, tau)
+                                   for tau in taus],
+    "hard": lambda base, t, taus: [shrinkage.hard_threshold(base, tau)
+                                   for tau in taus],
     "pds": _pd_soft,
 }
 THRESHOLD_TAGS = tuple(_RULES)
 
 
 def _thresholded(tag):
-    return lambda Y, t: _RULES[tag](_BASES[tag](Y, t), t)
+    return lambda Y, t: _RULES[tag](_BASES[tag](Y, t), t, [t.get("tau")])[0]
 
 
 # tag -> fn(Y, tuning) -> CovEstimate, for an (n, p) array Y. Entries call
@@ -218,19 +220,10 @@ ESTIMATORS = {
 
 
 def cv_fit(tag, tuning):
-    """The ``fit(train, taus)`` callable of cross_validate_tau for one tag.
-
-    It computes the base estimate of ``train`` once and applies the rule at
-    each tau in order, warm-starting each from the estimate at the one
-    before.
-    """
+    """The ``fit(train, taus)`` callable of cross_validate_tau for one tag:
+    the rule at every tau, applied to one base estimate of ``train``."""
     def fit(train, taus):
-        base = _BASES[tag](train, tuning)
-        ests = []
-        for tau in taus:
-            ests.append(_RULES[tag](base, {**tuning, "tau": tau},
-                                    ests[-1] if ests else None))
-        return ests
+        return _RULES[tag](_BASES[tag](train, tuning), tuning, taus)
     return fit
 
 
@@ -403,7 +396,10 @@ def _cov_from_dict(d):
                                        int(d.get("seed", 0)))
     if kind == "explicit":
         _block("covariance", d, "matrix")
-        return CovModel.explicit(d["matrix"])
+        try:
+            return CovModel.explicit(d["matrix"])
+        except ValueError as exc:
+            raise ValueError(f"covariance: matrix {exc}") from None
     raise ValueError(f"unknown covariance kind {kind!r}")
 
 

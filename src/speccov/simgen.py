@@ -27,6 +27,10 @@ __all__ = [
     "stable_one_sided",
 ]
 
+# The most negative eigenvalue a covariance matrix may have: smaller ones
+# are taken as rounding and clipped to zero.
+_PSD_CUTOFF = -1e-10
+
 
 def make_tridiagonal(p: int) -> np.ndarray:
     """Unit diagonal, 0.4 on the first off-diagonals."""
@@ -91,7 +95,20 @@ class CovModel:
 
     @classmethod
     def explicit(cls, matrix):
-        return cls(matrix)
+        """A given matrix, which must be square, finite, symmetric and
+        positive semidefinite up to the cutoff of covariance_sqrt."""
+        m = np.array(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+            raise ValueError(f"must be a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("must have finite entries")
+        if not np.array_equal(m, m.T):
+            raise ValueError("must be symmetric")
+        w_min = np.linalg.eigvalsh(m)[0]
+        if w_min < _PSD_CUTOFF:
+            raise ValueError("must be positive semidefinite, has eigenvalue "
+                             f"{w_min:.3e}")
+        return cls(m)
 
     @property
     def p(self) -> int:
@@ -161,7 +178,7 @@ def covariance_sqrt(sigma) -> np.ndarray:
     """Symmetric eigen square root; tolerates tiny negative eigenvalues."""
     sigma = np.asarray(sigma, dtype=float)
     w, Q = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    if np.any(w < -1e-10):
+    if np.any(w < _PSD_CUTOFF):
         raise ValueError(f"covariance has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (Q * np.sqrt(w)) @ Q.T

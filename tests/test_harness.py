@@ -42,7 +42,7 @@ def small_spec(estimators, replications=2, n=40, seed=5, **kw):
 
 def cv_failed_records(monkeypatch):
     """Records of a run whose CV fails: sps and hard are tuned by it."""
-    def diverging(est, cfg, start=None):
+    def diverging(est, cfg):
         raise shrinkage.ConvergenceError("no convergence", iterations=7)
 
     monkeypatch.setattr(shrinkage, "pd_soft_threshold", diverging)
@@ -155,9 +155,9 @@ class TestRunExperiment:
         seen = []
         solve = shrinkage.pd_soft_threshold
 
-        def recording(est, cfg, start=None):
+        def recording(est, cfg):
             seen.append(cfg)
-            return solve(est, cfg, start)
+            return solve(est, cfg)
 
         monkeypatch.setattr(shrinkage, "pd_soft_threshold", recording)
         cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3, 0.6], seed=0)
@@ -166,9 +166,13 @@ class TestRunExperiment:
                           replications=1, n=60, cv=cv, cv_rule="sps")
         records = run_experiment(spec)
         assert records[0].error is None
-        # 2 splits x 3 grid points in CV, then the one replication
-        assert len(seen) == 2 * 3 + 1
-        assert all(c.rho_admm == 20.0 and c.lambda_barrier == 1e-3 for c in seen)
+        # one stacked call per split, each with the 3 grid points, then one
+        # call for the replication
+        assert [[c.tau for c in cfgs] for cfgs in seen[:2]] == \
+            [[0.1, 0.3, 0.6]] * 2
+        assert [c.tau for c in seen[2]] == [records[0].tuning_used["tau"]]
+        assert all(c.rho_admm == 20.0 and c.lambda_barrier == 1e-3
+                   for cfgs in seen for c in cfgs)
 
     def test_cv_failure_fails_only_the_tuned_records(self, monkeypatch):
         records = cv_failed_records(monkeypatch)
@@ -544,6 +548,16 @@ class TestConfigLoading:
          "covariance: missing key 'kind'"),
         (("scenario", "covariance"), {"kind": "block_diagonal", "p": 3},
          "covariance: missing key 'block_sizes'"),
+        (("scenario", "covariance"),
+         {"kind": "explicit", "matrix": [[1, 0.5, 0], [0.5, 1, 0]]},
+         "covariance: matrix must be a square matrix, got shape (2, 3)"),
+        (("scenario", "covariance"),
+         {"kind": "explicit", "matrix": [[1, 0.5], [0, 1]]},
+         "covariance: matrix must be symmetric"),
+        (("scenario", "covariance"),
+         {"kind": "explicit", "matrix": [[1, 2], [2, 1]]},
+         "covariance: matrix must be positive semidefinite, has eigenvalue "
+         "-1.000e+00"),
         (("scenario", "n"), _ABSENT, "scenario: missing key 'n'"),
         (("estimators",), [{"tau": 0.25}], "estimator 0: missing key 'tag'"),
         (("cv",), True, "cv: must be a mapping, got True"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -195,7 +196,7 @@ class TestPdSoftThreshold:
         with pytest.raises(ConvergenceError) as ei:
             pd_soft_threshold(shat, PdSoftConfig(tau=0.3, max_iter=1))
         assert ei.value.primal is not None and ei.value.dual is not None
-        assert ei.value.iterations == 1 and ei.value.rho == 1.0
+        assert ei.value.iterations == 1 and ei.value.rho == 2.0
 
     def test_tuning_records_solver_diagnostics(self):
         rng = np.random.default_rng(5)
@@ -242,18 +243,6 @@ class TestPdSoftThreshold:
         if scale == 1.0:
             assert np.linalg.eigvalsh(out).min() > 0.0
 
-    def test_start_far_from_the_solution_costs_no_iterations(self):
-        base = _tridiagonal_gamma_base()
-        cfg = PdSoftConfig(tau=0.05, rho_admm=20.0)
-        cold = pd_soft_threshold(base, cfg)
-        far = pd_soft_threshold(base, cfg, start=100.0 * np.eye(20))
-        assert far.tuning["iterations"] <= cold.tuning["iterations"]
-
-    def test_start_must_be_positive_definite(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            pd_soft_threshold(np.eye(3), PdSoftConfig(tau=0.1),
-                              start=np.diag([1.0, 0.0, 1.0]))
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             PdSoftConfig(tau=-0.1)
@@ -271,22 +260,29 @@ def _tridiagonal_gamma_base(p=20, n=50, seed=0):
 
 
 class TestPdSoftPath:
-    """PD-soft along the default CV grid, cold and warm-started."""
+    """PD-soft along the default CV grid, as the stacked solves CV runs."""
 
     @pytest.mark.parametrize("rho", [1.0, 20.0])
     def test_kkt_certificate_on_default_grid(self, rho):
-        # at a fixed rho = 1 the solver stalled at tau >~ 0.5 on this base
-        base = _tridiagonal_gamma_base()
+        # at a fixed rho = 1 the solver stalled at tau >~ 0.5 on the sps
+        # base at p = 20
         lam = 1e-4
-        prev = None
-        for tau in DEFAULT_TAU_GRID:
-            cfg = PdSoftConfig(tau=tau, lambda_barrier=lam, rho_admm=rho)
-            cold = pd_soft_threshold(base, cfg)
-            warm = pd_soft_threshold(base, cfg, start=prev)
-            for est in (cold, warm):
-                assert pd_soft_kkt_residual(est.matrix, base.matrix, tau, lam) \
-                    <= 1e-5, (tau, rho, est.tuning)
-            prev = warm
+        for tag, p in itertools.product(("sps", "pds"), (5, 20)):
+            Y = sample_scenario(Scenario(
+                cov=CovModel.tridiagonal(p),
+                noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0), n=50,
+                seed=0))
+            base = (spectral_estimate(Y, 1.0) if tag == "sps"
+                    else sample_covariance(Y))
+            path = pd_soft_threshold(base, [
+                PdSoftConfig(tau=tau, lambda_barrier=lam, rho_admm=rho)
+                for tau in DEFAULT_TAU_GRID])
+            assert [est.tuning["tau"] for est in path] == \
+                list(DEFAULT_TAU_GRID)
+            for tau, est in zip(DEFAULT_TAU_GRID, path):
+                assert pd_soft_kkt_residual(
+                    est.matrix, base.matrix, tau, lam) <= 1e-5, \
+                    (tag, p, tau, est.tuning)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("scale", [10.0, 20.0, 50.0])
@@ -299,47 +295,76 @@ class TestPdSoftPath:
             shat, PdSoftConfig(tau=tau, lambda_barrier=lam)).matrix
         assert pd_soft_kkt_residual(S, shat, tau, lam) <= 1e-5 * kkt_scale(S)
 
-    def test_warm_start_agrees_with_cold_solve(self):
-        base = _tridiagonal_gamma_base(seed=1)
-        prev = None
-        warm_iters = cold_iters = 0
-        for tau in DEFAULT_TAU_GRID:
-            cfg = PdSoftConfig(tau=tau, rho_admm=20.0)
-            cold = pd_soft_threshold(base, cfg)
-            warm = pd_soft_threshold(base, cfg, start=prev)
-            assert np.abs(warm.matrix - cold.matrix).max() <= 1e-5, tau
-            cold_iters += cold.tuning["iterations"]
-            warm_iters += warm.tuning["iterations"]
-            prev = warm
-        assert warm_iters < cold_iters
+    @pytest.mark.parametrize("p", [5, 20])
+    def test_stacked_solves_match_one_problem_solves(self, p):
+        # the configs differ in every field a problem keeps for itself, and
+        # the stacks of p = 20 hold fewer problems than the grid has
+        base = _tridiagonal_gamma_base(p=p, seed=1)
+        cfgs = [PdSoftConfig(tau=tau, rho_admm=rho, lambda_barrier=lam,
+                             tol=tol)
+                for tau, rho, lam, tol in zip(
+                    DEFAULT_TAU_GRID, itertools.cycle([2.0, 20.0, 1e-3]),
+                    itertools.cycle([1e-4, 1e-3]),
+                    itertools.cycle([1e-7, 1e-9, 1e-6]))]
+        path = pd_soft_threshold(base, cfgs)
+        for cfg, est in zip(cfgs, path):
+            one = pd_soft_threshold(base, cfg)
+            assert est.tuning == one.tuning
+            np.testing.assert_allclose(
+                est.matrix, one.matrix, rtol=0,
+                atol=1e-12 * np.abs(one.matrix).max())
 
-    def test_warm_start_at_the_solution_stops_at_once(self):
-        base = _tridiagonal_gamma_base(p=5, n=200, seed=3)
-        cfg = PdSoftConfig(tau=0.05, rho_admm=20.0, tol=1e-9, max_iter=100_000)
-        sol = pd_soft_threshold(base, cfg)
-        again = pd_soft_threshold(base, cfg, start=sol)
-        assert again.tuning["iterations"] <= 2
-        np.testing.assert_allclose(again.matrix, sol.matrix, atol=1e-8)
+    def test_a_stack_fails_at_its_first_problem_out_of_iterations(self):
+        base = _tridiagonal_gamma_base()
+        cfgs = [PdSoftConfig(tau=tau, max_iter=m)
+                for tau, m in ((0.01, 10_000), (0.05, 3), (0.1, 10_000))]
+        with pytest.raises(ConvergenceError, match="tau=0.05") as ei:
+            pd_soft_threshold(base, cfgs)
+        assert ei.value.iterations == 3
+
+    def test_stack_memory_is_capped(self):
+        # the peak grows with the grid only by the estimates returned, not
+        # by a stack holding every grid point
+        p = 20
+        base = _tridiagonal_gamma_base(p=p)
+        per_stack = shrinkage._STACK // p**2
+        assert 1 < per_stack < len(DEFAULT_TAU_GRID)
+
+        def peak(taus):
+            cfgs = [PdSoftConfig(tau=tau) for tau in taus]
+            tracemalloc.start()
+            try:
+                pd_soft_threshold(base, cfgs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_stack = peak(DEFAULT_TAU_GRID[:per_stack])
+        grid = peak(DEFAULT_TAU_GRID)
+        # an estimate is a p x p matrix and its tuning record
+        estimates = len(DEFAULT_TAU_GRID) * (8 * p * p + 2048)
+        assert grid <= one_stack + estimates
 
 
 class TestAndersonAcceleration:
-    """The accelerated ADMM: memory resets, the safeguard, determinism."""
+    """The accelerated ADMM of a stack: memory resets, the safeguard,
+    determinism."""
 
     @pytest.fixture
     def aa_events(self, monkeypatch):
-        """Counts of the memory clears (one per solve and one per change of
-        rho) and of the accelerated points the safeguard rejects."""
+        """Counts of the problems whose memory a change of their rho
+        clears and of the accelerated points the safeguard rejects."""
         events = {"clears": 0, "rejected": 0}
         step, clear = shrinkage._Anderson.step, shrinkage._Anderson.clear
 
         def counting_step(self, s, g):
-            if self.extrapolated and np.linalg.norm(g - s) > self.f_norm_prev:
-                events["rejected"] += 1
+            f_sq = np.vecdot(g - s, g - s)
+            events["rejected"] += int(np.count_nonzero(f_sq > self.limit))
             step(self, s, g)
 
-        def counting_clear(self):
-            events["clears"] += 1
-            clear(self)
+        def counting_clear(self, rows):
+            events["clears"] += len(np.arange(len(self.limit))[rows])
+            clear(self, rows)
 
         monkeypatch.setattr(shrinkage._Anderson, "step", counting_step)
         monkeypatch.setattr(shrinkage._Anderson, "clear", counting_clear)
@@ -349,38 +374,36 @@ class TestAndersonAcceleration:
         # rho starts far below its balanced value and climbs by rebalancing
         base = _tridiagonal_gamma_base()
         lam = 1e-4
-        iterations = 0
-        for tau in DEFAULT_TAU_GRID:
-            est = pd_soft_threshold(base, PdSoftConfig(
-                tau=tau, lambda_barrier=lam, rho_admm=1e-3))
+        path = pd_soft_threshold(base, [
+            PdSoftConfig(tau=tau, lambda_barrier=lam, rho_admm=1e-3)
+            for tau in DEFAULT_TAU_GRID])
+        for tau, est in zip(DEFAULT_TAU_GRID, path):
             assert pd_soft_kkt_residual(est.matrix, base.matrix, tau, lam) \
                 <= 1e-5, (tau, est.tuning)
-            iterations += est.tuning["iterations"]
-        assert aa_events["clears"] > 2 * len(DEFAULT_TAU_GRID)
+        assert aa_events["clears"] > len(DEFAULT_TAU_GRID)
         # 1402 iterations; plain ADMM took 1611. Extrapolating again right
         # after a rejected point took 8465.
-        assert iterations <= 1610
+        assert sum(est.tuning["iterations"] for est in path) <= 1610
 
     def test_rejected_points_still_converge(self, aa_events):
         base = _tridiagonal_gamma_base()
         lam = 1e-4
-        for tau in DEFAULT_TAU_GRID:
-            est = pd_soft_threshold(base, PdSoftConfig(
-                tau=tau, lambda_barrier=lam, rho_admm=20.0))
+        path = pd_soft_threshold(base, [
+            PdSoftConfig(tau=tau, lambda_barrier=lam, rho_admm=20.0)
+            for tau in DEFAULT_TAU_GRID])
+        for tau, est in zip(DEFAULT_TAU_GRID, path):
             assert pd_soft_kkt_residual(est.matrix, base.matrix, tau, lam) \
                 <= 1e-5, (tau, est.tuning)
         assert aa_events["rejected"] >= 1
 
     def test_repeated_solves_are_bitwise_identical(self):
         base = _tridiagonal_gamma_base(seed=1)
-        cold = [pd_soft_threshold(base, PdSoftConfig(tau=0.05))
-                for _ in range(2)]
-        warm = [pd_soft_threshold(base, PdSoftConfig(tau=0.06),
-                                  start=cold[0]) for _ in range(2)]
-        for a, b in (cold, warm):
-            assert a.tuning["iterations"] > 2
-            np.testing.assert_array_equal(a.matrix, b.matrix)
-            assert a.tuning == b.tuning
+        cfgs = [PdSoftConfig(tau=tau) for tau in DEFAULT_TAU_GRID]
+        a, b = (pd_soft_threshold(base, cfgs) for _ in range(2))
+        assert max(est.tuning["iterations"] for est in a) > 2
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x.matrix, y.matrix)
+            assert x.tuning == y.tuning
 
 
 class TestAdmmIterationBudget:

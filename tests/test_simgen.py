@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -265,6 +266,24 @@ class TestModelValidation:
             NoiseModel.stable(1.0, 0.0)
         with pytest.raises(ValueError):
             NoiseModel.stable(1.0, 1.0, norm="l1")
+
+    @pytest.mark.parametrize("matrix,message", [
+        ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square matrix, got shape (2, 3)"),
+        ([1.0, 2.0], "square matrix, got shape (2,)"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite entries"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], "positive semidefinite, has eigenvalue"),
+    ])
+    def test_explicit_covariance_checks(self, matrix, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CovModel.explicit(matrix)
+
+    def test_explicit_covariance_allows_rounding_below_zero(self):
+        # a singular matrix whose eigenvalue 0 rounds to about -1e-16
+        v = np.ones(5) / math.sqrt(5)
+        m = 2.0 * np.outer(v, v)
+        assert np.linalg.eigvalsh(m)[0] < 0
+        np.testing.assert_array_equal(CovModel.explicit(m).matrix(), m)
 
 
 class TestFrobeniusError:
