@@ -548,6 +548,10 @@ class TestConfigLoading:
          "covariance: missing key 'kind'"),
         (("scenario", "covariance"), {"kind": "block_diagonal", "p": 3},
          "covariance: missing key 'block_sizes'"),
+        (("scenario", "n"), _ABSENT, "scenario: missing key 'n'"),
+        (("estimators",), [{"tau": 0.25}], "estimator 0: missing key 'tag'"),
+        (("cv",), True, "cv: must be a mapping, got True"),
+        (("cv",), False, "cv: must be a mapping, got False"),
         (("scenario", "covariance"),
          {"kind": "explicit", "matrix": [[1, 0.5, 0], [0.5, 1, 0]]},
          "covariance: matrix must be a square matrix, got shape (2, 3)"),
@@ -558,10 +562,6 @@ class TestConfigLoading:
          {"kind": "explicit", "matrix": [[1, 2], [2, 1]]},
          "covariance: matrix must be positive semidefinite, has eigenvalue "
          "-1.000e+00"),
-        (("scenario", "n"), _ABSENT, "scenario: missing key 'n'"),
-        (("estimators",), [{"tau": 0.25}], "estimator 0: missing key 'tag'"),
-        (("cv",), True, "cv: must be a mapping, got True"),
-        (("cv",), False, "cv: must be a mapping, got False"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)
