@@ -65,6 +65,19 @@ def _check_numbers(block, d, real=(), whole=()):
             raise ValueError(f"{block}: {key} must be a {kind}, got {v!r}")
 
 
+def _check_low(block, d, **lows):
+    """Raise ValueError naming ``block`` and the key for a number of ``d``
+    below its bound in ``lows``; under a key of ``_LIST_KEYS``, for a list
+    with an entry below it. An absent key is skipped."""
+    for key, low in lows.items():
+        if key not in d:
+            continue
+        v, each = d[key], " each" if key in _LIST_KEYS else ""
+        if min(v if each else [v], default=low) < low:
+            raise ValueError(f"{block}: {key} must be >= {low}{each}, "
+                             f"got {v!r}")
+
+
 def _block(block, d, *keys):
     """Return ``d`` after raising ValueError naming ``block`` when it is not
     a mapping or lacks a key of ``keys``."""
@@ -250,7 +263,7 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
             Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise, n=n,
                      seed=_rep_seed(spec.scenario.seed, spec.replications)))
         U_cv = next((t.get("U", 1.0) for tag, t in spec.estimators
-                     if tag in ("sps", "hard", "soft")), 1.0)
+                     if _BASES.get(tag) is _spectral), 1.0)
         rule_tuning = next((t for tag, t in spec.estimators
                             if tag == spec.cv_rule), {})
         fit = cv_fit(spec.cv_rule, {**rule_tuning, "U": U_cv})
@@ -421,6 +434,10 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     _check_numbers("noise", noise_doc, real=("theta", "rho", "beta", "sigma"))
     _check_numbers("config", doc, whole=("replications",))
     _check_numbers("cv", c, real=("tau_grid",), whole=("num_splits", "seed"))
+    _check_low("scenario", sc, n=1, seed=0)
+    _check_low("covariance", cov_doc, p=1, block_sizes=0, seed=0)
+    _check_low("config", doc, replications=1)
+    _check_low("cv", c, num_splits=1, seed=0)
     cov = _cov_from_dict(cov_doc)
     noise = _noise_from_dict(noise_doc, cov.p)
     scenario = Scenario(cov=cov, noise=noise, n=int(sc["n"]),

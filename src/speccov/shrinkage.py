@@ -16,13 +16,12 @@ matrix is diagonal. The ADMM penalty adapts by residual balancing, which
 clears the acceleration's memory, so ``PdSoftConfig.rho_admm`` is only the
 starting penalty: it changes the iteration count, not the solution, and the
 solver converges on the whole default CV grid ``DEFAULT_TAU_GRID``. Given
-several configs, ``pd_soft_threshold`` solves them as stacks of problems
-that share each iteration's numpy calls (one stacked eigendecomposition
-among them) while each converges on its own; CV solves a split's whole
-tau grid this way.
+several configs that differ only in tau, ``pd_soft_threshold`` solves them
+as stacks of problems that share each iteration's numpy calls (one stacked
+eigendecomposition among them) while each converges on its own; CV solves
+a split's whole tau grid this way.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -194,9 +193,6 @@ class _Anderson:
     every other step on a rejected point.
     """
 
-    _ROWS = ("dG", "dF", "gram", "g_prev", "f_prev", "limit", "go_from",
-             "has_prev")
-
     def __init__(self, rows, size):
         self.dG = np.zeros((rows, _AA_MEMORY, size))
         self.dF = np.zeros((rows, _AA_MEMORY, size))
@@ -232,13 +228,6 @@ class _Anderson:
         self._forget(rows, 2)
         self.has_prev[rows] = False
         self.cleared = True  # some row has no last point
-
-    def keep(self, rows):
-        """Drop from the stack every row that ``rows`` does not select."""
-        for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[rows])
-        self.gram_diag = self.gram.reshape(len(self.gram), -1)[
-            :, ::_AA_MEMORY + 1]
 
     def step(self, s, g):
         """Overwrite the points s, whose images are g, by the next points."""
@@ -300,7 +289,7 @@ def _pd_soft_start(shat, tau, lam, rho):
     T = _soft(shat, tau)
     T.reshape(B, -1)[:, ::p + 1] = np.diag(shat) - tau[:, 0]
     t, Q = np.linalg.eigh(T)
-    w = _pos_root(t, lam[:, 0])[:, None, :]
+    w = _pos_root(t, lam)[:, None, :]
     s = np.empty((B, 2, p, p))
     s[:, 0] = (Q * w) @ Q.mT
     # the first X-update then returns Z itself
@@ -308,44 +297,40 @@ def _pd_soft_start(shat, tau, lam, rho):
     return s
 
 
-def _pd_soft_stack(shat, cfgs):
-    """PD-soft solves of ``shat`` at each of ``cfgs``, as one stack."""
-    B, p = len(cfgs), shat.shape[0]
-    tau, lam, rho, tol, max_iter = np.array(
-        [(c.tau, c.lambda_barrier, c.rho_admm, c.tol, c.max_iter)
-         for c in cfgs]).T
-    tau, lam, rho = tau[:, None, None], lam[:, None, None], rho[:, None, None]
-    s = _pd_soft_start(shat, tau, lam, rho)
+def _pd_soft_stack(shat, taus, cfg):
+    """PD-soft solves of ``shat`` at each of ``taus`` and the other
+    settings of ``cfg``, as one stack of fixed size: a problem that
+    converges keeps its estimate of that iteration and keeps iterating
+    until the last one converges."""
+    B, p, lam = len(taus), shat.shape[0], cfg.lambda_barrier
+    tau = np.array(taus)[:, None, None]
+    rho = np.full((B, 1, 1), cfg.rho_admm)
+    s = _pd_soft_start(shat, tau, lam, cfg.rho_admm)
     # per problem: the image g = F(s) of the ADMM state s = (Z, Dual) under
     # one iteration, then X, zeros, X - Z_new and Z_new - Z, so that one
     # call takes the norms of the residuals
     work = np.zeros((B, 6, p, p))
+    Z, Dual = s[:, 0], s[:, 1]
+    Z_new, Dual_new, X, _, gap, step = work.transpose(1, 0, 2, 3)
+    sv, gv = s.reshape(B, -1), work[:, :2].reshape(B, -1)
+    wv = work.reshape(B, 6, -1)
+    # the factors that turn the norms of work into |Z_new|, rho |Dual_new|,
+    # |X|, 0, |X - Z_new|, rho |Z_new - Z|
+    norm_factors = np.ones((B, 6))
     two_shat = 2.0 * shat
     two_tau = 2.0 * tau
     aa = _Anderson(B, 2 * p * p)
-    rows = np.arange(B)  # the config of each problem still in the stack
     out = [None] * B
-    stop = min(c.max_iter for c in cfgs)
-
-    def views():
-        n = len(rows)
-        return (n, s[:, 0], s[:, 1], *work.transpose(1, 0, 2, 3),
-                s.reshape(n, -1), work[:, :2].reshape(n, -1),
-                work.reshape(n, 6, -1))
-
-    def with_rho():
-        # what changes with rho: the terms of the X-update, the soft
-        # threshold, and the factors that turn the norms of work into
-        # |Z_new|, rho |Dual_new|, |X|, 0, |X - Z_new|, rho |Z_new - Z|
-        factors = np.ones((len(rows), 6))
-        factors[:, 1] = factors[:, 5] = rho[:, 0, 0]
-        high = two_tau / rho
-        return ((2.0 + rho, 2.0 * (lam / (2.0 + rho))[:, 0]), (-high, high),
-                factors)
-
-    n, Z, Dual, Z_new, Dual_new, X, _, gap, step, sv, gv, wv = views()
-    rho_terms, (low, high), norm_factors = with_rho()
-    for it in itertools.count(1):
+    finished = np.zeros(B, dtype=bool)
+    new_rho = True
+    for it in range(1, cfg.max_iter + 1):
+        if new_rho:
+            # what changes with rho: the terms of the X-update, the soft
+            # threshold and the norm factors
+            rho_terms = (2.0 + rho, 2.0 * (lam / (2.0 + rho))[:, 0])
+            high = two_tau / rho
+            low = -high
+            norm_factors[:, 1] = norm_factors[:, 5] = rho[:, 0, 0]
         _barrier_prox(Z - Dual, two_shat, rho, rho_terms, X)
         A = _RELAX * X + (1.0 - _RELAX) * Z + Dual
         # the soft threshold of A, sign(A) (|A| - high)_+
@@ -362,35 +347,24 @@ def _pd_soft_stack(shat, cfgs):
         res = norms[:, 4:] / np.maximum(
             np.maximum(norms[:, :2], norms[:, 2:4]), 1.0)
         primal, dual = res[:, 0], res[:, 1]
-        done = np.maximum(primal, dual) < tol
-        n_done = np.count_nonzero(done)
-        if n_done or it >= stop:
-            over = ~done & (max_iter <= it)
-            if over.any():
-                b = over.argmax()
-                raise ConvergenceError(
-                    f"ADMM did not converge in {it} iterations at "
-                    f"tau={cfgs[rows[b]].tau:g} (primal={primal[b]:.3e}, "
-                    f"dual={dual[b]:.3e}, rho={rho[b, 0, 0]:.3g})",
-                    primal=float(primal[b]), dual=float(dual[b]),
-                    iterations=it, rho=float(rho[b, 0, 0]))
-            for b in done.nonzero()[0]:
-                c = cfgs[rows[b]]
-                out[rows[b]] = CovEstimate(0.5 * (X[b] + X[b].T), {
-                    "tau": c.tau, "lambda": c.lambda_barrier,
-                    "iterations": it, "primal": float(primal[b]),
-                    "dual": float(dual[b]), "rho": float(rho[b, 0, 0])})
-            if n_done == n:
+        new = (np.maximum(primal, dual) < cfg.tol) & ~finished
+        if new.any():
+            for b in new.nonzero()[0]:
+                out[b] = CovEstimate(0.5 * (X[b] + X[b].T), {
+                    "tau": taus[b], "lambda": lam, "iterations": it,
+                    "primal": float(primal[b]), "dual": float(dual[b]),
+                    "rho": float(rho[b, 0, 0])})
+            finished |= new
+            if finished.all():
                 return out
-            keep = ~done
-            rows, s, work, two_tau, lam, rho, tol, max_iter, res = (
-                a[keep] for a in (rows, s, work, two_tau, lam, rho, tol,
-                                  max_iter, res))
-            primal, dual = res[:, 0], res[:, 1]
-            aa.keep(keep)
-            stop = max_iter.min()
-            n, Z, Dual, Z_new, Dual_new, X, _, gap, step, sv, gv, wv = views()
-            rho_terms, (low, high), norm_factors = with_rho()
+        if it == cfg.max_iter:
+            b = finished.argmin()
+            raise ConvergenceError(
+                f"ADMM did not converge in {it} iterations at "
+                f"tau={taus[b]:g} (primal={primal[b]:.3e}, "
+                f"dual={dual[b]:.3e}, rho={rho[b, 0, 0]:.3g})",
+                primal=float(primal[b]), dual=float(dual[b]),
+                iterations=it, rho=float(rho[b, 0, 0]))
         moved = ()
         if it % _BALANCE_EVERY == 0:
             # the scaled dual is the unscaled one over rho
@@ -404,23 +378,24 @@ def _pd_soft_stack(shat, cfgs):
                     rho[b] /= _BALANCE_FACTOR
                     Dual_new[b] *= _BALANCE_FACTOR
         aa.step(sv, gv)
-        if len(moved):
+        new_rho = len(moved) > 0
+        if new_rho:
             # a new rho is a new map, which the old differences miss
             sv[moved] = gv[moved]
             aa.clear(moved)
-            rho_terms, (low, high), norm_factors = with_rho()
 
 
 def pd_soft_threshold(est, cfg):
     """Soft thresholding with a log-det barrier; output PD up to rounding.
 
     ``cfg`` is a PdSoftConfig, and the result one estimate; or a sequence
-    of them, and the result the list of their estimates, in order. The
-    problems of a sequence are solved together as stacks of at most
-    ``_STACK // p**2``, which all share one eigendecomposition call per
-    iteration and each converge, count iterations and balance rho on
-    their own; a solve in a stack returns what it returns alone, up to
-    rounding.
+    of them that differ only in tau (else ValueError), and the result the
+    list of their estimates, in order. The problems of a sequence are
+    solved together as stacks of at most ``_STACK // p**2``, which all
+    share one eigendecomposition call per iteration and each converge,
+    count iterations and balance rho on their own. A stack runs until its
+    last problem converges; a solve in a stack returns what it returns
+    alone, up to rounding.
 
     The solution is positive definite in exact arithmetic. In floating
     point the returned X has eigenvalues >= -p * eps * |X|_2: the barrier
@@ -449,15 +424,19 @@ def pd_soft_threshold(est, cfg):
     that makes Z0 stationary for f. The tuning of the result records the
     iteration count, the final residuals and the final rho. A problem that
     does not converge in ``cfg.max_iter`` iterations raises
-    ConvergenceError.
+    ConvergenceError, for the first such tau of its stack.
     """
     shat = _matrix(est)
     if isinstance(cfg, PdSoftConfig):
-        return _pd_soft_stack(shat, [cfg])[0]
+        return _pd_soft_stack(shat, [cfg.tau], cfg)[0]
     cfgs = list(cfg)
+    if len({(c.lambda_barrier, c.max_iter, c.tol, c.rho_admm)
+            for c in cfgs}) > 1:
+        raise ValueError("the configs of one call may differ only in tau")
+    taus = [c.tau for c in cfgs]
     size = max(1, _STACK // shat.size)
-    return [solved for i in range(0, len(cfgs), size)
-            for solved in _pd_soft_stack(shat, cfgs[i:i + size])]
+    return [solved for i in range(0, len(taus), size)
+            for solved in _pd_soft_stack(shat, taus[i:i + size], cfgs[0])]
 
 
 def sample_covariance(Y) -> CovEstimate:

@@ -562,6 +562,17 @@ class TestConfigLoading:
          {"kind": "explicit", "matrix": [[1, 2], [2, 1]]},
          "covariance: matrix must be positive semidefinite, has eigenvalue "
          "-1.000e+00"),
+        (("scenario", "seed"), -1, "scenario: seed must be >= 0, got -1"),
+        (("scenario", "covariance"),
+         {"kind": "block_diagonal", "p": 3, "block_sizes": [1, 2], "seed": -2},
+         "covariance: seed must be >= 0, got -2"),
+        (("scenario", "covariance"),
+         {"kind": "block_diagonal", "p": 20, "block_sizes": [25, -5]},
+         "covariance: block_sizes must be >= 0 each, got [25, -5]"),
+        (("scenario", "covariance"),
+         {"kind": "block_diagonal", "p": 0, "block_sizes": []},
+         "covariance: p must be >= 1, got 0"),
+        (("cv",), {"seed": -1}, "cv: seed must be >= 0, got -1"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)

@@ -297,30 +297,58 @@ class TestPdSoftPath:
 
     @pytest.mark.parametrize("p", [5, 20])
     def test_stacked_solves_match_one_problem_solves(self, p):
-        # the configs differ in every field a problem keeps for itself, and
-        # the stacks of p = 20 hold fewer problems than the grid has
+        # tau varies within a call and every other setting across the
+        # calls, and the stacks of p = 20 hold fewer problems than the grid
         base = _tridiagonal_gamma_base(p=p, seed=1)
-        cfgs = [PdSoftConfig(tau=tau, rho_admm=rho, lambda_barrier=lam,
-                             tol=tol)
-                for tau, rho, lam, tol in zip(
-                    DEFAULT_TAU_GRID, itertools.cycle([2.0, 20.0, 1e-3]),
-                    itertools.cycle([1e-4, 1e-3]),
-                    itertools.cycle([1e-7, 1e-9, 1e-6]))]
-        path = pd_soft_threshold(base, cfgs)
-        for cfg, est in zip(cfgs, path):
-            one = pd_soft_threshold(base, cfg)
+        for rho, lam, tol in ((2.0, 1e-4, 1e-7), (20.0, 1e-3, 1e-9),
+                              (1e-3, 1e-4, 1e-6)):
+            cfgs = [PdSoftConfig(tau=tau, rho_admm=rho, lambda_barrier=lam,
+                                 tol=tol) for tau in DEFAULT_TAU_GRID]
+            path = pd_soft_threshold(base, cfgs)
+            for cfg, est in zip(cfgs, path):
+                one = pd_soft_threshold(base, cfg)
+                assert est.tuning == one.tuning
+                np.testing.assert_allclose(
+                    est.matrix, one.matrix, rtol=0,
+                    atol=1e-12 * np.abs(one.matrix).max())
+
+    def test_converged_problems_iterate_on_without_changing_results(self):
+        # the problems converge at iterations 1, 36 and 13; the first two
+        # keep iterating in the stack until the last converges
+        base = _tridiagonal_gamma_base()
+        cfgs = [PdSoftConfig(tau=tau, rho_admm=1e-3)
+                for tau in (5.0, 1e-3, 0.3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = pd_soft_threshold(base, cfgs)
+            ones = [pd_soft_threshold(base, cfg) for cfg in cfgs]
+        assert [est.tuning["iterations"] for est in path] == [1, 36, 13]
+        for est, one in zip(path, ones):
             assert est.tuning == one.tuning
             np.testing.assert_allclose(
                 est.matrix, one.matrix, rtol=0,
                 atol=1e-12 * np.abs(one.matrix).max())
 
     def test_a_stack_fails_at_its_first_problem_out_of_iterations(self):
+        # tau = 5 converges at the first iteration; 0.05 and 0.1 do not
+        # within three
         base = _tridiagonal_gamma_base()
-        cfgs = [PdSoftConfig(tau=tau, max_iter=m)
-                for tau, m in ((0.01, 10_000), (0.05, 3), (0.1, 10_000))]
+        cfgs = [PdSoftConfig(tau=tau, max_iter=3) for tau in (5.0, 0.05, 0.1)]
         with pytest.raises(ConvergenceError, match="tau=0.05") as ei:
             pd_soft_threshold(base, cfgs)
+        with pytest.raises(ConvergenceError) as alone:
+            pd_soft_threshold(base, cfgs[1])
         assert ei.value.iterations == 3
+        assert str(ei.value) == str(alone.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_barrier", 1e-3), ("max_iter", 50), ("tol", 1e-6),
+        ("rho_admm", 20.0)])
+    def test_configs_of_one_call_differ_only_in_tau(self, field, value):
+        base = _tridiagonal_gamma_base(p=5)
+        cfgs = [PdSoftConfig(tau=0.1), PdSoftConfig(tau=0.2, **{field: value})]
+        with pytest.raises(ValueError, match="differ only in tau"):
+            pd_soft_threshold(base, cfgs)
 
     def test_stack_memory_is_capped(self):
         # the peak grows with the grid only by the estimates returned, not
