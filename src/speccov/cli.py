@@ -12,6 +12,7 @@ and the exit code is nonzero.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -96,7 +97,10 @@ def _cmd_rates(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser of ``main``, built once per process and shared: a parse
+    keeps its values in a new namespace and leaves the parser as it was."""
     ap = argparse.ArgumentParser(prog="speccov",
                                  description="Covariance estimation from noisy observations")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -143,8 +147,7 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

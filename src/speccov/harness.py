@@ -65,17 +65,41 @@ def _check_numbers(block, d, real=(), whole=()):
             raise ValueError(f"{block}: {key} must be a {kind}, got {v!r}")
 
 
-def _check_low(block, d, **lows):
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _above(low):
+    return (lambda v: v > low), f"> {low}"
+
+
+def _check_range(block, d, **ranges):
     """Raise ValueError naming ``block`` and the key for a number of ``d``
-    below its bound in ``lows``; under a key of ``_LIST_KEYS``, for a list
-    with an entry below it. An absent key is skipped."""
-    for key, low in lows.items():
+    outside its range in ``ranges``, a (test, text) pair such as
+    ``_at_least(1)``; under a key of ``_LIST_KEYS``, for a list with an
+    entry outside it. An absent key is skipped."""
+    for key, (ok, text) in ranges.items():
         if key not in d:
             continue
         v, each = d[key], " each" if key in _LIST_KEYS else ""
-        if min(v if each else [v], default=low) < low:
-            raise ValueError(f"{block}: {key} must be >= {low}{each}, "
-                             f"got {v!r}")
+        if not all(map(ok, v if each else [v])):
+            raise ValueError(f"{block}: {key} must be {text}{each}, got {v!r}")
+
+
+# The range of each tuning number, as the constructor that takes it checks
+# it (PdSoftConfig, LowRankConfig, SpectralConfig, stable_generator), so
+# that a value out of range fails when the config is parsed instead of in
+# every record; lowrank's probe radius is at least 1.
+_TUNING_RANGES = {
+    "tau": _at_least(0), "U": _above(0), "lambda": _above(0),
+    "rho_admm": _above(0), "tol": _above(0), "max_iter": _at_least(1),
+    "mc_samples": _at_least(1), "seed": _at_least(0),
+    "alpha": ((lambda v: 0 < v <= 2), "in (0, 2]"),
+    "R": _above(0), "T": _above(0),
+    "beta": ((lambda v: 0 <= v < 2), "in [0, 2)"),
+    "gamma": ((lambda v: v > spectral.SQRT2), "> sqrt(2)"),
+}
+_LOWRANK_RANGES = {**_TUNING_RANGES, "U": _at_least(1)}
 
 
 def _block(block, d, *keys):
@@ -118,10 +142,12 @@ class ExperimentSpec:
             if tag not in ESTIMATORS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
             # a None tau is left to be chosen by cross-validation
-            _check_numbers(f"estimator {tag!r}",
-                           {k: v for k, v in tuning.items()
-                            if not (k == "tau" and v is None)},
-                           _NUMERIC_KEYS, _INTEGER_KEYS)
+            numbers = {k: v for k, v in tuning.items()
+                       if not (k == "tau" and v is None)}
+            _check_numbers(f"estimator {tag!r}", numbers, _NUMERIC_KEYS,
+                           _INTEGER_KEYS)
+            _check_range(f"estimator {tag!r}", numbers, **(
+                _LOWRANK_RANGES if tag == "lowrank" else _TUNING_RANGES))
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
@@ -434,10 +460,11 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     _check_numbers("noise", noise_doc, real=("theta", "rho", "beta", "sigma"))
     _check_numbers("config", doc, whole=("replications",))
     _check_numbers("cv", c, real=("tau_grid",), whole=("num_splits", "seed"))
-    _check_low("scenario", sc, n=1, seed=0)
-    _check_low("covariance", cov_doc, p=1, block_sizes=0, seed=0)
-    _check_low("config", doc, replications=1)
-    _check_low("cv", c, num_splits=1, seed=0)
+    _check_range("scenario", sc, n=_at_least(1), seed=_at_least(0))
+    _check_range("covariance", cov_doc, p=_at_least(1),
+                 block_sizes=_at_least(0), seed=_at_least(0))
+    _check_range("config", doc, replications=_at_least(1))
+    _check_range("cv", c, num_splits=_at_least(1), seed=_at_least(0))
     cov = _cov_from_dict(cov_doc)
     noise = _noise_from_dict(noise_doc, cov.p)
     scenario = Scenario(cov=cov, noise=noise, n=int(sc["n"]),
@@ -464,9 +491,12 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     )
 
 
-class _SpecLoader(yaml.SafeLoader):
+class _SpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """YAML 1.1 reads a float without a dot, such as 1e-4, as a string;
-    this loader reads it as a float. Quoted scalars stay strings."""
+    this loader reads it as a float. Quoted scalars stay strings. It parses
+    with libyaml when PyYAML was built with it, about ten times faster than
+    the pure-Python parser on the committed configs, and resolves and
+    builds the values in Python either way."""
 
 
 _SpecLoader.add_implicit_resolver(

@@ -10,9 +10,11 @@ thresholding and an eigenvalue map for the quadratic-plus-log-barrier
 block. Type-II Anderson acceleration extrapolates the ADMM state from its
 last five steps, with a safeguard that falls back to the plain ADMM step
 whenever an extrapolated point's fixed-point residual grows; this about
-halves the iterations, each of which costs one p x p eigendecomposition.
-The solver starts from a closed-form point, exact when the thresholded
-matrix is diagonal. The ADMM penalty adapts by residual balancing, which
+halves the iterations, whose cost is mostly one p x p eigendecomposition
+each. The solver starts from a closed-form point, exact when the thresholded
+matrix is diagonal, and from the dual that makes the first X-update return
+that point, so that update is skipped: k iterations cost k - 1
+eigendecompositions. The ADMM penalty adapts by residual balancing, which
 clears the acceleration's memory, so ``PdSoftConfig.rho_admm`` is only the
 starting penalty: it changes the iteration count, not the solution, and the
 solver converges on the whole default CV grid ``DEFAULT_TAU_GRID``. Given
@@ -64,7 +66,7 @@ _RELAX = 1.5
 # 1e-6.
 _AA_MEMORY = 5
 _AA_REG = 1e-10
-_AA_EYE = np.eye(_AA_MEMORY)
+_AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
 # The p x p elements of the problems of one stack: a problem holds about 45
 # p x p arrays at its peak (its state and image, Anderson's ten differences,
 # work arrays), so a stack of _STACK // p**2 problems peaks near
@@ -140,34 +142,38 @@ def soft_threshold(est, tau: float) -> CovEstimate:
     return CovEstimate(_soft(_matrix(est), tau), {"tau": tau})
 
 
-def _pos_root(t, two_c):
+def _pos_root(t, two_c, root):
     """The positive root of x^2 - t x - c = 0 (c > 0), elementwise, given
-    ``two_c`` = 2c.
+    ``two_c`` = 2c and ``root`` = 2 sqrt(c).
 
     With m = |t| + sqrt(t^2 + 4c) the root is m/2 for t >= 0 and, since the
     roots multiply to -c, 2c/m for t < 0. No branch subtracts, so the root
     keeps its relative accuracy where the textbook form
     (t + sqrt(t^2 + 4c))/2 cancels to 0 (t << -sqrt(c)), and m >= 2 sqrt(c)
-    is never 0.
+    is never 0. hypot(t, 2 sqrt(c)) takes sqrt(t^2 + 4c) without squaring t.
     """
-    m = np.abs(t) + np.sqrt(t * t + 2.0 * two_c)
+    m = np.hypot(t, root)
+    m += np.abs(t)
     return np.divide(two_c, m, out=0.5 * m, where=t < 0)
 
 
-def _barrier_prox(V, two_target, rho, rho_terms, out):
+def _barrier_prox(V, terms, out):
     """argmin_X |X - target|^2 + (rho/2)|X - V|^2 - lam log det X, for each
-    problem of a stack: V is (B, p, p) and rho (B, 1, 1).
+    problem of a stack: V is (B, p, p) and is overwritten.
 
     Stationarity gives (2 + rho) X - lam X^{-1} = 2 target + rho V, solved
-    per eigenvalue d of the right-hand side (eigh reads its lower triangle):
-    x is the positive root of x^2 - d x - lam/(2 + rho) = 0. The caller
-    passes ``two_target`` = 2 target, which is fixed over a solve, and
-    ``rho_terms`` = (2 + rho, 2 lam/(2 + rho) as (B, 1)), which change
-    only with rho. X is written to ``out``.
+    per eigenvalue d of M = (2 target + rho V)/(2 + rho) (eigh reads its
+    lower triangle): x is the positive root of x^2 - d x - lam/(2 + rho)
+    = 0. The caller passes the terms that change only with rho:
+    ``terms`` = (2 target/(2 + rho), rho/(2 + rho) as (B, 1, 1), and for
+    _pos_root 2 lam/(2 + rho) and 2 sqrt(lam/(2 + rho)) as (B, 1)). M is
+    built in V, and X is written to ``out``.
     """
-    r, two_c = rho_terms
-    d, Q = np.linalg.eigh((two_target + rho * V) / r)
-    np.matmul(Q * _pos_root(d, two_c)[:, None, :], Q.mT, out=out)
+    shift, weight, two_c, root = terms
+    V *= weight
+    V += shift
+    d, Q = np.linalg.eigh(V)
+    np.matmul(Q * _pos_root(d, two_c, root)[:, None, :], Q.mT, out=out)
 
 
 class _Anderson:
@@ -255,15 +261,15 @@ class _Anderson:
             go = None  # every row extrapolates
         else:
             go = (self.go_from <= self.steps) & (trace > 0)
-        if go is None or go.any():
-            weight = _AA_REG * trace
+        if go is None or np.count_nonzero(go):
             rhs = np.vecdot(self.dF, f[:, None, :])
             if go is not None:
                 # a row that does not extrapolate solves (gram + I) gamma = 0
-                weight[~go] = 1.0
+                trace[~go] = 1.0 / _AA_REG
                 rhs *= go[:, None]
             gamma = np.linalg.solve(
-                self.gram + weight[:, None, None] * _AA_EYE, rhs[:, :, None])
+                self.gram + trace[:, None, None] * _AA_REG_EYE,
+                rhs[:, :, None])
             np.subtract(g, (gamma.mT @ self.dG)[:, 0], out=s)
         else:
             s[:] = g
@@ -289,10 +295,10 @@ def _pd_soft_start(shat, tau, lam, rho):
     T = _soft(shat, tau)
     T.reshape(B, -1)[:, ::p + 1] = np.diag(shat) - tau[:, 0]
     t, Q = np.linalg.eigh(T)
-    w = _pos_root(t, lam)[:, None, :]
+    w = _pos_root(t, lam, math.sqrt(2.0 * lam))[:, None, :]
     s = np.empty((B, 2, p, p))
     s[:, 0] = (Q * w) @ Q.mT
-    # the first X-update then returns Z itself
+    # the first X-update then returns Z0 itself, so the solver skips it
     s[:, 1] = (2.0 * (shat - s[:, 0]) + lam * (Q / w) @ Q.mT) / rho
     return s
 
@@ -317,25 +323,33 @@ def _pd_soft_stack(shat, taus, cfg):
     # the factors that turn the norms of work into |Z_new|, rho |Dual_new|,
     # |X|, 0, |X - Z_new|, rho |Z_new - Z|
     norm_factors = np.ones((B, 6))
+    V = np.empty((B, p, p))
     two_shat = 2.0 * shat
     two_tau = 2.0 * tau
     aa = _Anderson(B, 2 * p * p)
     out = [None] * B
-    finished = np.zeros(B, dtype=bool)
+    pending = np.ones(B, dtype=bool)
     new_rho = True
+    # the first X-update returns Z0 (see _pd_soft_start)
+    X[:] = Z
     for it in range(1, cfg.max_iter + 1):
         if new_rho:
             # what changes with rho: the terms of the X-update, the soft
             # threshold and the norm factors
-            rho_terms = (2.0 + rho, 2.0 * (lam / (2.0 + rho))[:, 0])
+            scale = 2.0 + rho
+            two_c = (2.0 * lam / scale)[:, 0]
+            prox_terms = (two_shat / scale, rho / scale, two_c,
+                          np.sqrt(2.0 * two_c))
             high = two_tau / rho
             low = -high
             norm_factors[:, 1] = norm_factors[:, 5] = rho[:, 0, 0]
-        _barrier_prox(Z - Dual, two_shat, rho, rho_terms, X)
+        if it > 1:
+            _barrier_prox(np.subtract(Z, Dual, out=V), prox_terms, X)
         A = _RELAX * X + (1.0 - _RELAX) * Z + Dual
-        # the soft threshold of A, sign(A) (|A| - high)_+
-        np.subtract(A, np.minimum(np.maximum(A, low), high), out=Z_new)
-        np.subtract(A, Z_new, out=Dual_new)
+        # the dual is A clipped to [low, high] and Z_new the soft threshold
+        # of A, sign(A) (|A| - high)_+ = A - clip(A)
+        np.minimum(np.maximum(A, low, out=Dual_new), high, out=Dual_new)
+        np.subtract(A, Dual_new, out=Z_new)
         del A
         np.subtract(X, Z_new, out=gap)
         np.subtract(Z_new, Z, out=step)
@@ -347,18 +361,18 @@ def _pd_soft_stack(shat, taus, cfg):
         res = norms[:, 4:] / np.maximum(
             np.maximum(norms[:, :2], norms[:, 2:4]), 1.0)
         primal, dual = res[:, 0], res[:, 1]
-        new = (np.maximum(primal, dual) < cfg.tol) & ~finished
-        if new.any():
+        new = (np.maximum(primal, dual) < cfg.tol) & pending
+        if np.count_nonzero(new):
             for b in new.nonzero()[0]:
                 out[b] = CovEstimate(0.5 * (X[b] + X[b].T), {
                     "tau": taus[b], "lambda": lam, "iterations": it,
                     "primal": float(primal[b]), "dual": float(dual[b]),
                     "rho": float(rho[b, 0, 0])})
-            finished |= new
-            if finished.all():
+            pending ^= new
+            if not np.count_nonzero(pending):
                 return out
         if it == cfg.max_iter:
-            b = finished.argmin()
+            b = pending.argmax()
             raise ConvergenceError(
                 f"ADMM did not converge in {it} iterations at "
                 f"tau={taus[b]:g} (primal={primal[b]:.3e}, "
@@ -411,8 +425,9 @@ def pd_soft_threshold(est, cfg):
     from F(s) and the last ``_AA_MEMORY`` steps. Its safeguard rejects an
     extrapolated point whose residual |F(s) - s| exceeds that of the point
     before, and goes on from the plain step F of that point. A change of
-    rho changes F, so it clears the memory. Each iteration, a rejected one
-    included, costs one eigendecomposition and counts toward ``max_iter``.
+    rho changes F, so it clears the memory. Each iteration after the
+    first, a rejected one included, costs one eigendecomposition, and each
+    counts toward ``max_iter``.
 
     The start point Z0 minimizes |S - T|^2 - lam log det S, where T is the
     soft threshold of Shat off the diagonal and Shat_ii - tau on it: the
@@ -421,7 +436,9 @@ def pd_soft_threshold(est, cfg):
     T = Q diag(t) Q^T, Z0 = Q diag(x) Q^T where x is the positive root of
     x^2 - t x - lam/2 = 0. When T is diagonal, Z0 is the solution, and the
     solver stops after one iteration. The scaled dual starts at the value
-    that makes Z0 stationary for f. The tuning of the result records the
+    that makes Z0 stationary for f, so the first X-update would return Z0:
+    the solver takes X = Z0 there without the eigendecomposition, and
+    counts that iteration all the same. The tuning of the result records the
     iteration count, the final residuals and the final rho. A problem that
     does not converge in ``cfg.max_iter`` iterations raises
     ConvergenceError, for the first such tau of its stack.

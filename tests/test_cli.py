@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from speccov import simgen
+from speccov import cli, simgen
 from speccov.cli import main
 from speccov.harness import load_spec
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
@@ -338,3 +338,39 @@ class TestRates:
         assert first[3] in ("true", "false")
         # tau and rate decrease with n
         assert float(lines[2].split(",")[2]) < float(lines[1].split(",")[2])
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no parse may leave a value
+    behind for the next."""
+
+    def test_parses_leak_nothing_into_the_next(self, data_file):
+        parse = cli.build_parser().parse_args
+        first = parse(["estimate", "--input", str(data_file), "--tau", "0.5",
+                       "--estimator", "hard", "--u", "2.0"])
+        assert (first.tau, first.estimator, first.u) == (0.5, "hard", 2.0)
+        rates = parse(["rates", "--n", "100", "--p", "5"])
+        assert rates.func is cli._cmd_rates
+        assert not hasattr(rates, "tau") and not hasattr(rates, "input")
+        again = parse(["estimate", "--input", str(data_file)])
+        assert again.func is cli._cmd_estimate
+        assert (again.tau, again.estimator, again.u, again.output) == \
+            (0.25, "sps", 1.0, None)
+        cv = parse(["cv", "--input", str(data_file), "--seed", "3"])
+        assert parse(["cv", "--input", str(data_file)]).seed == 0
+        assert cv.seed == 3 and cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_print_what_fresh_calls_print(self, data_file,
+                                                           capsys):
+        def estimate(*extra):
+            assert main(["estimate", "--input", str(data_file), *extra]) == 0
+            return capsys.readouterr().out
+
+        default = estimate()
+        assert estimate("--tau", "0.5", "--estimator", "hard") != default
+        assert main(["rates", "--n", "1000", "--p", "5"]) == 0
+        capsys.readouterr()
+        assert main(["cv", "--input", str(data_file), "--grid", "0.2,0.5",
+                     "--splits", "2", "--seed", "4", "--rule", "hard"]) == 0
+        capsys.readouterr()
+        assert estimate() == default

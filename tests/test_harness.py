@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from speccov import harness, shrinkage, simgen, spectral
 from speccov.harness import (
@@ -573,6 +574,36 @@ class TestConfigLoading:
          {"kind": "block_diagonal", "p": 0, "block_sizes": []},
          "covariance: p must be >= 1, got 0"),
         (("cv",), {"seed": -1}, "cv: seed must be >= 0, got -1"),
+        (("estimators",), [{"tag": "sps", "tau": -0.2, "U": 1.0}],
+         "estimator 'sps': tau must be >= 0, got -0.2"),
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "U": -1.0}],
+         "estimator 'sps': U must be > 0, got -1.0"),
+        (("estimators",), [{"tag": "pds", "tau": 0.2, "max_iter": 0}],
+         "estimator 'pds': max_iter must be >= 1, got 0"),
+        (("estimators",), [{"tag": "lowrank", "mc_samples": 0}],
+         "estimator 'lowrank': mc_samples must be >= 1, got 0"),
+        (("estimators",), [{"tag": "lowrank", "seed": -1}],
+         "estimator 'lowrank': seed must be >= 0, got -1"),
+        (("estimators",), [{"tag": "lowrank", "lambda": 0}],
+         "estimator 'lowrank': lambda must be > 0, got 0"),
+        (("estimators",), [{"tag": "lowrank", "U": 0.5}],
+         "estimator 'lowrank': U must be >= 1, got 0.5"),
+        (("estimators",), [{"tag": "pds", "tau": 0.2, "rho_admm": 0.0}],
+         "estimator 'pds': rho_admm must be > 0, got 0.0"),
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "tol": -1e-7}],
+         "estimator 'sps': tol must be > 0, got -1e-07"),
+        (("estimators",), [{"tag": "elliptical", "generator": "stable",
+                            "alpha": 2.5}],
+         "estimator 'elliptical': alpha must be in (0, 2], got 2.5"),
+        # the admissibility flag of every record needs these; gamma out of
+        # range aborted the run instead of failing a record
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "U": 1.0, "R": 1.0,
+                            "T": 1.0, "beta": 1.0, "gamma": 1.0}],
+         "estimator 'sps': gamma must be > sqrt(2), got 1.0"),
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "beta": 2.0}],
+         "estimator 'sps': beta must be in [0, 2), got 2.0"),
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "R": 0.0}],
+         "estimator 'sps': R must be > 0, got 0.0"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)
@@ -585,6 +616,78 @@ class TestConfigLoading:
             block[path[-1]] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             spec_from_dict(doc)
+
+
+    def test_tuning_at_the_edge_of_its_range_parses(self):
+        doc = copy.deepcopy(self.DOC)
+        doc["estimators"] = [
+            {"tag": "sps", "tau": 0, "U": 1e-3, "max_iter": 1, "R": 1e-9,
+             "T": 1e-9, "beta": 0, "gamma": 1.415},
+            {"tag": "lowrank", "U": 1, "mc_samples": 1, "seed": 0},
+            {"tag": "elliptical", "generator": "stable", "alpha": 2},
+        ]
+        assert len(spec_from_dict(doc).estimators) == 3
+
+
+class _PurePythonSpecLoader(yaml.SafeLoader):
+    """load_spec's resolvers on PyYAML's pure-Python parser."""
+
+    yaml_implicit_resolvers = harness._SpecLoader.yaml_implicit_resolvers
+
+
+# numbers written with and without a dot or a sign, quoted and not
+_EXPONENT_DOC = """
+scenario:
+  covariance: {kind: tridiagonal, p: 3}
+  noise: {kind: gamma_elliptical, theta: 1e0, A: identity}
+  n: 40
+  seed: 2
+estimators:
+  - {tag: sps, tau: 25e-2, U: 1.0, lambda: 1e-4, rho_admm: 2E+1}
+  - {tag: hard, tau: 0.25, U: 1.0}
+  - {tag: lowrank, lambda: 1.0e-4, seed: 3}
+cv: {num_splits: 2, tau_grid: [1e-3, 5E-2, 0.3], seed: 1}
+replications: 2
+output: "1e3"
+"""
+
+
+def _spec_values(spec):
+    """The repr of everything a spec holds, so that equal reprs mean equal
+    values of equal types."""
+    sc, cv = spec.scenario, spec.cv
+    noise = {k: v.tolist() if isinstance(v, np.ndarray) else v
+             for k, v in vars(sc.noise).items()}
+    return repr((spec.estimators, spec.replications, spec.output,
+                 spec.cv_rule, cv and (cv.num_splits, cv.tau_grid.tolist(),
+                                       cv.seed),
+                 sc.n, sc.seed, sc.cov.matrix().tolist(), noise))
+
+
+class TestSpecLoaders:
+    def test_libyaml_parses_when_pyyaml_has_it(self):
+        assert issubclass(harness._SpecLoader, yaml.CSafeLoader) == \
+            yaml.__with_libyaml__
+
+    @pytest.mark.parametrize("name", sorted(
+        [p.name for p in (Path(__file__).resolve().parents[1]
+                          / "configs").glob("*.yaml")]) + ["exponent"])
+    def test_both_parsers_give_equal_specs(self, name):
+        if name == "exponent":
+            text = _EXPONENT_DOC
+        else:
+            text = (Path(__file__).resolve().parents[1] / "configs"
+                    / name).read_text()
+        docs = [yaml.load(text, Loader=loader)
+                for loader in (harness._SpecLoader, _PurePythonSpecLoader)]
+        assert repr(docs[0]) == repr(docs[1])
+        specs = [_spec_values(spec_from_dict(doc)) for doc in docs]
+        assert specs[0] == specs[1]
+        if name == "exponent":
+            tuning = dict(spec_from_dict(docs[0]).estimators[0][1])
+            assert tuning == {"tau": 0.25, "U": 1.0, "lambda": 1e-4,
+                              "rho_admm": 20.0}
+            assert docs[0]["output"] == "1e3"
 
 
 class TestEndToEndConfig:

@@ -221,6 +221,28 @@ class TestPdSoftThreshold:
         np.testing.assert_allclose(out.matrix, np.diag(want), rtol=0,
                                    atol=1e-12)
 
+    def test_the_first_x_update_is_the_start_point(self, monkeypatch):
+        # the start's dual makes the first X-update return Z0, so a solve
+        # computes one fewer eigendecomposition than it counts iterations
+        calls = []
+        prox = shrinkage._barrier_prox
+
+        def counting(*args):
+            calls.append(1)
+            prox(*args)
+
+        monkeypatch.setattr(shrinkage, "_barrier_prox", counting)
+        base = _tridiagonal_gamma_base()
+        for tau in (5.0, 0.25, 1e-3):
+            calls.clear()
+            est = pd_soft_threshold(base, PdSoftConfig(tau=tau,
+                                                       rho_admm=20.0))
+            assert len(calls) == est.tuning["iterations"] - 1, tau
+        calls.clear()
+        path = pd_soft_threshold(base, [PdSoftConfig(tau=tau)
+                                        for tau in (5.0, 0.25)])
+        assert len(calls) == max(e.tuning["iterations"] for e in path) - 1
+
     @pytest.mark.parametrize("scale", [1e6, 1e8])
     def test_large_indefinite_input_stays_finite(self, scale):
         # far below zero the textbook root (t + sqrt(t^2 + 4c))/2 cancels
