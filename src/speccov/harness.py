@@ -215,35 +215,42 @@ def _lowrank(Y, tuning):
     return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
 
 
-def _pd_soft(base, tuning, taus):
+def _pd_soft(bases, tuning, taus):
     return shrinkage.pd_soft_threshold(
-        base, [_pd_config({**tuning, "tau": tau}) for tau in taus])
+        bases, [_pd_config({**tuning, "tau": tau}) for tau in taus])
 
 
 # The estimators that take tau, each a base estimate of Y followed by a rule
 # applied to it; a cv: block selects tau and its rule is one of them.
-# base: fn(Y, tuning) -> CovEstimate. rule: fn(base, tuning, taus) -> the
-# estimate at each tau of taus, so that CV computes the base once per split
-# and hands the rule the whole grid, which PD-soft solves as stacks.
+# base: fn(Y, tuning) -> CovEstimate. rule: fn(bases, tuning, taus) -> the
+# estimate of each base at its tau, for equal-length lists, so that CV hands
+# the rule one base per split at every tau of the grid, and run_experiment
+# the bases of a block of replications at one tau, which PD-soft solves as
+# stacks.
 _BASES = {
     "sps": _spectral,
     "soft": _spectral,
     "hard": _spectral,
     "pds": lambda Y, t: shrinkage.sample_covariance(Y),
 }
+
+
+def _entrywise(rule):
+    return lambda bases, t, taus: [rule(base, tau)
+                                   for base, tau in zip(bases, taus)]
+
+
 _RULES = {
     "sps": _pd_soft,
-    "soft": lambda base, t, taus: [shrinkage.soft_threshold(base, tau)
-                                   for tau in taus],
-    "hard": lambda base, t, taus: [shrinkage.hard_threshold(base, tau)
-                                   for tau in taus],
+    "soft": _entrywise(shrinkage.soft_threshold),
+    "hard": _entrywise(shrinkage.hard_threshold),
     "pds": _pd_soft,
 }
 THRESHOLD_TAGS = tuple(_RULES)
 
 
 def _thresholded(tag):
-    return lambda Y, t: _RULES[tag](_BASES[tag](Y, t), t, [t.get("tau")])[0]
+    return lambda Y, t: _RULES[tag]([_BASES[tag](Y, t)], t, [t.get("tau")])[0]
 
 
 # tag -> fn(Y, tuning) -> CovEstimate, for an (n, p) array Y. Entries call
@@ -262,7 +269,8 @@ def cv_fit(tag, tuning):
     """The ``fit(train, taus)`` callable of cross_validate_tau for one tag:
     the rule at every tau, applied to one base estimate of ``train``."""
     def fit(train, taus):
-        return _RULES[tag](_BASES[tag](train, tuning), tuning, taus)
+        base = _BASES[tag](train, tuning)
+        return _RULES[tag]([base] * len(taus), tuning, taus)
     return fit
 
 
@@ -277,8 +285,19 @@ def _admissible_flag(tuning, n, p):
     return spectral.admissible(cfg, n, p)
 
 
+# The replications that run_experiment samples and estimates together. An
+# estimator that takes tau hands its rule a block's bases in one call, which
+# PD-soft solves as stacks of _STACK // p**2 problems (4 at p=20), so a run
+# holds at most _BLOCK bases per estimator however many replications it has.
+_BLOCK = 8
+
+
 def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
-    """Run all replications; estimator failures are recorded, not raised."""
+    """Run all replications; estimator failures are recorded, not raised.
+
+    The replications run in blocks of ``_BLOCK`` (see _run_block), and the
+    records come in (replication, estimator) order.
+    """
     truth = spec.scenario.cov.matrix()
     n, p = spec.scenario.n, truth.shape[0]
     tau_cv = cv_error = None
@@ -297,42 +316,100 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
             tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
         except Exception as exc:  # fails the tuned records only, below
             cv_error = f"cross-validation failed: {type(exc).__name__}: {exc}"
+    tunings = []
+    for tag, tuning in spec.estimators:
+        tuning = dict(tuning)
+        if spec.cv is not None and tag in THRESHOLD_TAGS:
+            tuning["tau"] = tau_cv
+        tunings.append(tuning)
+    flags = [_admissible_flag(tuning, n, p) for tuning in tunings]
     records = []
-    for rep in range(spec.replications):
-        sample = simgen.sample_scenario(
-            Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise,
-                     n=n, seed=_rep_seed(spec.scenario.seed, rep)))
-        for tag, tuning in spec.estimators:
-            tuning = dict(tuning)
-            tuned = spec.cv is not None and tag in THRESHOLD_TAGS
-            if tuned:
-                tuning["tau"] = tau_cv
-            t0 = time.perf_counter()
-            if tuned and cv_error is not None:
-                frob, err_msg = math.nan, cv_error
-            else:
-                frob, err_msg = _run_estimator(tag, sample.data, tuning, truth)
-            wall = time.perf_counter() - t0
+    for first in range(0, spec.replications, _BLOCK):
+        block = _run_block(
+            spec, range(first, min(first + _BLOCK, spec.replications)),
+            tunings, truth, cv_error)
+        for (rep, i), (frob, wall, err_msg) in sorted(block.items()):
             records.append(ResultRecord(
                 replication=rep,
-                estimator=tag,
+                estimator=spec.estimators[i][0],
                 frob_error=frob,
                 wall_time=wall,
-                tuning_used=tuning,
-                admissible_flag=_admissible_flag(tuning, n, p),
+                tuning_used=dict(tunings[i]),
+                admissible_flag=flags[i],
                 error=err_msg,
             ))
     records.sort(key=lambda r: (r.replication, r.estimator))
     return records
 
 
-def _run_estimator(tag, data, tuning, truth):
-    """(frob_error, error text or None) of one estimator on one sample."""
+def _run_block(spec, reps, tunings, truth, cv_error):
+    """{(replication, estimator index): (frob_error, wall time, error text
+    or None)} for the replications ``reps``.
+
+    The samples are drawn and estimated in turn, one held at a time. An
+    estimator that takes tau computes only its base estimate of each
+    sample there; its rule then takes all the block's bases in one call
+    (see _solve_block). Such a record's wall time is its base time plus its
+    share of that call's time, in proportion to its solver iterations (1
+    for a rule without iterations and for a failed solve).
+    """
+    out = {}
+    bases = {}  # estimator index -> [(replication, base, base seconds)]
+    for rep in reps:
+        data = simgen.sample_scenario(
+            Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise,
+                     n=spec.scenario.n,
+                     seed=_rep_seed(spec.scenario.seed, rep))).data
+        for i, (tag, _) in enumerate(spec.estimators):
+            if tag in _RULES and cv_error is not None:
+                out[rep, i] = (math.nan, 0.0, cv_error)
+                continue
+            t0 = time.perf_counter()
+            # a threshold estimator's base, or another estimator's estimate
+            fn = _BASES[tag] if tag in _RULES else ESTIMATORS[tag]
+            est, err_msg = _attempt(fn, data, tunings[i])
+            if est is not None and tag in _RULES:
+                bases.setdefault(i, []).append(
+                    (rep, est, time.perf_counter() - t0))
+                continue
+            frob = math.nan if est is None else \
+                simgen.frobenius_error(est, truth)
+            out[rep, i] = (frob, time.perf_counter() - t0, err_msg)
+    for i, block in bases.items():
+        t0 = time.perf_counter()
+        solved = _solve_block(spec.estimators[i][0], tunings[i],
+                              [base for _, base, _ in block])
+        share = (time.perf_counter() - t0) / sum(w for _, _, w in solved)
+        for (rep, _, secs), (est, err_msg, w) in zip(block, solved):
+            frob = math.nan if est is None else \
+                simgen.frobenius_error(est, truth)
+            out[rep, i] = (frob, secs + w * share, err_msg)
+    return out
+
+
+def _solve_block(tag, tuning, bases):
+    """(estimate or None, error text or None, iterations or 1) of the rule
+    of ``tag`` on each of ``bases`` at the tuning's tau: one call for all
+    of them or, when that call raises, one call for each, so that only the
+    failing bases fail, with the text that one base alone gives."""
+    tau = tuning.get("tau")
     try:
-        est = ESTIMATORS[tag](data, tuning)
-        return simgen.frobenius_error(est, truth), None
+        ests = [(est, None) for est in
+                _RULES[tag](bases, tuning, [tau] * len(bases))]
+    except Exception:
+        ests = [_attempt(lambda b: _RULES[tag]([b], tuning, [tau])[0], base)
+                for base in bases]
+    return [(est, err_msg,
+             1 if est is None else est.tuning.get("iterations", 1))
+            for est, err_msg in ests]
+
+
+def _attempt(fn, *args):
+    """(fn(*args), None), or (None, its error text) when it raises."""
+    try:
+        return fn(*args), None
     except Exception as exc:  # isolate failures per record
-        return math.nan, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _rep_seed(seed, rep):

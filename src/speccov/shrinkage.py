@@ -18,10 +18,11 @@ eigendecompositions. The ADMM penalty adapts by residual balancing, which
 clears the acceleration's memory, so ``PdSoftConfig.rho_admm`` is only the
 starting penalty: it changes the iteration count, not the solution, and the
 solver converges on the whole default CV grid ``DEFAULT_TAU_GRID``. Given
-several configs that differ only in tau, ``pd_soft_threshold`` solves them
-as stacks of problems that share each iteration's numpy calls (one stacked
-eigendecomposition among them) while each converges on its own; CV solves
-a split's whole tau grid this way.
+several configs that differ only in tau, and one estimate or one per
+config, ``pd_soft_threshold`` solves them as stacks of problems that share
+each iteration's numpy calls (one stacked eigendecomposition among them)
+while each converges on its own and then leaves the stack; CV solves a
+split's whole tau grid this way, and ``simulate`` a block of replications.
 """
 
 import math
@@ -70,11 +71,13 @@ _AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
 # The p x p elements of the problems of one stack: a problem holds about 45
 # p x p arrays at its peak (its state and image, Anderson's ten differences,
 # work arrays), so a stack of _STACK // p**2 problems peaks near
-# 360 * _STACK bytes (430 KB) however many problems the caller passes. On
-# the perfbench cv workload (p=20), stacks of 3, 8 and 20 raised the peak
-# RSS of a run by about 0.8, 1.5 and 4.3 MB, and stacks of 3 already took
-# most of the speed-up.
-_STACK = 1200
+# 360 * _STACK bytes (580 KB) however many problems the caller passes. At
+# p=20 that is 4 problems, the replications of one perfbench simulate call:
+# on 25 such calls' 200 solves, stacks of 3 + 1 took 0.93 of the time of
+# one-problem solves and stacks of 4 took 0.80. On the perfbench cv
+# workload, stacks of 3, 8 and 20 raised the peak RSS of a run by about
+# 0.8, 1.5 and 4.3 MB.
+_STACK = 1600
 
 
 class ConvergenceError(RuntimeError):
@@ -199,6 +202,9 @@ class _Anderson:
     every other step on a rejected point.
     """
 
+    _ROWS = ("dG", "dF", "gram", "g_prev", "f_prev", "limit", "has_prev",
+             "go_from")
+
     def __init__(self, rows, size):
         self.dG = np.zeros((rows, _AA_MEMORY, size))
         self.dF = np.zeros((rows, _AA_MEMORY, size))
@@ -234,6 +240,14 @@ class _Anderson:
         self._forget(rows, 2)
         self.has_prev[rows] = False
         self.cleared = True  # some row has no last point
+
+    def keep(self, rows):
+        """Drop from the stack every row that the mask ``rows`` does not
+        select."""
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[rows])
+        self.gram_diag = self.gram.reshape(len(self.gram), -1)[
+            :, ::_AA_MEMORY + 1]
 
     def step(self, s, g):
         """Overwrite the points s, whose images are g, by the next points."""
@@ -290,10 +304,11 @@ class _Anderson:
 
 def _pd_soft_start(shat, tau, lam, rho):
     """The closed-form start (Z0, Dual0) of each problem of a stack, as a
-    (B, 2, p, p) array; see pd_soft_threshold."""
-    B, p = len(tau), len(shat)
+    (B, 2, p, p) array, for the (B, p, p) estimates ``shat`` at the
+    (B, 1, 1) thresholds ``tau``; see pd_soft_threshold."""
+    B, p = len(tau), shat.shape[-1]
     T = _soft(shat, tau)
-    T.reshape(B, -1)[:, ::p + 1] = np.diag(shat) - tau[:, 0]
+    T.reshape(B, -1)[:, ::p + 1] = np.diagonal(shat, 0, -2, -1) - tau[:, 0]
     t, Q = np.linalg.eigh(T)
     w = _pos_root(t, lam, math.sqrt(2.0 * lam))[:, None, :]
     s = np.empty((B, 2, p, p))
@@ -303,12 +318,20 @@ def _pd_soft_start(shat, tau, lam, rho):
     return s
 
 
+def _stack_views(s, work):
+    """Z, Dual, the six planes of ``work`` and the flat views of ``s``, of
+    its image and of ``work``, per problem; see _pd_soft_stack."""
+    n = len(s)
+    return (s[:, 0], s[:, 1], *work.transpose(1, 0, 2, 3), s.reshape(n, -1),
+            work[:, :2].reshape(n, -1), work.reshape(n, 6, -1))
+
+
 def _pd_soft_stack(shat, taus, cfg):
-    """PD-soft solves of ``shat`` at each of ``taus`` and the other
-    settings of ``cfg``, as one stack of fixed size: a problem that
-    converges keeps its estimate of that iteration and keeps iterating
-    until the last one converges."""
-    B, p, lam = len(taus), shat.shape[0], cfg.lambda_barrier
+    """PD-soft solves of each estimate of the (B, p, p) ``shat`` at its tau
+    of ``taus`` and the other settings of ``cfg``, as one stack: a problem
+    leaves the stack, with its estimate, at the iteration where it
+    converges, and the others go on without it."""
+    B, p, lam = len(taus), shat.shape[-1], cfg.lambda_barrier
     tau = np.array(taus)[:, None, None]
     rho = np.full((B, 1, 1), cfg.rho_admm)
     s = _pd_soft_start(shat, tau, lam, cfg.rho_admm)
@@ -316,10 +339,8 @@ def _pd_soft_stack(shat, taus, cfg):
     # one iteration, then X, zeros, X - Z_new and Z_new - Z, so that one
     # call takes the norms of the residuals
     work = np.zeros((B, 6, p, p))
-    Z, Dual = s[:, 0], s[:, 1]
-    Z_new, Dual_new, X, _, gap, step = work.transpose(1, 0, 2, 3)
-    sv, gv = s.reshape(B, -1), work[:, :2].reshape(B, -1)
-    wv = work.reshape(B, 6, -1)
+    Z, Dual, Z_new, Dual_new, X, _, gap, step, sv, gv, wv = _stack_views(
+        s, work)
     # the factors that turn the norms of work into |Z_new|, rho |Dual_new|,
     # |X|, 0, |X - Z_new|, rho |Z_new - Z|
     norm_factors = np.ones((B, 6))
@@ -327,8 +348,8 @@ def _pd_soft_stack(shat, taus, cfg):
     two_shat = 2.0 * shat
     two_tau = 2.0 * tau
     aa = _Anderson(B, 2 * p * p)
+    rows = np.arange(B)  # the problem of each row of the stack
     out = [None] * B
-    pending = np.ones(B, dtype=bool)
     new_rho = True
     # the first X-update returns Z0 (see _pd_soft_start)
     X[:] = Z
@@ -361,24 +382,33 @@ def _pd_soft_stack(shat, taus, cfg):
         res = norms[:, 4:] / np.maximum(
             np.maximum(norms[:, :2], norms[:, 2:4]), 1.0)
         primal, dual = res[:, 0], res[:, 1]
-        new = (np.maximum(primal, dual) < cfg.tol) & pending
-        if np.count_nonzero(new):
-            for b in new.nonzero()[0]:
-                out[b] = CovEstimate(0.5 * (X[b] + X[b].T), {
-                    "tau": taus[b], "lambda": lam, "iterations": it,
+        done = np.maximum(primal, dual) < cfg.tol
+        if np.count_nonzero(done):
+            for b in done.nonzero()[0]:
+                out[rows[b]] = CovEstimate(0.5 * (X[b] + X[b].T), {
+                    "tau": taus[rows[b]], "lambda": lam, "iterations": it,
                     "primal": float(primal[b]), "dual": float(dual[b]),
                     "rho": float(rho[b, 0, 0])})
-            pending ^= new
-            if not np.count_nonzero(pending):
+            if done.all():
                 return out
+            # the converged problems leave every per-problem array
+            keep = ~done
+            (rows, s, work, V, two_shat, two_tau, rho, high, low,
+             norm_factors, primal, dual) = (
+                a[keep] for a in (rows, s, work, V, two_shat, two_tau, rho,
+                                  high, low, norm_factors, primal, dual))
+            prox_terms = tuple(a[keep] for a in prox_terms)
+            aa.keep(keep)
+            Z, Dual, Z_new, Dual_new, X, _, gap, step, sv, gv, wv = \
+                _stack_views(s, work)
         if it == cfg.max_iter:
-            b = pending.argmax()
+            # the first problem of the stack that is still in it
             raise ConvergenceError(
                 f"ADMM did not converge in {it} iterations at "
-                f"tau={taus[b]:g} (primal={primal[b]:.3e}, "
-                f"dual={dual[b]:.3e}, rho={rho[b, 0, 0]:.3g})",
-                primal=float(primal[b]), dual=float(dual[b]),
-                iterations=it, rho=float(rho[b, 0, 0]))
+                f"tau={taus[rows[0]]:g} (primal={primal[0]:.3e}, "
+                f"dual={dual[0]:.3e}, rho={rho[0, 0, 0]:.3g})",
+                primal=float(primal[0]), dual=float(dual[0]),
+                iterations=it, rho=float(rho[0, 0, 0]))
         moved = ()
         if it % _BALANCE_EVERY == 0:
             # the scaled dual is the unscaled one over rho
@@ -404,12 +434,14 @@ def pd_soft_threshold(est, cfg):
 
     ``cfg`` is a PdSoftConfig, and the result one estimate; or a sequence
     of them that differ only in tau (else ValueError), and the result the
-    list of their estimates, in order. The problems of a sequence are
-    solved together as stacks of at most ``_STACK // p**2``, which all
-    share one eigendecomposition call per iteration and each converge,
-    count iterations and balance rho on their own. A stack runs until its
-    last problem converges; a solve in a stack returns what it returns
-    alone, up to rounding.
+    list of their estimates, in order. With a sequence of configs, ``est``
+    is one estimate for all of them or a sequence of estimates, one per
+    config. The problems of a sequence are solved together as stacks of at
+    most ``_STACK // p**2``, which all share one eigendecomposition call
+    per iteration and each converge, count iterations and balance rho on
+    their own. A problem leaves its stack as soon as it converges, so a
+    stack's iterations cost less as its problems finish, and a solve in a
+    stack returns what it returns alone.
 
     The solution is positive definite in exact arithmetic. In floating
     point the returned X has eigenvalues >= -p * eps * |X|_2: the barrier
@@ -441,19 +473,25 @@ def pd_soft_threshold(est, cfg):
     counts that iteration all the same. The tuning of the result records the
     iteration count, the final residuals and the final rho. A problem that
     does not converge in ``cfg.max_iter`` iterations raises
-    ConvergenceError, for the first such tau of its stack.
+    ConvergenceError, for the first such problem of its stack.
     """
-    shat = _matrix(est)
     if isinstance(cfg, PdSoftConfig):
-        return _pd_soft_stack(shat, [cfg.tau], cfg)[0]
+        return _pd_soft_stack(_matrix(est)[None], [cfg.tau], cfg)[0]
     cfgs = list(cfg)
     if len({(c.lambda_barrier, c.max_iter, c.tol, c.rho_admm)
             for c in cfgs}) > 1:
         raise ValueError("the configs of one call may differ only in tau")
+    if isinstance(est, (list, tuple)):
+        if len(est) != len(cfgs):
+            raise ValueError(f"{len(est)} estimates for {len(cfgs)} configs")
+        shats = [_matrix(e) for e in est]
+    else:
+        shats = [_matrix(est)] * len(cfgs)
     taus = [c.tau for c in cfgs]
-    size = max(1, _STACK // shat.size)
+    size = max(1, _STACK // shats[0].size) if shats else 1
     return [solved for i in range(0, len(taus), size)
-            for solved in _pd_soft_stack(shat, taus[i:i + size], cfgs[0])]
+            for solved in _pd_soft_stack(np.stack(shats[i:i + size]),
+                                         taus[i:i + size], cfgs[0])]
 
 
 def sample_covariance(Y) -> CovEstimate:

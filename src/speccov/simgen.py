@@ -78,12 +78,14 @@ def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
 
 
 class CovModel:
-    """A covariance matrix, built once by a constructor and held read-only."""
+    """A covariance matrix, built once by a constructor and held read-only,
+    and its square root, computed once on first use and held the same way."""
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
         m.setflags(write=False)
         self._matrix = m
+        self._sqrt = None
 
     @classmethod
     def tridiagonal(cls, p):
@@ -116,6 +118,14 @@ class CovModel:
 
     def matrix(self) -> np.ndarray:
         return self._matrix
+
+    def sqrt(self) -> np.ndarray:
+        """covariance_sqrt of the matrix, which every sample of it uses."""
+        if self._sqrt is None:
+            r = covariance_sqrt(self._matrix)
+            r.setflags(write=False)
+            self._sqrt = r
+        return self._sqrt
 
 
 @dataclass(frozen=True)
@@ -244,10 +254,9 @@ def _sample_noise(model: NoiseModel, n, p, rng):
 
 def sample_scenario(s: Scenario) -> SampleMatrix:
     """Draw n noisy observations Y = X + eps, deterministic given the seed."""
-    sigma = s.cov.matrix()
-    p = sigma.shape[0]
+    p = s.cov.p
     rng = np.random.default_rng(s.seed)
-    X = rng.standard_normal((s.n, p)) @ covariance_sqrt(sigma)
+    X = rng.standard_normal((s.n, p)) @ s.cov.sqrt()
     X += _sample_noise(s.noise, s.n, p, rng)
     return SampleMatrix(X)
 

@@ -1,10 +1,12 @@
 import copy
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +235,57 @@ class TestRunExperiment:
         records = run_experiment(spec)
         flags = {r.admissible_flag for r in records}
         assert flags == {None, True}
+
+    def test_a_solve_out_of_iterations_fails_only_its_record(self):
+        # sps takes 8 to 48 iterations on these replications and pds 4, so
+        # the sps block raises and is solved again one problem at a time
+        spec = load_spec(Path(__file__).resolve().parents[1] / "configs"
+                         / "tridiagonal_gamma.yaml")
+        estimators = [(tag, {**tuning, "max_iter": 20})
+                      for tag, tuning in spec.estimators]
+        spec = ExperimentSpec(scenario=spec.scenario, estimators=estimators,
+                              replications=8)
+        records = run_experiment(spec)
+        assert len(records) == 8 * 3
+        failed = set()
+        for r in records:
+            Y = simgen.sample_scenario(Scenario(
+                cov=spec.scenario.cov, noise=spec.scenario.noise,
+                n=spec.scenario.n, seed=[spec.scenario.seed, r.replication]))
+            try:
+                est = harness.ESTIMATORS[r.estimator](Y.data, r.tuning_used)
+            except shrinkage.ConvergenceError as exc:
+                assert r.error == f"ConvergenceError: {exc}"
+                assert math.isnan(r.frob_error)
+                failed.add((r.replication, r.estimator))
+            else:
+                assert r.error is None
+                assert r.frob_error == simgen.frobenius_error(
+                    est, spec.scenario.cov.matrix())
+        assert {tag for _, tag in failed} == {"sps"}
+        assert 0 < len(failed) < 8
+
+    def test_memory_stays_bounded_as_replications_grow(self):
+        # a run holds one sample and one block of bases at a time, so its
+        # peak grows with the replications only by the records it returns
+        spec = load_spec(Path(__file__).resolve().parents[1] / "configs"
+                         / "tridiagonal_gamma.yaml")
+        block = harness._BLOCK
+
+        def peak(replications):
+            tracemalloc.start()
+            try:
+                run_experiment(dataclasses.replace(spec, replications=replications))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the square root of the truth and other one-time costs
+        one_block = peak(block)
+        # 3 estimators x 3 more blocks; a record is a few hundred bytes,
+        # and a 20 x 20 base held for each would add over 3 KB
+        records = 3 * 3 * block * 1024
+        assert peak(4 * block) <= one_block + records
 
 
 class TestCvFit:

@@ -81,6 +81,17 @@ def _normal_equations(Y, cfg, w, seed):
     return G, A.T @ (np.sqrt(omega) * g), 2.0 * np.linalg.eigvalsh(G)[-1]
 
 
+def prox_fixed_point_residual(M, Y, cfg, w, seed):
+    """|M - prox(M - t grad f(M))| / max(1, |M|) on the frozen quadrature,
+    with the PSD nuclear prox at t lam and t = 1/L: M solves the problem
+    iff it is this fixed point for some t > 0, so the residual is 0 there."""
+    G, b, L = _normal_equations(Y, cfg, w, seed)
+    t = 1.0 / L
+    grad = 2.0 * (G @ M.ravel() + b).reshape(M.shape)
+    step = nuclear_prox(M - t * grad, t * cfg.lambda_nuc)
+    return np.linalg.norm(M - step) / max(1.0, np.linalg.norm(M))
+
+
 class TestDesignMatrix:
     """The weighted design rows sqrt(omega_k) vec(d_k d_k^T) = -sqrt(omega_k)
     vec(Theta_k), for the rank-one designs Theta_k = -d_k d_k^T of unit
@@ -279,32 +290,15 @@ class TestLowRankEstimate:
         trace = np.asarray(est.tuning["objective_trace"])
         assert np.all(np.diff(trace) <= 1e-12)
 
-    def test_matches_convex_solver_on_frozen_quadrature(self):
-        cp = pytest.importorskip("cvxpy")
-        from test_acceptance import _lowrank_oracle
-
-        Y, cfg, w = _two_dim_problem()
-        est = lowrank_estimate(Y, cfg, w, seed=3)
-        oracle = _lowrank_oracle(cp, Y, cfg, w, seed=3)
-        assert np.linalg.norm(est.matrix - oracle) < 1e-5
-
     @pytest.mark.parametrize("lam", [1e-3, 0.1])
     def test_prox_fixed_point_certificate(self, lam):
-        # M solves the problem iff M = prox_{t lam}(M - t grad f(M)) for t > 0
         Y, cfg, w = _two_dim_problem(lam)
-        G, b, L = _normal_equations(Y, cfg, w, seed=3)
-        t = 1.0 / L
-
-        def residual(M):
-            grad = 2.0 * (G @ M.ravel() + b).reshape(M.shape)
-            step = nuclear_prox(M - t * grad, t * lam)
-            return np.linalg.norm(M - step) / max(1.0, np.linalg.norm(M))
-
         est = lowrank_estimate(Y, cfg, w, seed=3).matrix
         E = np.random.default_rng(17).standard_normal(est.shape)
         E = 0.5 * (E + E.T)
-        assert residual(est) < 1e-5
-        assert residual(est + 1e-3 * E / np.linalg.norm(E)) > 1e-5
+        assert prox_fixed_point_residual(est, Y, cfg, w, seed=3) < 1e-5
+        assert prox_fixed_point_residual(
+            est + 1e-3 * E / np.linalg.norm(E), Y, cfg, w, seed=3) > 1e-5
 
     def test_zero_weights_give_the_zero_matrix(self):
         # the single quadrature point of seed 13 gets weight 0, so the fit is

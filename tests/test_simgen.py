@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from speccov import simgen
 from speccov.simgen import (
     CovModel,
     NoiseModel,
@@ -148,6 +149,23 @@ class TestSampleScenario:
         finally:
             tracemalloc.stop()
         assert peak <= bound * Y.nbytes
+
+    def test_square_root_computed_once_per_model(self, monkeypatch):
+        # the samples of one model share its read-only square root, and
+        # each is the normals times covariance_sqrt of the matrix, bitwise
+        calls = []
+        real = simgen.covariance_sqrt
+        monkeypatch.setattr(simgen, "covariance_sqrt",
+                            lambda m: calls.append(1) or real(m))
+        cov = CovModel.block_diagonal(6, [3, 3], seed=2)
+        for seed in range(3):
+            Y = sample_scenario(Scenario(cov=cov, noise=NoiseModel.none(),
+                                         n=50, seed=seed)).data
+            want = (np.random.default_rng(seed).standard_normal((50, 6))
+                    @ real(cov.matrix()))
+            assert Y.tobytes() == want.tobytes()
+        assert len(calls) == 1
+        assert not cov.sqrt().flags.writeable
 
 
 class TestNoiseCfClosedForms:
