@@ -30,14 +30,12 @@ def _load_matrix(path):
 
 
 def _write_matrix(mat, path):
-    if path is None or path == "-":
-        np.savetxt(sys.stdout, mat, delimiter=",")
-    else:
-        np.savetxt(path, mat, delimiter=",")
+    np.savetxt(sys.stdout if path in (None, "-") else path, mat, delimiter=",")
 
 
 def _cmd_estimate(args):
     Y = _load_matrix(args.input)
+    # a None lambda takes the estimator's own default
     tuning = {"tau": args.tau, "U": args.u, "lambda": args.barrier}
     est = harness.ESTIMATORS[args.estimator](Y, tuning)
     _write_matrix(est.matrix, args.output)
@@ -65,10 +63,8 @@ def _cmd_simulate(args):
 
 def _cmd_cv(args):
     Y = _load_matrix(args.input)
-    if args.grid:
-        grid = [float(x) for x in args.grid.split(",")]
-    else:
-        grid = shrinkage.DEFAULT_TAU_GRID
+    grid = ([float(x) for x in args.grid.split(",")] if args.grid
+            else shrinkage.DEFAULT_TAU_GRID)
     cfg = CvConfig(num_splits=args.splits, tau_grid=grid, seed=args.seed)
     fit = harness.cv_fit(args.rule, {"U": args.u})
     tau_hat, Q = shrinkage.cross_validate_tau(Y, args.u, cfg, fit)
@@ -101,6 +97,9 @@ def _cmd_rates(args):
 def build_parser():
     """The parser of ``main``, built once per process and shared: a parse
     keeps its values in a new namespace and leaves the parser as it was."""
+    # the defaults that a config takes for the same keys
+    U = harness.SCHEMA["estimator"]["sps"]["U"].default
+    splits = harness.SCHEMA["cv"]["num_splits"].default
     ap = argparse.ArgumentParser(prog="speccov",
                                  description="Covariance estimation from noisy observations")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -109,9 +108,9 @@ def build_parser():
     est.add_argument("--input", required=True,
                      help="delimited numeric matrix, rows = observations")
     est.add_argument("--estimator", default="sps", choices=harness.ESTIMATORS)
-    est.add_argument("--u", type=float, default=1.0, help="probe radius U")
+    est.add_argument("--u", type=float, default=U, help="probe radius U")
     est.add_argument("--tau", type=float, default=0.25)
-    est.add_argument("--barrier", type=float, default=1e-4,
+    est.add_argument("--barrier", type=float, default=None,
                      help="log-det barrier weight; lowrank's nuclear penalty")
     est.add_argument("--output", default=None, help="output path (default stdout)")
     est.set_defaults(func=_cmd_estimate)
@@ -125,21 +124,22 @@ def build_parser():
 
     cv = sub.add_parser("cv", help="cross-validate tau on a data file")
     cv.add_argument("--input", required=True)
-    cv.add_argument("--u", type=float, default=1.0)
+    cv.add_argument("--u", type=float, default=U)
     cv.add_argument("--grid", default=None, help="comma-separated tau grid")
-    cv.add_argument("--splits", type=int, default=100)
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--splits", type=int, default=splits)
+    cv.add_argument("--seed", type=int, default=CvConfig.seed)
     cv.add_argument("--rule", default="sps", choices=harness.THRESHOLD_TAGS)
     cv.set_defaults(func=_cmd_cv)
 
     rates = sub.add_parser("rates", help="print theory tables")
     rates.add_argument("--n", type=int, nargs="+", required=True)
     rates.add_argument("--p", type=int, nargs="+", required=True)
-    rates.add_argument("--u", type=float, default=1.0)
+    rates.add_argument("--u", type=float, default=U)
     rates.add_argument("--r", type=float, default=1.0)
     rates.add_argument("--t", type=float, default=1.0)
     rates.add_argument("--beta", type=float, default=1.0)
-    rates.add_argument("--gamma", type=float, default=1.5)
+    rates.add_argument("--gamma", type=float,
+                       default=spectral.SpectralConfig.gamma)
     rates.add_argument("--s", type=float, default=1.0, help="sparsity of the truth")
     rates.add_argument("--q", type=float, default=0.0)
     rates.set_defaults(func=_cmd_rates)

@@ -14,6 +14,7 @@ import math
 import numbers
 import re
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -36,33 +37,17 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# Tuning keys read as numbers; the integer ones also must be whole. R, T,
-# beta and gamma are the theory constants of the admissibility check.
-_NUMERIC_KEYS = ("tau", "U", "lambda", "rho_admm", "tol", "alpha",
-                 "R", "T", "beta", "gamma")
-_INTEGER_KEYS = ("max_iter", "mc_samples", "seed")
-# Config keys whose value is a list of numbers.
-_LIST_KEYS = ("block_sizes", "tau_grid")
-
-
-def _check_numbers(block, d, real=(), whole=()):
-    """Raise ValueError naming ``block`` and the key for a value of ``d``
-    that is not a finite real number (a key of ``real``) or not a whole one
-    (a key of ``whole``); under a key of ``_LIST_KEYS``, for a value that is
-    not a list of them. An absent key is skipped."""
-    for key in real + whole:
-        if key not in d:
-            continue
-        v, is_whole = d[key], key in whole
-        kind = "whole number" if is_whole else "number"
-        if key in _LIST_KEYS:
-            ok = (isinstance(v, (list, tuple, np.ndarray))
-                  and all(_is_number(x, is_whole) for x in v))
-            kind = f"list of {kind}s"
-        else:
-            ok = _is_number(v, is_whole)
-        if not ok:
-            raise ValueError(f"{block}: {key} must be a {kind}, got {v!r}")
+# The config schema (SCHEMA, below) maps every key that a block allows to a
+# _Key: the kind of its value (NUMBER, WHOLE, NUMBERS or WHOLES, a tuple of
+# the allowed names, or None for a value that a constructor checks), the
+# range of a number or of each entry of a list, whether the block must set
+# it, and its default where no constructor holds one. _check walks a block
+# against its table; _given passes on only the keys that a block sets and
+# the table's defaults, so other defaults stay with their constructors.
+NUMBER, WHOLE = "number", "whole number"
+NUMBERS, WHOLES = "list of numbers", "list of whole numbers"
+_Key = namedtuple("_Key", "kind range required default",
+                  defaults=(None, None, False, None))
 
 
 def _at_least(low):
@@ -71,35 +56,6 @@ def _at_least(low):
 
 def _above(low):
     return (lambda v: v > low), f"> {low}"
-
-
-def _check_range(block, d, **ranges):
-    """Raise ValueError naming ``block`` and the key for a number of ``d``
-    outside its range in ``ranges``, a (test, text) pair such as
-    ``_at_least(1)``; under a key of ``_LIST_KEYS``, for a list with an
-    entry outside it. An absent key is skipped."""
-    for key, (ok, text) in ranges.items():
-        if key not in d:
-            continue
-        v, each = d[key], " each" if key in _LIST_KEYS else ""
-        if not all(map(ok, v if each else [v])):
-            raise ValueError(f"{block}: {key} must be {text}{each}, got {v!r}")
-
-
-# The range of each tuning number, as the constructor that takes it checks
-# it (PdSoftConfig, LowRankConfig, SpectralConfig, stable_generator), so
-# that a value out of range fails when the config is parsed instead of in
-# every record; lowrank's probe radius is at least 1.
-_TUNING_RANGES = {
-    "tau": _at_least(0), "U": _above(0), "lambda": _above(0),
-    "rho_admm": _above(0), "tol": _above(0), "max_iter": _at_least(1),
-    "mc_samples": _at_least(1), "seed": _at_least(0),
-    "alpha": ((lambda v: 0 < v <= 2), "in (0, 2]"),
-    "R": _above(0), "T": _above(0),
-    "beta": ((lambda v: 0 <= v < 2), "in [0, 2)"),
-    "gamma": ((lambda v: v > spectral.SQRT2), "> sqrt(2)"),
-}
-_LOWRANK_RANGES = {**_TUNING_RANGES, "U": _at_least(1)}
 
 
 def _block(block, d, *keys):
@@ -113,9 +69,115 @@ def _block(block, d, *keys):
     return d
 
 
-def _is_number(x, whole):
-    return (not isinstance(x, bool) and isinstance(x, numbers.Real)
-            and math.isfinite(x) and not (whole and x != int(x)))
+def _check(block, d, table):
+    """Return ``d`` after raising ValueError naming ``block`` and the key
+    when ``d`` is not a mapping, sets a key that ``table`` does not list,
+    lacks a required one, or holds a value not of its key's kind (checked,
+    not coerced: int("20") would pass silently) or out of its range."""
+    for key in _block(block, d):
+        if key not in table:
+            raise ValueError(f"{block}: unknown key {key!r}; allowed keys: "
+                             f"{', '.join(table) or 'none'}")
+    for key, k in table.items():
+        if key not in d:
+            if k.required:
+                raise ValueError(f"{block}: missing key {key!r}")
+            continue
+        v = d[key]
+        if isinstance(k.kind, tuple) and not (isinstance(v, str)
+                                              and v in k.kind):
+            raise ValueError(f"{block}: {key} must be one of "
+                             f"{', '.join(k.kind)}, got {v!r}")
+        if k.kind not in (NUMBER, WHOLE, NUMBERS, WHOLES):
+            continue
+        many, whole = k.kind in (NUMBERS, WHOLES), k.kind in (WHOLE, WHOLES)
+        vals = v if many else (v,)
+        if (many and not isinstance(v, (list, tuple, np.ndarray))
+                or not all(not isinstance(x, bool)
+                           and isinstance(x, numbers.Real) and math.isfinite(x)
+                           and not (whole and x != int(x)) for x in vals)):
+            raise ValueError(f"{block}: {key} must be a {k.kind}, got {v!r}")
+        if k.range and not all(map(k.range[0], vals)):
+            raise ValueError(f"{block}: {key} must be {k.range[1]}"
+                             f"{' each' if many else ''}, got {v!r}")
+    return d
+
+
+def _given(d, table, **params):
+    """The keyword arguments that block ``d`` gives a constructor: each key
+    of ``table`` that ``d`` sets to a value other than None, else its
+    default where the table holds one, a whole number as an int and a
+    number as a float, named by the parameter that ``params`` maps to the
+    key or else by the key."""
+    names = {key: param for param, key in params.items()}
+    out = {}
+    for key, k in table.items():
+        v = k.default if d.get(key) is None else d[key]
+        if v is not None:
+            out[names.get(key, key)] = (int(v) if k.kind == WHOLE else
+                                        float(v) if k.kind == NUMBER else v)
+    return out
+
+
+_SEED = {"seed": _Key(WHOLE, _at_least(0))}
+_U = {"U": _Key(NUMBER, _above(0), default=1.0)}
+_TAU = {"tau": _Key(NUMBER, _at_least(0))}
+_PD_SOLVER = {  # PdSoftConfig's keys besides tau
+    "lambda": _Key(NUMBER, _above(0)), "rho_admm": _Key(NUMBER, _above(0)),
+    "tol": _Key(NUMBER, _above(0)), "max_iter": _Key(WHOLE, _at_least(1))}
+# the theory constants of the admissibility check: R bounds the largest
+# entry of Sigma, (T, beta) the noise class, gamma the concentration
+_THEORY = {
+    "R": _Key(NUMBER, _above(0)), "T": _Key(NUMBER, _above(0)),
+    "beta": _Key(NUMBER, ((lambda v: 0 <= v < 2), "in [0, 2)")),
+    "gamma": _Key(NUMBER, ((lambda v: v > spectral.SQRT2), "> sqrt(2)"))}
+_GENERATORS = ("gaussian", "stable")
+_ALPHA = {"alpha": _Key(NUMBER, ((lambda v: 0 < v <= 2), "in (0, 2]"),
+                        default=1.0)}
+_LOWRANK = {  # LowRankConfig's keys; its annulus radius is at least 1
+    "U": _U["U"]._replace(range=_at_least(1)),
+    "lambda": _PD_SOLVER["lambda"]._replace(default=1e-4),
+    "mc_samples": _Key(WHOLE, _at_least(1))}
+_P = {"p": _Key(WHOLE, _at_least(1), required=True)}
+_SAMPLE = {"n": _Key(WHOLE, _at_least(1), required=True), **_SEED}
+
+# Each block's table; the covariance and noise tables by kind, the tuning
+# tables by estimator tag. A tuning's ranges are those of the constructor
+# that takes it, so that a value out of range fails when the config is
+# parsed instead of in every record.
+SCHEMA = {
+    "config": {"scenario": _Key(required=True),
+               "estimators": _Key(required=True),
+               "replications": _Key(WHOLE, _at_least(1), required=True),
+               "cv": _Key(), "output": _Key()},
+    "scenario": {"covariance": _Key(required=True), "noise": _Key(),
+                 **_SAMPLE},
+    "covariance": {
+        "tridiagonal": _P,
+        "block_diagonal": {
+            **_P, "block_sizes": _Key(WHOLES, _at_least(0), required=True),
+            **_SEED},
+        "explicit": {"matrix": _Key(required=True)}},
+    "noise": {
+        "none": {},
+        "gamma_elliptical": {"theta": _Key(NUMBER, required=True),
+                             "A": _Key(default="identity")},
+        "gaussian": {"rho": _Key(NUMBER, required=True)},
+        "stable": {"beta": _Key(NUMBER, required=True),
+                   "sigma": _Key(NUMBER, required=True), "norm": _Key()}},
+    "cv": {"num_splits": _Key(WHOLE, _at_least(1), default=100),
+           "tau_grid": _Key(NUMBERS, default=shrinkage.DEFAULT_TAU_GRID),
+           **_SEED, "rule": _Key()},
+    "estimator": {
+        "cov": {},
+        "pds": {**_TAU, **_PD_SOLVER},
+        "sps": {**_TAU, **_PD_SOLVER, **_U, **_THEORY},
+        "soft": {**_TAU, **_U, **_THEORY},
+        "hard": {**_TAU, **_U, **_THEORY},
+        "elliptical": {**_U, "generator": _Key(_GENERATORS),
+                       **_ALPHA, **_THEORY},
+        "lowrank": {**_LOWRANK, **_SEED}},
+}
 
 
 CSV_HEADER = [
@@ -142,12 +204,9 @@ class ExperimentSpec:
             if tag not in ESTIMATORS:
                 raise ValueError(f"unknown estimator tag {tag!r}")
             # a None tau is left to be chosen by cross-validation
-            numbers = {k: v for k, v in tuning.items()
-                       if not (k == "tau" and v is None)}
-            _check_numbers(f"estimator {tag!r}", numbers, _NUMERIC_KEYS,
-                           _INTEGER_KEYS)
-            _check_range(f"estimator {tag!r}", numbers, **(
-                _LOWRANK_RANGES if tag == "lowrank" else _TUNING_RANGES))
+            _check(f"estimator {tag!r}", {
+                k: v for k, v in tuning.items()
+                if not (k == "tau" and v is None)}, SCHEMA["estimator"][tag])
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
@@ -182,42 +241,32 @@ class SummaryStats:
     stderr: Optional[float] = None
 
 
-def _generator_from_tuning(tuning):
+# The estimators read a tuning through _given, so that they take the
+# defaults of SCHEMA and of their constructors, as a config does.
+def _elliptical(Y, tuning):
     gen_kind = tuning.get("generator", "gaussian")
-    if gen_kind == "gaussian":
-        return spectral.gaussian_generator()
-    if gen_kind == "stable":
-        return spectral.stable_generator(float(tuning.get("alpha", 1.0)))
-    raise ValueError(f"unknown elliptical generator {gen_kind!r}")
-
-
-def _pd_config(tuning):
-    return PdSoftConfig(
-        tau=tuning.get("tau"),
-        lambda_barrier=tuning.get("lambda", 1e-4),
-        max_iter=int(tuning.get("max_iter", 10_000)),
-        tol=float(tuning.get("tol", 1e-7)),
-        rho_admm=float(tuning.get("rho_admm", 2.0)),
-    )
+    if gen_kind not in _GENERATORS:
+        raise ValueError(f"unknown elliptical generator {gen_kind!r}")
+    gen = (spectral.stable_generator(**_given(tuning, _ALPHA))
+           if gen_kind == "stable" else spectral.gaussian_generator())
+    return spectral.spectral_estimate(Y, **_given(tuning, _U), gen=gen)
 
 
 def _spectral(Y, tuning):
-    return spectral.spectral_estimate(Y, tuning.get("U", 1.0))
+    return spectral.spectral_estimate(Y, **_given(tuning, _U))
 
 
 def _lowrank(Y, tuning):
-    cfg = lowrank.LowRankConfig(
-        U=tuning.get("U", 1.0),
-        lambda_nuc=tuning.get("lambda", 1e-4),
-        mc_samples=int(tuning.get("mc_samples", 4096)),
-    )
+    cfg = lowrank.LowRankConfig(**_given(tuning, _LOWRANK,
+                                         lambda_nuc="lambda"))
     w = lowrank.bump_weight(Y.shape[1])
-    return lowrank.lowrank_estimate(Y, cfg, w, seed=int(tuning.get("seed", 0)))
+    return lowrank.lowrank_estimate(Y, cfg, w, **_given(tuning, _SEED))
 
 
 def _pd_soft(bases, tuning, taus):
+    solver = _given(tuning, _PD_SOLVER, lambda_barrier="lambda")
     return shrinkage.pd_soft_threshold(
-        bases, [_pd_config({**tuning, "tau": tau}) for tau in taus])
+        bases, [PdSoftConfig(tau, **solver) for tau in taus])
 
 
 # The estimators that take tau, each a base estimate of Y followed by a rule
@@ -260,8 +309,7 @@ ESTIMATORS = {
     "cov": lambda Y, t: shrinkage.sample_covariance(Y),
     **{tag: _thresholded(tag) for tag in THRESHOLD_TAGS},
     "lowrank": _lowrank,
-    "elliptical": lambda Y, t: spectral.spectral_estimate(
-        Y, t.get("U", 1.0), _generator_from_tuning(t)),
+    "elliptical": _elliptical,
 }
 
 
@@ -275,13 +323,9 @@ def cv_fit(tag, tuning):
 
 
 def _admissible_flag(tuning, n, p):
-    keys = ("U", "R", "T", "beta")
-    if not all(k in tuning for k in keys):
+    if not all(k in tuning for k in ("U", "R", "T", "beta")):
         return None
-    cfg = spectral.SpectralConfig(
-        U=tuning["U"], R=tuning["R"], T=tuning["T"], beta=tuning["beta"],
-        gamma=tuning.get("gamma", 1.5),
-    )
+    cfg = spectral.SpectralConfig(**_given(tuning, {**_U, **_THEORY}))
     return spectral.admissible(cfg, n, p)
 
 
@@ -307,8 +351,9 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
         cv_sample = simgen.sample_scenario(
             Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise, n=n,
                      seed=_rep_seed(spec.scenario.seed, spec.replications)))
-        U_cv = next((t.get("U", 1.0) for tag, t in spec.estimators
-                     if _BASES.get(tag) is _spectral), 1.0)
+        # the radius of the first estimator with a spectral base
+        U_cv = _given(next((t for tag, t in spec.estimators
+                            if _BASES.get(tag) is _spectral), {}), _U)["U"]
         rule_tuning = next((t for tag, t in spec.estimators
                             if tag == spec.cv_rule), {})
         fit = cv_fit(spec.cv_rule, {**rule_tuning, "U": U_cv})
@@ -316,28 +361,18 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
             tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
         except Exception as exc:  # fails the tuned records only, below
             cv_error = f"cross-validation failed: {type(exc).__name__}: {exc}"
-    tunings = []
-    for tag, tuning in spec.estimators:
-        tuning = dict(tuning)
-        if spec.cv is not None and tag in THRESHOLD_TAGS:
-            tuning["tau"] = tau_cv
-        tunings.append(tuning)
+    tunings = [{**tuning, "tau": tau_cv}
+               if spec.cv is not None and tag in THRESHOLD_TAGS
+               else dict(tuning) for tag, tuning in spec.estimators]
     flags = [_admissible_flag(tuning, n, p) for tuning in tunings]
     records = []
     for first in range(0, spec.replications, _BLOCK):
         block = _run_block(
             spec, range(first, min(first + _BLOCK, spec.replications)),
             tunings, truth, cv_error)
-        for (rep, i), (frob, wall, err_msg) in sorted(block.items()):
-            records.append(ResultRecord(
-                replication=rep,
-                estimator=spec.estimators[i][0],
-                frob_error=frob,
-                wall_time=wall,
-                tuning_used=dict(tunings[i]),
-                admissible_flag=flags[i],
-                error=err_msg,
-            ))
+        records += [ResultRecord(rep, spec.estimators[i][0], frob, wall,
+                                 dict(tunings[i]), flags[i], err_msg)
+                    for (rep, i), (frob, wall, err_msg) in sorted(block.items())]
     records.sort(key=lambda r: (r.replication, r.estimator))
     return records
 
@@ -421,8 +456,7 @@ def summarize(records) -> dict:
     errors of its successful records, with the failed (NaN) ones counted."""
     if not records:
         raise ValueError("no records to summarize")
-    out = {}
-    by_tag = {}
+    out, by_tag = {}, {}
     for r in records:
         by_tag.setdefault(r.estimator, []).append(r.frob_error)
     for tag, vals in by_tag.items():
@@ -457,17 +491,9 @@ def records_to_csv(records) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        writer.writerow([
-            r.replication,
-            r.estimator,
-            _fmt(r.frob_error),
-            _fmt(r.wall_time),
-            _fmt(r.tuning_used.get("tau")),
-            _fmt(r.tuning_used.get("U")),
-            _fmt(r.tuning_used.get("lambda")),
-            _fmt(r.admissible_flag),
-            _fmt(r.error),
-        ])
+        tuning = [r.tuning_used.get(key) for key in ("tau", "U", "lambda")]
+        writer.writerow([r.replication, r.estimator] + [_fmt(x) for x in (
+            r.frob_error, r.wall_time, *tuning, r.admissible_flag, r.error)])
     return buf.getvalue()
 
 
@@ -483,89 +509,60 @@ def summary_to_json(summary) -> str:
     )
 
 
-def _noise_from_dict(d, p):
-    kind = d.get("kind", "none")
-    if kind == "none":
-        return NoiseModel.none()
-    if kind == "gamma_elliptical":
-        _block("noise", d, "theta")
-        A = d.get("A", "identity")
-        A = np.eye(p) if (isinstance(A, str) and A == "identity") else np.asarray(A, float)
-        return NoiseModel.gamma_elliptical(A, d["theta"])
-    if kind == "gaussian":
-        _block("noise", d, "rho")
-        return NoiseModel.gaussian(d["rho"])
-    if kind == "stable":
-        _block("noise", d, "beta", "sigma")
-        return NoiseModel.stable(d["beta"], d["sigma"], d.get("norm", "lbeta"))
-    raise ValueError(f"unknown noise kind {kind!r}")
+def _kind(block, d):
+    """(kind, the keyword arguments that block ``d`` gives its constructor)
+    after the table of its kind in SCHEMA checks ``d``. Each covariance and
+    noise kind is named after its CovModel or NoiseModel constructor."""
+    kind = _block(block, d, "kind")["kind"]
+    table = SCHEMA[block].get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise ValueError(f"unknown {block} kind {kind!r}")
+    _check(block, d, {"kind": _Key(), **table})
+    return kind, _given(d, table)
 
 
 def _cov_from_dict(d):
-    kind = d["kind"]
-    if kind == "tridiagonal":
-        _block("covariance", d, "p")
-        return CovModel.tridiagonal(int(d["p"]))
-    if kind == "block_diagonal":
-        _block("covariance", d, "p", "block_sizes")
-        return CovModel.block_diagonal(int(d["p"]), d["block_sizes"],
-                                       int(d.get("seed", 0)))
-    if kind == "explicit":
-        _block("covariance", d, "matrix")
-        try:
-            return CovModel.explicit(d["matrix"])
-        except ValueError as exc:
-            raise ValueError(f"covariance: matrix {exc}") from None
-    raise ValueError(f"unknown covariance kind {kind!r}")
+    kind, args = _kind("covariance", d)
+    if kind != "explicit":
+        return getattr(CovModel, kind)(**args)
+    try:
+        return CovModel.explicit(**args)
+    except ValueError as exc:
+        raise ValueError(f"covariance: matrix {exc}") from None
+
+
+def _noise_from_dict(d, p):
+    kind, args = _kind("noise", d)
+    if isinstance(args.get("A"), str) and args["A"] == "identity":
+        args["A"] = np.eye(p)
+    return getattr(NoiseModel, kind)(**args)
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
-    """Build an ExperimentSpec from a parsed config document.
+    """Build an ExperimentSpec from a parsed config document, each block
+    checked against its table in SCHEMA.
 
     Schema (YAML): see configs/tridiagonal_gamma.yaml for a complete example.
     """
-    _block("config", doc, "scenario", "estimators", "replications")
-    sc = _block("scenario", doc["scenario"], "covariance", "n")
-    cov_doc = _block("covariance", sc["covariance"], "kind")
+    _check("config", doc, SCHEMA["config"])
+    sc = _check("scenario", doc["scenario"], SCHEMA["scenario"])
+    cov = _cov_from_dict(sc["covariance"])
     # a bare "noise:" key, like an absent one, is no noise
-    noise_doc = _block("noise", sc.get("noise") or {"kind": "none"})
-    # only a bare "cv:" key is an empty block: every CV default
-    c = _block("cv", {} if doc.get("cv") is None else doc["cv"])
-    # numbers are checked here, not coerced: int("20") would pass silently
-    _check_numbers("scenario", sc, whole=("n", "seed"))
-    _check_numbers("covariance", cov_doc, whole=("p", "block_sizes", "seed"))
-    _check_numbers("noise", noise_doc, real=("theta", "rho", "beta", "sigma"))
-    _check_numbers("config", doc, whole=("replications",))
-    _check_numbers("cv", c, real=("tau_grid",), whole=("num_splits", "seed"))
-    _check_range("scenario", sc, n=_at_least(1), seed=_at_least(0))
-    _check_range("covariance", cov_doc, p=_at_least(1),
-                 block_sizes=_at_least(0), seed=_at_least(0))
-    _check_range("config", doc, replications=_at_least(1))
-    _check_range("cv", c, num_splits=_at_least(1), seed=_at_least(0))
-    cov = _cov_from_dict(cov_doc)
-    noise = _noise_from_dict(noise_doc, cov.p)
-    scenario = Scenario(cov=cov, noise=noise, n=int(sc["n"]),
-                        seed=int(sc.get("seed", 0)))
+    noise = _noise_from_dict(sc.get("noise") or {"kind": "none"}, cov.p)
     estimators = []
     for i, e in enumerate(doc["estimators"] or []):
         e = dict(_block(f"estimator {i}", e, "tag"))
-        tag = e.pop("tag")
-        estimators.append((tag, e))
-    cv = None
+        estimators.append((e.pop("tag"), e))
+    cv, rule = None, {}
     if "cv" in doc:
-        grid = c.get("tau_grid")
-        if grid is None:
-            grid = shrinkage.DEFAULT_TAU_GRID
-        cv = CvConfig(num_splits=int(c.get("num_splits", 100)),
-                      tau_grid=grid, seed=int(c.get("seed", 0)))
-    return ExperimentSpec(
-        scenario=scenario,
-        estimators=estimators,
-        replications=int(doc["replications"]),
-        cv=cv,
-        cv_rule=c.get("rule", "sps"),
-        output=doc.get("output"),
-    )
+        # only a bare "cv:" key is an empty block: every CV default
+        args = _given(_check("cv", {} if doc["cv"] is None else doc["cv"],
+                             SCHEMA["cv"]), SCHEMA["cv"])
+        rule = {"cv_rule": args.pop("rule")} if "rule" in args else {}
+        cv = CvConfig(**args)
+    return ExperimentSpec(Scenario(cov, noise, **_given(sc, _SAMPLE)),
+                          estimators, int(doc["replications"]), cv,
+                          output=doc.get("output"), **rule)
 
 
 class _SpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

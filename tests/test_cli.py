@@ -222,6 +222,31 @@ replications: 1
         assert "'sps' needs a tau" in err["message"]
         assert not out.exists()
 
+    def test_misspelt_key_exits_nonzero_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text(
+            """
+scenario:
+  covariance: {kind: tridiagonal, p: 2}
+  noise: {kind: none}
+  n: 20
+  seed: 2
+estimators:
+  - {tag: cov}
+  - {tag: sps, tau: 0.3, U: 1.0, lamda: 5.0}
+replications: 1
+"""
+        )
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ")
+        doc = json.loads(err.removeprefix("ERROR "))
+        assert doc["type"] == "ValueError"
+        assert "estimator 'sps': unknown key 'lamda'" in doc["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,key", [
         ('{tag: sps, tau: "0.25", U: 1.0}', "tau"),
         ('{tag: sps, tau: 0.25, U: "1"}', "U"),

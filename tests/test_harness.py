@@ -78,10 +78,10 @@ class TestSpecValidation:
     @pytest.mark.parametrize("tag", ["sps", "pds", "hard", "soft"])
     def test_rejects_threshold_tag_without_tau_or_cv(self, tag):
         with pytest.raises(ValueError, match=f"'{tag}' needs a tau"):
-            small_spec([("cov", {}), (tag, {"U": 1.0})])
+            small_spec([("cov", {}), (tag, {})])
         # a cv: block supplies the tau
         cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
-        small_spec([(tag, {"U": 1.0})], cv=cv, cv_rule=tag)
+        small_spec([(tag, {})], cv=cv, cv_rule=tag)
 
     @pytest.mark.parametrize("key", ["tau", "U", "lambda", "rho_admm",
                                      "tol", "max_iter", "mc_samples",
@@ -89,14 +89,27 @@ class TestSpecValidation:
                                      "gamma"])
     @pytest.mark.parametrize("value", ["1", True, float("nan")])
     def test_rejects_non_numeric_tuning(self, key, value):
-        with pytest.raises(ValueError, match=f"estimator 'sps': {key} must"):
-            small_spec([("cov", {}), ("sps", {"tau": 0.2, key: value})])
+        # each key on a tag that takes it
+        tag = {"mc_samples": "lowrank", "seed": "lowrank",
+               "alpha": "elliptical"}.get(key, "sps")
+        tuning = {"tau": 0.2} if tag == "sps" else {}
+        with pytest.raises(ValueError, match=f"estimator '{tag}': {key} must"):
+            small_spec([("cov", {}), (tag, {**tuning, key: value})])
+
+    def test_rejects_unknown_tuning_key_of_a_spec_built_in_code(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "estimator 'soft': unknown key 'lamda'; allowed keys: tau, U, "
+                "R, T, beta, gamma")):
+            small_spec([("soft", {"tau": 0.2, "lamda": 1.0})])
 
     @pytest.mark.parametrize("key", ["max_iter", "mc_samples", "seed"])
     def test_integer_tuning_must_be_whole(self, key):
-        with pytest.raises(ValueError, match=f"'lowrank': {key} must be a whole"):
-            small_spec([("lowrank", {key: 2.5})])
-        small_spec([("lowrank", {key: 3.0})])
+        # lowrank takes no max_iter; pds does
+        tag, tuning = ("pds", {"tau": 0.2}) if key == "max_iter" \
+            else ("lowrank", {})
+        with pytest.raises(ValueError, match=f"'{tag}': {key} must be a whole"):
+            small_spec([(tag, {**tuning, key: 2.5})])
+        small_spec([(tag, {**tuning, key: 3.0})])
 
 
 class TestRunExperiment:
@@ -122,10 +135,14 @@ class TestRunExperiment:
         keys = [(r.replication, r.estimator) for r in records]
         assert keys == sorted(keys)
 
-    def test_failure_isolated_to_its_record(self):
-        # an unknown generator fails the elliptical estimate when it runs;
-        # cov in the same run must not fail
-        spec = small_spec([("elliptical", {"U": 1.0, "generator": "bogus"}),
+    def test_failure_isolated_to_its_record(self, monkeypatch):
+        # a failing spectral estimate fails the elliptical estimate when it
+        # runs; cov in the same run must not fail
+        def failing(*args, **kwargs):
+            raise spectral.EstimationError("no estimate")
+
+        monkeypatch.setattr(spectral, "spectral_estimate", failing)
+        spec = small_spec([("elliptical", {"U": 1.0, "generator": "stable"}),
                            ("cov", {})], replications=2)
         records = run_experiment(spec)
         bad = [r for r in records if r.estimator == "elliptical"]
@@ -241,7 +258,9 @@ class TestRunExperiment:
         # the sps block raises and is solved again one problem at a time
         spec = load_spec(Path(__file__).resolve().parents[1] / "configs"
                          / "tridiagonal_gamma.yaml")
-        estimators = [(tag, {**tuning, "max_iter": 20})
+        # cov takes no max_iter
+        estimators = [(tag, tuning if tag == "cov" else
+                       {**tuning, "max_iter": 20})
                       for tag, tuning in spec.estimators]
         spec = ExperimentSpec(scenario=spec.scenario, estimators=estimators,
                               replications=8)
@@ -657,6 +676,26 @@ class TestConfigLoading:
          "estimator 'sps': beta must be in [0, 2), got 2.0"),
         (("estimators",), [{"tag": "sps", "tau": 0.2, "R": 0.0}],
          "estimator 'sps': R must be > 0, got 0.0"),
+        # a misspelt or misplaced key fails instead of running at a default
+        (("estimators",), [{"tag": "sps", "tau": 0.25, "lamda": 5.0}],
+         "estimator 'sps': unknown key 'lamda'; allowed keys: tau, lambda, "
+         "rho_admm, tol, max_iter, U, R, T, beta, gamma"),
+        (("estimators",), [{"tag": "sps", "tau": 0.25, "u": 9}],
+         "estimator 'sps': unknown key 'u'"),
+        (("scenario", "nosie"), {"kind": "gaussian", "rho": 0.5},
+         "scenario: unknown key 'nosie'"),
+        (("replicatons",), 3, "config: unknown key 'replicatons'"),
+        (("cv",), {"num_split": 3}, "cv: unknown key 'num_split'"),
+        (("estimators",), [{"tag": "cov", "tau": 0.3}],
+         "estimator 'cov': unknown key 'tau'; allowed keys: none"),
+        (("estimators",), [{"tag": "hard", "tau": 0.3, "lambda": 1e-4}],
+         "estimator 'hard': unknown key 'lambda'"),
+        (("estimators",), [{"tag": "lowrank", "max_iter": 100}],
+         "estimator 'lowrank': unknown key 'max_iter'"),
+        (("scenario", "noise", "a"), "identity", "noise: unknown key 'a'"),
+        (("estimators",), [{"tag": "elliptical", "generator": "stabel"}],
+         "estimator 'elliptical': generator must be one of gaussian, stable, "
+         "got 'stabel'"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)
@@ -670,6 +709,24 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=re.escape(message)):
             spec_from_dict(doc)
 
+    def test_readme_schema_section_matches_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config schema\n", 1)[1].split("\n## ", 1)[0]
+        # the documented example is a valid config
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        spec = spec_from_dict(yaml.load(example, Loader=harness._SpecLoader))
+        assert [tag for tag, _ in spec.estimators] == \
+            ["cov", "pds", "sps", "lowrank"]
+        # the tag table lists every key that each tag takes, and no other
+        table = section.split("The estimator tags take these keys", 1)[1]
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in table.splitlines() if line.startswith("| ")][1:]
+        listed = {tag: set() for tag in harness.SCHEMA["estimator"]}
+        for row in rows:
+            for tag in row[-1].split(", "):
+                listed[tag].add(row[0])
+        assert listed == {tag: set(keys) for tag, keys
+                          in harness.SCHEMA["estimator"].items()}
 
     def test_tuning_at_the_edge_of_its_range_parses(self):
         doc = copy.deepcopy(self.DOC)
