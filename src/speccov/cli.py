@@ -33,10 +33,26 @@ def _write_matrix(mat, path):
     np.savetxt(sys.stdout if path in (None, "-") else path, mat, delimiter=",")
 
 
+# estimate's tuning flags and the keys of a tuning that they set
+_TUNING_FLAGS = {"tau": "tau", "u": "U", "barrier": "lambda"}
+
+
 def _cmd_estimate(args):
+    # a flag that is not given passes nothing on, so that the estimator
+    # takes its own default; a flag that the tag does not take fails
+    table = harness.SCHEMA["estimator"][args.estimator]
+    tuning = {}
+    for flag, key in _TUNING_FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if key not in table:
+            raise ValueError(f"--{flag}: estimator {args.estimator!r} takes "
+                             f"no {key}")
+        tuning[key] = value
+    if args.estimator in harness.THRESHOLD_TAGS:
+        tuning.setdefault("tau", 0.25)
     Y = _load_matrix(args.input)
-    # a None lambda takes the estimator's own default
-    tuning = {"tau": args.tau, "U": args.u, "lambda": args.barrier}
     est = harness.ESTIMATORS[args.estimator](Y, tuning)
     _write_matrix(est.matrix, args.output)
     return 0
@@ -108,9 +124,10 @@ def build_parser():
     est.add_argument("--input", required=True,
                      help="delimited numeric matrix, rows = observations")
     est.add_argument("--estimator", default="sps", choices=harness.ESTIMATORS)
-    est.add_argument("--u", type=float, default=U, help="probe radius U")
-    est.add_argument("--tau", type=float, default=0.25)
-    est.add_argument("--barrier", type=float, default=None,
+    est.add_argument("--u", type=float, help=f"probe radius U (default {U})")
+    est.add_argument("--tau", type=float,
+                     help="threshold of pds, sps, soft, hard (default 0.25)")
+    est.add_argument("--barrier", type=float,
                      help="log-det barrier weight; lowrank's nuclear penalty")
     est.add_argument("--output", default=None, help="output path (default stdout)")
     est.set_defaults(func=_cmd_estimate)

@@ -38,14 +38,16 @@ __all__ = [
 ]
 
 # The config schema (SCHEMA, below) maps every key that a block allows to a
-# _Key: the kind of its value (NUMBER, WHOLE, NUMBERS or WHOLES, a tuple of
-# the allowed names, or None for a value that a constructor checks), the
-# range of a number or of each entry of a list, whether the block must set
-# it, and its default where no constructor holds one. _check walks a block
-# against its table; _given passes on only the keys that a block sets and
-# the table's defaults, so other defaults stay with their constructors.
+# _Key: the kind of its value (NUMBER, WHOLE, NUMBERS or WHOLES, LIST for a
+# list of anything, a tuple of the allowed names, or None for a value that a
+# constructor checks), the range of a number or of each entry of a list,
+# whether the block must set it, and its default where no constructor holds
+# one. _check walks a block against its table; _given passes on only the
+# keys that a block sets and the table's defaults, so other defaults stay
+# with their constructors.
 NUMBER, WHOLE = "number", "whole number"
 NUMBERS, WHOLES = "list of numbers", "list of whole numbers"
+LIST = "list"
 _Key = namedtuple("_Key", "kind range required default",
                   defaults=(None, None, False, None))
 
@@ -88,6 +90,8 @@ def _check(block, d, table):
                                               and v in k.kind):
             raise ValueError(f"{block}: {key} must be one of "
                              f"{', '.join(k.kind)}, got {v!r}")
+        if k.kind == LIST and not isinstance(v, list):
+            raise ValueError(f"{block}: {key} must be a list, got {v!r}")
         if k.kind not in (NUMBER, WHOLE, NUMBERS, WHOLES):
             continue
         many, whole = k.kind in (NUMBERS, WHOLES), k.kind in (WHOLE, WHOLES)
@@ -147,7 +151,7 @@ _SAMPLE = {"n": _Key(WHOLE, _at_least(1), required=True), **_SEED}
 # parsed instead of in every record.
 SCHEMA = {
     "config": {"scenario": _Key(required=True),
-               "estimators": _Key(required=True),
+               "estimators": _Key(LIST, required=True),
                "replications": _Key(WHOLE, _at_least(1), required=True),
                "cv": _Key(), "output": _Key()},
     "scenario": {"covariance": _Key(required=True), "noise": _Key(),
@@ -550,7 +554,7 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     # a bare "noise:" key, like an absent one, is no noise
     noise = _noise_from_dict(sc.get("noise") or {"kind": "none"}, cov.p)
     estimators = []
-    for i, e in enumerate(doc["estimators"] or []):
+    for i, e in enumerate(doc["estimators"]):
         e = dict(_block(f"estimator {i}", e, "tag"))
         estimators.append((e.pop("tag"), e))
     cv, rule = None, {}

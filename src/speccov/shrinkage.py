@@ -333,7 +333,7 @@ def _pd_soft_stack(shat, taus, cfg):
     converges, and the others go on without it."""
     B, p, lam = len(taus), shat.shape[-1], cfg.lambda_barrier
     tau = np.array(taus)[:, None, None]
-    rho = np.full((B, 1, 1), cfg.rho_admm)
+    rho = np.full((B, 1, 1), cfg.rho_admm, dtype=float)
     s = _pd_soft_start(shat, tau, lam, cfg.rho_admm)
     # per problem: the image g = F(s) of the ADMM state s = (Z, Dual) under
     # one iteration, then X, zeros, X - Z_new and Z_new - Z, so that one

@@ -62,7 +62,10 @@ class SampleMatrix:
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("sample must be a 2-d array with n >= 1, p >= 1")
-        if not np.all(np.isfinite(arr)):
+        # by row blocks, so that no n x p array of flags is built
+        rows = _kernels._rows_per_block(arr.shape[1])
+        if not all(np.isfinite(arr[k:k + rows]).all()
+                   for k in range(0, len(arr), rows)):
             raise ValueError("sample contains non-finite entries")
         object.__setattr__(self, "data", arr)
 

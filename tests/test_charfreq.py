@@ -48,6 +48,14 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             SampleMatrix(np.ones((0, 3)))
 
+    @pytest.mark.parametrize("row", [0, 3276, 9999])
+    def test_rejects_nan_in_any_row_block(self, row):
+        # finiteness is checked by row blocks of 3276 rows at p = 20
+        Y = np.ones((10_000, 20))
+        Y[row, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            SampleMatrix(Y)
+
 
 class TestEmpiricalCf:
     def test_single_observation_has_unit_modulus(self):

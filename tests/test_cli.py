@@ -67,6 +67,20 @@ class TestEstimate:
         doc = json.loads(err[len("ERROR "):])
         assert doc["type"] and doc["message"]
 
+    @pytest.mark.parametrize("tag,flag,value", [
+        ("pds", "--u", "5"), ("cov", "--tau", "0.3")])
+    def test_flag_the_tag_does_not_take_exits_nonzero_naming_both(
+            self, data_file, capsys, tag, flag, value):
+        code = main(["estimate", "--input", str(data_file),
+                     "--estimator", tag, flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ERROR ")
+        message = json.loads(err[len("ERROR "):])["message"]
+        assert flag in message and repr(tag) in message
+
 
 class TestSimulate:
     def test_writes_csv(self, config_file, tmp_path, capsys):
@@ -379,8 +393,10 @@ class TestParserReuse:
         assert not hasattr(rates, "tau") and not hasattr(rates, "input")
         again = parse(["estimate", "--input", str(data_file)])
         assert again.func is cli._cmd_estimate
+        # a tuning flag that is not given is None, and estimate passes
+        # nothing on for it
         assert (again.tau, again.estimator, again.u, again.output) == \
-            (0.25, "sps", 1.0, None)
+            (None, "sps", None, None)
         cv = parse(["cv", "--input", str(data_file), "--seed", "3"])
         assert parse(["cv", "--input", str(data_file)]).seed == 0
         assert cv.seed == 3 and cli.build_parser() is cli.build_parser()

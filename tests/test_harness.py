@@ -696,6 +696,10 @@ class TestConfigLoading:
         (("estimators",), [{"tag": "elliptical", "generator": "stabel"}],
          "estimator 'elliptical': generator must be one of gaussian, stable, "
          "got 'stabel'"),
+        (("estimators",), {"tag": "cov"},
+         "config: estimators must be a list, got {'tag': 'cov'}"),
+        (("estimators",), "cov",
+         "config: estimators must be a list, got 'cov'"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)

@@ -279,6 +279,16 @@ class TestPdSoftThreshold:
         with pytest.raises(ValueError):
             PdSoftConfig(tau=0.1, tol=0.0)
 
+    def test_integer_rho_admm_matches_its_float(self):
+        # rho is balanced in place, so an int start must not give an int array
+        Y = sample_scenario(Scenario(
+            CovModel.tridiagonal(20),
+            NoiseModel.gamma_elliptical(np.eye(20), 1.0), n=50, seed=5002))
+        base = spectral_estimate(Y, 3.0)
+        a = pd_soft_threshold(base, PdSoftConfig(tau=0.25, rho_admm=2))
+        b = pd_soft_threshold(base, PdSoftConfig(tau=0.25, rho_admm=2.0))
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+
 
 def _tridiagonal_gamma_base(p=20, n=50, seed=0):
     s = Scenario(cov=CovModel.tridiagonal(p),

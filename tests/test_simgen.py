@@ -19,6 +19,8 @@ from speccov.simgen import (
     stable_one_sided,
     stable_symmetric,
 )
+from speccov.spectral import spectral_estimate
+from test_charfreq import _peak_bytes
 from test_charfreq import ecf as empirical_cf
 
 
@@ -136,10 +138,9 @@ class TestSampleScenario:
         (NoiseModel.stable(1.5, 0.7, "l2"), 2.5),
     ])
     def test_peak_memory_is_a_few_outputs(self, noise, bound):
-        # the signal and the noise are drawn into the output in place: the
-        # peak allocation is the output, the standard normals behind the
-        # signal and, for gamma, the normals behind the noise; stable lbeta
-        # noise is computed over three buffers
+        # the signal and the noise are drawn into the output in place, by
+        # row blocks: the peak allocation is the output and a block, and
+        # for stable lbeta noise also its uniforms and exponentials
         s = Scenario(cov=CovModel.tridiagonal(20), noise=noise, n=20_000,
                      seed=3)
         tracemalloc.start()
@@ -166,6 +167,66 @@ class TestSampleScenario:
             assert Y.tobytes() == want.tobytes()
         assert len(calls) == 1
         assert not cov.sqrt().flags.writeable
+
+
+class TestSamplerBlocks:
+    """A draw fills its output in place by row blocks: its working memory
+    beyond the output does not grow with n, and it takes and combines the
+    same numbers as the whole-array draw."""
+
+    BOUND = 4 * 2**20
+    P = 20
+
+    @pytest.mark.parametrize("n", [40_000, 160_000])
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.none(), NoiseModel.gaussian(0.7),
+        NoiseModel.gamma_elliptical(0.5 * np.eye(20), 1.5),
+        NoiseModel.stable(1.5, 0.7, "l2")], ids=lambda m: m.kind)
+    def test_peak_beyond_output_is_flat(self, noise, n):
+        s = Scenario(cov=CovModel.tridiagonal(self.P), noise=noise, n=n,
+                     seed=3)
+        assert _peak_bytes(sample_scenario, s) - 8 * n * self.P < self.BOUND
+
+    @pytest.mark.parametrize("n", [40_000, 160_000])
+    def test_lbeta_stable_peak_is_two_draws_beyond_output(self, n):
+        # its uniforms and then its exponentials are drawn whole
+        s = Scenario(cov=CovModel.tridiagonal(self.P),
+                     noise=NoiseModel.stable(1.5, 0.7, "lbeta"), n=n, seed=3)
+        output = 8 * n * self.P
+        assert _peak_bytes(sample_scenario, s) - output < \
+            2 * output + self.BOUND
+
+    @pytest.mark.parametrize("n", [40_000, 160_000])
+    def test_spectral_estimate_peak_beyond_input_is_flat(self, n):
+        # the probe ECF kernel's block of 2**16 float64 and a few p x p
+        # arrays; a flag per entry of Y alone would take 0.8 MB at n=40 000
+        Y = sample_scenario(Scenario(cov=CovModel.tridiagonal(self.P),
+                                     noise=NoiseModel.none(), n=n, seed=4))
+        assert _peak_bytes(spectral_estimate, Y.data, 1.0) < 2**20
+
+    @pytest.mark.parametrize("n", [60, 80_000])
+    def test_gaussian_draw_equals_whole_array_formula(self, n):
+        cov = CovModel.tridiagonal(self.P)
+        Y = sample_scenario(Scenario(cov=cov, noise=NoiseModel.gaussian(0.7),
+                                     n=n, seed=5)).data
+        rng = np.random.default_rng(5)
+        want = (rng.standard_normal((n, self.P)) @ cov.sqrt()
+                + 0.7 * rng.standard_normal((n, self.P)))
+        assert Y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [60, 80_000])
+    def test_gamma_draw_equals_whole_array_formula(self, n):
+        cov = CovModel.block_diagonal(self.P, [5, 15], seed=1)
+        A = np.random.default_rng(2).standard_normal((self.P, self.P))
+        Y = sample_scenario(Scenario(
+            cov=cov, noise=NoiseModel.gamma_elliptical(A, 1.5), n=n,
+            seed=6)).data
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((n, self.P)) @ cov.sqrt()
+        W = rng.gamma(1.5, 1.0, size=n)
+        noise = rng.standard_normal((n, self.P)) @ A.T
+        want = X + noise * np.sqrt(W)[:, None]
+        assert Y.tobytes() == want.tobytes()
 
 
 class TestNoiseCfClosedForms:
@@ -270,6 +331,31 @@ class TestStableBuildingBlocks:
         for t in (0.5, 1.5):
             got = float(np.mean(np.cos(t * x)))
             assert got == pytest.approx(math.exp(-t**1.4), abs=0.01)
+
+    @pytest.mark.parametrize("size", [200_000, (7_000, 20)])
+    def test_symmetric_equals_its_whole_array_expression(self, size):
+        # it is computed by row blocks, in place
+        beta = 1.4
+        rng = np.random.default_rng(12)
+        V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+        E = rng.exponential(1.0, size=size)
+        want = (np.sin(beta * V) / np.cos(V) ** (1.0 / beta)
+                * (np.cos((1.0 - beta) * V) / E) ** ((1.0 - beta) / beta))
+        got = stable_symmetric(np.random.default_rng(12), beta, size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_sided_equals_its_whole_array_expression(self):
+        # it is computed by row blocks, in place
+        alpha, n = 0.6, 200_000
+        rng = np.random.default_rng(13)
+        V = rng.uniform(0.0, math.pi, size=n)
+        E = rng.exponential(1.0, size=n)
+        want = (np.sin((1.0 - alpha) * V)
+                * np.sin(alpha * V) ** (alpha / (1.0 - alpha))
+                / np.sin(V) ** (1.0 / (1.0 - alpha))
+                / E) ** ((1.0 - alpha) / alpha)
+        got = stable_one_sided(np.random.default_rng(13), alpha, n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestModelValidation:
