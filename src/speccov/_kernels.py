@@ -51,16 +51,16 @@ def _cos_sin(x, cos):
 
 
 def probe_cf(Y, U):
-    """ECF at the probe frequencies ``U * e_i`` and ``U * (e_i + e_j)/sqrt(2)``.
+    """ECF at every probe frequency ``U * u_ij``, as one p x p matrix.
 
-    <U*u_ij, y> = a*y_i + a*y_j with a = U/sqrt(2) for i != j, so with the
-    p x n matrices C = cos(a*Y^T) and S = sin(a*Y^T) the pairwise sums are
+    Entry (i, i) is the ECF at U*u_ii = U*e_i. For i != j, <U*u_ij, y> =
+    a*y_i + a*y_j with a = U/sqrt(2), so with the p x n matrices
+    C = cos(a*Y^T) and S = sin(a*Y^T) the pairwise sums are
     sum_k cos(a y_ki + a y_kj) = (C C^T - S S^T)_ij and
     sum_k sin(a y_ki + a y_kj) = (C S^T + S C^T)_ij, all four read off the
-    real Gram matrix W W^T of W = [C; S]. Diagonal probes use U*u_i = U*e_i.
-    A block of W holds its rows of C and S transposed, so each half is one
-    contiguous array for the elementwise passes. ``cf_pair`` is exactly
-    symmetric.
+    real Gram matrix W W^T of W = [C; S]. A block of W holds its rows of C
+    and S transposed, so each half is one contiguous array for the
+    elementwise passes. The result is exactly symmetric.
     """
     n, p = Y.shape
     a = U / _SQRT2
@@ -83,12 +83,14 @@ def probe_cf(Y, U):
         gram += w @ w.T
     # a no-op when BLAS returns W W^T exactly symmetric; makes sure otherwise
     gram = 0.5 * (gram + gram.T)
-    cf_diag = (diag_re + 1j * diag_im) / n
-    cf_pair = np.empty((p, p), dtype=complex)
-    cf_pair.real = gram[:p, :p] - gram[p:, p:]
-    cf_pair.imag = gram[:p, p:] + gram[p:, :p]
-    cf_pair /= n
-    return cf_diag, cf_pair
+    cf = np.empty((p, p), dtype=complex)
+    cf.real = gram[:p, :p] - gram[p:, p:]
+    cf.imag = gram[:p, p:] + gram[p:, :p]
+    # the Gram diagonal is the ECF at sqrt(2)*U*e_i, which no probe reads
+    np.fill_diagonal(cf.real, diag_re)
+    np.fill_diagonal(cf.imag, diag_im)
+    cf /= n
+    return cf
 
 
 def ecf(Y, freqs):

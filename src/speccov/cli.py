@@ -39,7 +39,9 @@ _TUNING_FLAGS = {"tau": "tau", "u": "U", "barrier": "lambda"}
 
 def _cmd_estimate(args):
     # a flag that is not given passes nothing on, so that the estimator
-    # takes its own default; a flag that the tag does not take fails
+    # takes its own default; a flag that the tag does not take fails, and
+    # the values meet the ranges that a config's estimator block meets
+    block = f"estimator {args.estimator!r}"
     table = harness.SCHEMA["estimator"][args.estimator]
     tuning = {}
     for flag, key in _TUNING_FLAGS.items():
@@ -47,9 +49,9 @@ def _cmd_estimate(args):
         if value is None:
             continue
         if key not in table:
-            raise ValueError(f"--{flag}: estimator {args.estimator!r} takes "
-                             f"no {key}")
+            raise ValueError(f"--{flag}: {block} takes no {key}")
         tuning[key] = value
+    harness._check(block, tuning, table)
     if args.estimator in harness.THRESHOLD_TAGS:
         tuning.setdefault("tau", 0.25)
     Y = _load_matrix(args.input)
@@ -77,10 +79,17 @@ def _cmd_simulate(args):
     return 0
 
 
+# the keys of cv's flags: a config's cv: block and the probe radius U
+_CV_FLAGS = {**harness.SCHEMA["cv"],
+             "U": harness.SCHEMA["estimator"]["sps"]["U"]}
+
+
 def _cmd_cv(args):
-    Y = _load_matrix(args.input)
     grid = ([float(x) for x in args.grid.split(",")] if args.grid
             else shrinkage.DEFAULT_TAU_GRID)
+    harness._check("cv", {"num_splits": args.splits, "tau_grid": grid,
+                          "seed": args.seed, "U": args.u}, _CV_FLAGS)
+    Y = _load_matrix(args.input)
     cfg = CvConfig(num_splits=args.splits, tau_grid=grid, seed=args.seed)
     fit = harness.cv_fit(args.rule, {"U": args.u})
     tau_hat, Q = shrinkage.cross_validate_tau(Y, args.u, cfg, fit)

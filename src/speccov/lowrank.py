@@ -109,11 +109,13 @@ class LowRankConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.U < 1:
+        # written so that NaN and infinite values fail too
+        if not 1 <= self.U < math.inf:
             raise ValueError("U must be >= 1")
-        if self.lambda_nuc <= 0:
+        if not 0 < self.lambda_nuc < math.inf:
             raise ValueError("lambda_nuc must be positive")
-        if self.mc_samples < 1 or self.max_iter < 1 or self.tol <= 0:
+        if not (1 <= self.mc_samples < math.inf
+                and 1 <= self.max_iter < math.inf and 0 < self.tol < math.inf):
             raise ValueError("invalid solver controls")
 
 
@@ -133,8 +135,7 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     with keep the indicator.
     The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
     """
-    data = _as_data(Y)
-    n, p = data.shape
+    n, p = Y.shape
     D, r = sample_annulus(p, cfg.U, cfg.mc_samples,
                           np.random.default_rng(seed))
     lo, hi = ANNULUS
@@ -142,7 +143,7 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     omega = w(r / cfg.U) * (vol1 / cfg.mc_samples)
     heavy = omega > np.finfo(float).eps * omega.mean()
     D, r, omega = D[heavy], r[heavy], omega[heavy]
-    mod = np.abs(_kernels.ecf(data, D * r[:, None]))
+    mod = np.abs(_kernels.ecf(Y, D * r[:, None]))
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2

@@ -101,11 +101,13 @@ class PdSoftConfig:
     rho_admm: float = 2.0
 
     def __post_init__(self):
-        if self.tau < 0:
+        # written so that NaN and infinite values fail too
+        if not 0 <= self.tau < math.inf:
             raise ValueError("tau must be nonnegative")
-        if self.lambda_barrier <= 0:
+        if not 0 < self.lambda_barrier < math.inf:
             raise ValueError("lambda_barrier must be positive")
-        if self.max_iter < 1 or self.tol <= 0 or self.rho_admm <= 0:
+        if not (1 <= self.max_iter < math.inf and 0 < self.tol < math.inf
+                and 0 < self.rho_admm < math.inf):
             raise ValueError("invalid solver controls")
 
 
@@ -117,10 +119,12 @@ class CvConfig:
 
     def __post_init__(self):
         grid = np.asarray(self.tau_grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        # written so that NaN and infinite values fail too
+        if (grid.size == 0 or not np.all((0 < grid) & (grid < np.inf))
+                or np.any(np.diff(grid) <= 0)):
             raise ValueError("tau_grid must be nonempty, positive, strictly ascending")
         object.__setattr__(self, "tau_grid", grid)
-        if self.num_splits < 1:
+        if not 1 <= self.num_splits < math.inf:
             raise ValueError("num_splits must be >= 1")
 
 

@@ -66,13 +66,10 @@ def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
         b = blk.shape[0]
         full[pos:pos + b, pos:pos + b] = blk
         pos += b
-    if p == 1:
-        return np.array([[1.0]])
     w = np.linalg.eigvalsh(full)
     lmin, lmax = w[0], w[-1]
-    if lmax <= lmin:  # all eigenvalues equal; any positive shift gives cond 1
-        full = np.eye(p)
-        return full
+    if lmax <= lmin:  # all eigenvalues equal, as at p = 1: the result is I
+        return np.eye(p)
     c = (lmax - p * lmin) / (p - 1.0)
     shifted = full + c * np.eye(p)
     return shifted / (lmax + c)

@@ -11,7 +11,8 @@ exp(-eta(<u, Sigma u>)); the Gaussian case is eta(x) = x/2.
 Every probe frequency is U * u_ij, where the unit direction u_ij is the
 standard basis vector e_i (i == j) or (e_i + e_j)/sqrt(2) (i != j);
 :func:`probe_log_moduli` evaluates the empirical characteristic function
-(ECF) at all p*(p+1)/2 of them in one pass over the data.
+(ECF) at all p*(p+1)/2 of them in one pass over the data and returns them
+as one symmetric p x p matrix, entry (i, j) the probe of sigma_ij.
 """
 
 import math
@@ -77,30 +78,19 @@ def _as_data(Y) -> np.ndarray:
 
 
 def probe_log_moduli(Y, U: float):
-    """log|ecf| at all probe frequencies ``U * u_ij`` in a single data pass.
+    """log|ecf(U * u_ij)| at every probe frequency in a single data pass.
 
     A modulus at or below ``ZERO_MODULUS_TOL`` carries no usable magnitude
     information and maps to 0 rather than -inf, which keeps downstream
-    estimates finite.
-
-    Returns
-    -------
-    diag : ndarray, shape (p,)
-        log|ecf(U * e_i)|.
-    pair : ndarray, shape (p, p)
-        log|ecf(U * u_ij)| for i != j; the diagonal of ``pair`` is unused
-        filler. Exactly symmetric.
+    estimates finite. Returns an exactly symmetric p x p matrix whose entry
+    (i, j) is the probe of u_ij, so entry (i, i) is at U * e_i.
     """
     data = _as_data(Y)
-    if U <= 0:
+    if not 0 < U < math.inf:
         raise ValueError("spectral radius U must be positive")
-    cf_diag, cf_pair = _kernels.probe_cf(data, float(U))
-    mod_diag = np.abs(cf_diag)
-    mod_pair = np.abs(cf_pair)  # exactly symmetric, as cf_pair is
+    mod = np.abs(_kernels.probe_cf(data, float(U)))
     with np.errstate(divide="ignore"):
-        diag = np.where(mod_diag <= ZERO_MODULUS_TOL, 0.0, np.log(mod_diag))
-        pair = np.where(mod_pair <= ZERO_MODULUS_TOL, 0.0, np.log(mod_pair))
-    return diag, pair
+        return np.where(mod <= ZERO_MODULUS_TOL, 0.0, np.log(mod))
 
 
 @dataclass(frozen=True)
@@ -119,13 +109,14 @@ class SpectralConfig:
     gamma: float = 1.5
 
     def __post_init__(self):
-        if self.U <= 0:
+        # written so that NaN and infinite values fail too
+        if not 0 < self.U < math.inf:
             raise ValueError("U must be positive")
-        if self.gamma <= SQRT2:
+        if not SQRT2 < self.gamma < math.inf:
             raise ValueError("gamma must exceed sqrt(2)")
         if not (0 <= self.beta < 2):
             raise ValueError("beta must lie in [0, 2)")
-        if self.R <= 0 or self.T <= 0:
+        if not (0 < self.R < math.inf and 0 < self.T < math.inf):
             raise ValueError("R and T must be positive")
 
 
@@ -167,30 +158,23 @@ def stable_generator(alpha: float) -> Callable:
     return lambda y: np.asarray(y, dtype=float) ** (1.0 / h)
 
 
-def _assemble(diag_logmod, pair_logmod, U, eta_inv=_GAUSSIAN):
-    """Build the symmetric estimate from probe log-moduli.
+def _assemble(logmod, U, eta_inv=_GAUSSIAN):
+    """Build the symmetric estimate from the probe log-moduli matrix.
 
     Negative -log|cf| values (|cf| > 1 by float error) are clamped to 0
-    before eta_inv. Diagonal first, then off-diagonal corrected by the
-    diagonal halves.
+    before eta_inv. The diagonal is read off directly; each off-diagonal
+    entry is then corrected by the halves of its two diagonal entries.
     """
-    usq = U * U
-    raw_diag = np.clip(-np.asarray(diag_logmod, dtype=float), 0.0, None)
-    raw_pair = np.clip(-np.asarray(pair_logmod, dtype=float), 0.0, None)
-    d = np.asarray(eta_inv(raw_diag), dtype=float) / usq
-    q = np.asarray(eta_inv(raw_pair), dtype=float) / usq
-    bad = ~np.isfinite(d)
-    if np.any(bad):
-        raise EstimationError(
-            f"eta_inv out of domain at diagonal probes {np.flatnonzero(bad).tolist()}"
-        )
-    mat = q - 0.5 * (d[:, None] + d[None, :])
-    np.fill_diagonal(mat, d)
-    bad = ~np.isfinite(mat)
+    raw = np.clip(-np.asarray(logmod, dtype=float), 0.0, None)
+    q = np.asarray(eta_inv(raw), dtype=float) / (U * U)
+    bad = ~np.isfinite(q)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise EstimationError(f"eta_inv out of domain at probe ({i}, {j})")
+    d = q.diagonal()
     # q is exactly symmetric and the diagonal correction term is too
+    mat = q - 0.5 * (d[:, None] + d[None, :])
+    np.fill_diagonal(mat, d)
     return CovEstimate(mat, {"U": U})
 
 
@@ -202,8 +186,7 @@ def spectral_estimate(Y, U: float, gen: Callable = _GAUSSIAN) -> CovEstimate:
     halves. Pass ``gen``, the eta_inv of a known generator, for an
     elliptical signal.
     """
-    diag, pair = probe_log_moduli(Y, U)
-    return _assemble(diag, pair, U, gen)
+    return _assemble(probe_log_moduli(Y, U), U, gen)
 
 
 def tau_threshold(cfg: SpectralConfig, n: int, p: int) -> float:

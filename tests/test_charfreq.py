@@ -108,40 +108,36 @@ class TestLogModulusCf:
     def test_zero_frequency_gives_zero(self):
         # on an all-zero sample every probe sees <U u_ij, Y_k> = 0, as the
         # zero frequency does, so the ECF is exactly 1
-        diag, pair = probe_log_moduli(np.zeros((10, 3)), 1.3)
-        assert np.all(diag == 0.0) and np.all(pair == 0.0)
+        assert np.all(probe_log_moduli(np.zeros((10, 3)), 1.3) == 0.0)
 
     def test_vanishing_modulus_convention(self):
         # exp(i*pi) and exp(-i*pi) cancel exactly against two exp(0) terms,
         # so the ECF at U = 1 is an exact 0, whose log maps to 0, not -inf
         Y = np.array([[0.0], [0.0], [np.pi], [-np.pi]])
-        assert _kernels.probe_cf(Y, 1.0)[0][0] == 0.0
-        diag, _ = probe_log_moduli(Y, 1.0)
-        assert diag[0] == 0.0
+        assert _kernels.probe_cf(Y, 1.0)[0, 0] == 0.0
+        assert probe_log_moduli(Y, 1.0)[0, 0] == 0.0
 
     def test_default_cutoff_is_tiny(self):
         # cos(pi/2) = 0 in real arithmetic; in floats the ECF of this sample
         # lands at ~6e-17, far above the cutoff, and its log stays finite
         Y = np.array([[1.0], [-1.0]])
-        diag, _ = probe_log_moduli(Y, np.pi / 2.0)
-        assert np.isfinite(diag[0]) and diag[0] < -30.0
+        logmod = probe_log_moduli(Y, np.pi / 2.0)[0, 0]
+        assert np.isfinite(logmod) and logmod < -30.0
 
     def test_gaussian_large_sample_matches_theory(self):
         # standard normal in 2d: log|cf(e_1)| = -1/2
         rng = np.random.default_rng(2)
         Y = rng.standard_normal((200_000, 2))
-        diag, _ = probe_log_moduli(Y, 1.0)
-        assert diag[0] == pytest.approx(-0.5, abs=0.02)
+        assert probe_log_moduli(Y, 1.0)[0, 0] == pytest.approx(-0.5, abs=0.02)
 
     @given(st.permutations(list(range(6))))
     @settings(max_examples=30, deadline=None)
     def test_row_permutation_invariance(self, perm):
         rng = np.random.default_rng(3)
         Y = rng.standard_normal((6, 2))
-        diag, pair = probe_log_moduli(Y, 0.8)
-        diag_p, pair_p = probe_log_moduli(Y[perm], 0.8)
-        np.testing.assert_allclose(diag_p, diag, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair_p, pair, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probe_log_moduli(Y[perm], 0.8),
+                                   probe_log_moduli(Y, 0.8),
+                                   rtol=0, atol=1e-12)
 
 
 class TestDirectionVector:
@@ -150,25 +146,25 @@ class TestDirectionVector:
     def test_diagonal_is_basis_vector(self):
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((30, 3))
-        cf_diag, _ = _kernels.probe_cf(Y, 1.4)
+        cf = _kernels.probe_cf(Y, 1.4)
         for i in range(3):
             want = ecf(Y, 1.4 * np.eye(3)[i])
-            assert cf_diag[i] == pytest.approx(want, abs=1e-13)
+            assert cf[i, i] == pytest.approx(want, abs=1e-13)
 
     def test_offdiagonal_pair(self):
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((30, 2))
-        _, cf_pair = _kernels.probe_cf(Y, 1.4)
+        cf = _kernels.probe_cf(Y, 1.4)
         want = ecf(Y, 1.4 * np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert cf_pair[0, 1] == pytest.approx(want, abs=1e-13)
+        assert cf[0, 1] == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("i,j,p", [(1, 1, 1), (2, 5, 7), (3, 3, 3)])
     def test_unit_norm(self, i, j, p):
         # one observation s * u_ij has phase <U u_ij, s u_ij> = U s |u_ij|^2
         # at the (i, j) probe, which is U s exactly when |u_ij| = 1
         U, s = 1.3, 0.9
-        cf_diag, cf_pair = _kernels.probe_cf(s * direction(i, j, p)[None, :], U)
-        got = cf_diag[i - 1] if i == j else cf_pair[i - 1, j - 1]
+        cf = _kernels.probe_cf(s * direction(i, j, p)[None, :], U)
+        got = cf[i - 1, j - 1]
         assert got == pytest.approx(np.exp(1j * U * s), abs=1e-13)
 
     @given(st.integers(1, 6), st.integers(1, 6))
@@ -193,39 +189,36 @@ class TestProbeLogModuli:
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((40, 4))
         U = 1.7
-        diag, pair = probe_log_moduli(Y, U)
+        logmod = probe_log_moduli(Y, U)
         for i in range(4):
-            want = np.log(abs(ecf(Y, U * direction(i + 1, i + 1, 4))))
-            assert diag[i] == pytest.approx(want, abs=1e-10)
-            for j in range(i + 1, 4):
+            for j in range(i, 4):
                 want = np.log(abs(ecf(Y, U * direction(i + 1, j + 1, 4))))
-                assert pair[i, j] == pytest.approx(want, abs=1e-10)
+                assert logmod[i, j] == pytest.approx(want, abs=1e-10)
 
     def test_pair_block_exactly_symmetric(self):
         rng = np.random.default_rng(6)
-        _, pair = probe_log_moduli(rng.standard_normal((30, 5)), 2.0)
-        assert np.array_equal(pair, pair.T)
+        logmod = probe_log_moduli(rng.standard_normal((30, 5)), 2.0)
+        assert np.array_equal(logmod, logmod.T)
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            probe_log_moduli(np.ones((3, 2)), 0.0)
+        for U in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="must be positive"):
+                probe_log_moduli(np.ones((3, 2)), U)
 
 
 def _probe_cf_loops(Y, U):
     """Direct-summation oracle for ``_kernels.probe_cf``."""
     n, p = Y.shape
-    cf_diag = np.zeros(p, dtype=np.complex128)
-    cf_pair = np.zeros((p, p), dtype=np.complex128)
+    cf = np.zeros((p, p), dtype=np.complex128)
     z = np.empty(p, dtype=np.complex128)
     c = U / np.sqrt(2.0)
     for k in range(n):
         for i in range(p):
-            cf_diag[i] += np.exp(1j * U * Y[k, i])
             z[i] = np.exp(1j * c * Y[k, i])
         for i in range(p):
             for j in range(p):
-                cf_pair[i, j] += z[i] * z[j]
-    return cf_diag / n, cf_pair / n
+                cf[i, j] += np.exp(1j * U * Y[k, i]) if i == j else z[i] * z[j]
+    return cf / n
 
 
 def _ecf_loops(Y, freqs):
@@ -248,10 +241,8 @@ class TestKernelPaths:
     def test_probe_cf_paths_agree(self):
         rng = np.random.default_rng(7)
         Y = rng.standard_normal((200, 6))
-        d_np, p_np = _kernels.probe_cf(Y, 1.3)
-        d_lp, p_lp = _probe_cf_loops(Y, 1.3)
-        np.testing.assert_allclose(d_np, d_lp, atol=1e-12)
-        np.testing.assert_allclose(p_np, p_lp, atol=1e-12)
+        np.testing.assert_allclose(_kernels.probe_cf(Y, 1.3),
+                                   _probe_cf_loops(Y, 1.3), atol=1e-12)
 
     def test_ecf_paths_agree(self):
         rng = np.random.default_rng(8)
@@ -315,14 +306,11 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("n", _around_block(_PROBE_ROWS))
     def test_probe_cf_matches_loops(self, n):
         Y = np.random.default_rng(n).standard_normal((n, _PROBE_P))
-        cf_diag, cf_pair = _kernels.probe_cf(Y, 1.3)
-        d_lp, p_lp = _probe_cf_loops(Y, 1.3)
-        np.testing.assert_allclose(cf_diag, d_lp, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(cf_pair, p_lp, rtol=0, atol=1e-12)
-        assert np.array_equal(cf_pair, cf_pair.T)
-        again = _kernels.probe_cf(Y, 1.3)
-        assert cf_diag.tobytes() == again[0].tobytes()
-        assert cf_pair.tobytes() == again[1].tobytes()
+        cf = _kernels.probe_cf(Y, 1.3)
+        np.testing.assert_allclose(cf, _probe_cf_loops(Y, 1.3),
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(cf, cf.T)
+        assert cf.tobytes() == _kernels.probe_cf(Y, 1.3).tobytes()
 
     @pytest.mark.parametrize("n", _around_block(_ECF_ROWS))
     def test_ecf_matches_loops(self, n):
@@ -345,8 +333,21 @@ class TestBlockBoundaries:
 
     def test_probe_cf_pair_symmetric_over_many_blocks(self):
         Y = np.random.default_rng(12).standard_normal((3 * _PROBE_ROWS, 7))
-        _, cf_pair = _kernels.probe_cf(Y, 2.1)
-        assert np.array_equal(cf_pair, cf_pair.T)
+        cf = _kernels.probe_cf(Y, 2.1)
+        assert np.array_equal(cf, cf.T)
+
+    @pytest.mark.parametrize("n", _around_block(_PROBE_ROWS))
+    def test_probe_cf_matches_general_ecf(self, n):
+        # every entry (i, j) is the ECF at U * u_ij, the diagonal included
+        p, U = _PROBE_P, 1.3
+        Y = np.random.default_rng(n).standard_normal((n, p))
+        pairs = [(i, j) for i in range(p) for j in range(i, p)]
+        F = np.array([U * direction(i + 1, j + 1, p) for i, j in pairs])
+        want = np.empty((p, p), dtype=complex)
+        for (i, j), z in zip(pairs, _kernels.ecf(Y, F)):
+            want[i, j] = want[j, i] = z
+        np.testing.assert_allclose(_kernels.probe_cf(Y, U), want,
+                                   rtol=0, atol=1e-12)
 
 
 def _peak_bytes(fn, *args):

@@ -81,6 +81,23 @@ class TestEstimate:
         message = json.loads(err[len("ERROR "):])["message"]
         assert flag in message and repr(tag) in message
 
+    @pytest.mark.parametrize("tag,flag,value,key", [
+        ("sps", "--u", "nan", "U"), ("sps", "--tau", "inf", "tau"),
+        ("pds", "--barrier", "nan", "lambda"), ("lowrank", "--u", "nan", "U"),
+        ("soft", "--tau", "inf", "tau")])
+    def test_nonfinite_flag_exits_nonzero_naming_tag_and_key(
+            self, data_file, capsys, tag, flag, value, key):
+        # checked as a config's estimator block is, before any estimation
+        code = main(["estimate", "--input", str(data_file),
+                     "--estimator", tag, flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ERROR ")
+        message = json.loads(err[len("ERROR "):])["message"]
+        assert message.startswith(f"estimator {tag!r}: {key} ")
+
 
 class TestSimulate:
     def test_writes_csv(self, config_file, tmp_path, capsys):
@@ -362,6 +379,20 @@ class TestCv:
         lines = captured.out.strip().splitlines()
         assert len(lines) == 1 + 40
         assert all(np.isfinite(float(line.split(",")[1])) for line in lines)
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--grid", "nan,0.1", "tau_grid"), ("--grid", "0.1,inf", "tau_grid"),
+        ("--u", "nan", "U")])
+    def test_nonfinite_flag_exits_nonzero_naming_cv_and_key(
+            self, data_file, capsys, flag, value, key):
+        code = main(["cv", "--input", str(data_file), flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ERROR ")
+        message = json.loads(err[len("ERROR "):])["message"]
+        assert message.startswith(f"cv: {key} ")
 
 
 class TestRates:

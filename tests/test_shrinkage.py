@@ -278,6 +278,14 @@ class TestPdSoftThreshold:
             PdSoftConfig(tau=0.1, lambda_barrier=0.0)
         with pytest.raises(ValueError):
             PdSoftConfig(tau=0.1, tol=0.0)
+        for kw in (dict(tau=np.nan), dict(tau=np.inf),
+                   dict(tau=0.1, tol=np.nan), dict(tau=0.1, tol=np.inf),
+                   dict(tau=0.1, lambda_barrier=np.nan),
+                   dict(tau=0.1, lambda_barrier=np.inf),
+                   dict(tau=0.1, rho_admm=np.nan),
+                   dict(tau=0.1, rho_admm=np.inf)):
+            with pytest.raises(ValueError):
+                PdSoftConfig(**kw)
 
     def test_integer_rho_admm_matches_its_float(self):
         # rho is balanced in place, so an int start must not give an int array
@@ -609,6 +617,9 @@ class TestCrossValidateTau:
             CvConfig(num_splits=1, tau_grid=[0.2, 0.1])
         with pytest.raises(ValueError):
             CvConfig(num_splits=1, tau_grid=[-0.1, 0.2])
+        for grid in ([np.nan], [np.nan, 0.1], [0.1, np.inf]):
+            with pytest.raises(ValueError):
+                CvConfig(num_splits=1, tau_grid=grid)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)

@@ -33,9 +33,8 @@ def exact_cf_estimate(cf, p, U, gen=gaussian_generator()):
     def logmod(i, j):
         return math.log(abs(complex(cf(U * direction(i + 1, j + 1, p)))))
 
-    diag = np.array([logmod(i, i) for i in range(p)])
-    pair = np.array([[logmod(i, j) for j in range(p)] for i in range(p)])
-    return _assemble(diag, pair, U, gen)
+    return _assemble(np.array([[logmod(i, j) for j in range(p)]
+                               for i in range(p)]), U, gen)
 
 
 class TestSpectralConfig:
@@ -51,6 +50,13 @@ class TestSpectralConfig:
             dict(U=1, R=0, T=1, beta=1),
             dict(U=1, R=1, T=0, beta=1),
             dict(U=1, R=1, T=1, beta=1, gamma=1.4),
+            dict(U=math.nan, R=1, T=1, beta=1),
+            dict(U=math.inf, R=1, T=1, beta=1),
+            dict(U=1, R=math.nan, T=1, beta=1),
+            dict(U=1, R=1, T=math.inf, beta=1),
+            dict(U=1, R=1, T=1, beta=math.nan),
+            dict(U=1, R=1, T=1, beta=1, gamma=math.nan),
+            dict(U=1, R=1, T=1, beta=1, gamma=math.inf),
         ],
     )
     def test_invalid(self, kw):
@@ -104,7 +110,7 @@ class TestExactCfRecovery:
             with np.errstate(divide="ignore"):
                 return np.log(y)  # -inf at the clamped value 0
 
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match=r"at probe \(0, 0\)"):
             exact_cf_estimate(lambda u: 1.05, 2, 1.0, log_inv)
 
 
