@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .spectral import CovEstimate, _as_data
+from .spectral import CovEstimate, _as_data, _counts
 
 __all__ = [
     "WeightFunction",
@@ -114,9 +114,9 @@ class LowRankConfig:
             raise ValueError("U must be >= 1")
         if not 0 < self.lambda_nuc < math.inf:
             raise ValueError("lambda_nuc must be positive")
-        if not (1 <= self.mc_samples < math.inf
-                and 1 <= self.max_iter < math.inf and 0 < self.tol < math.inf):
+        if not 0 < self.tol < math.inf:
             raise ValueError("invalid solver controls")
+        _counts(self, "mc_samples", "max_iter")
 
 
 def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import CovEstimate, _as_data, spectral_estimate
+from .spectral import CovEstimate, _as_data, _counts, spectral_estimate
 
 __all__ = [
     "PdSoftConfig",
@@ -89,6 +89,12 @@ class ConvergenceError(RuntimeError):
         self.rho = rho
 
 
+def _check_tau(tau):
+    # written so that NaN and infinite values fail too
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative")
+
+
 @dataclass(frozen=True)
 class PdSoftConfig:
     tau: float
@@ -101,14 +107,13 @@ class PdSoftConfig:
     rho_admm: float = 2.0
 
     def __post_init__(self):
+        _check_tau(self.tau)
         # written so that NaN and infinite values fail too
-        if not 0 <= self.tau < math.inf:
-            raise ValueError("tau must be nonnegative")
         if not 0 < self.lambda_barrier < math.inf:
             raise ValueError("lambda_barrier must be positive")
-        if not (1 <= self.max_iter < math.inf and 0 < self.tol < math.inf
-                and 0 < self.rho_admm < math.inf):
+        if not (0 < self.tol < math.inf and 0 < self.rho_admm < math.inf):
             raise ValueError("invalid solver controls")
+        _counts(self, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,7 @@ class CvConfig:
                 or np.any(np.diff(grid) <= 0)):
             raise ValueError("tau_grid must be nonempty, positive, strictly ascending")
         object.__setattr__(self, "tau_grid", grid)
-        if not 1 <= self.num_splits < math.inf:
-            raise ValueError("num_splits must be >= 1")
+        _counts(self, "num_splits")
 
 
 def _matrix(est) -> np.ndarray:
@@ -140,12 +144,14 @@ def _soft(x, t, out=None):
 
 def hard_threshold(est, tau: float) -> CovEstimate:
     """Zero out entries with |value| <= tau (strict survival rule)."""
+    _check_tau(tau)
     m = _matrix(est)
     return CovEstimate(np.where(np.abs(m) > tau, m, 0.0), {"tau": tau})
 
 
 def soft_threshold(est, tau: float) -> CovEstimate:
     """Shrink every entry toward zero by tau: sign(x) * (|x| - tau)_+."""
+    _check_tau(tau)
     return CovEstimate(_soft(_matrix(est), tau), {"tau": tau})
 
 

@@ -11,8 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
-from .spectral import CovEstimate, SampleMatrix
+from .spectral import CovEstimate, SampleMatrix, _counts
 
 __all__ = [
     "CovModel",
@@ -175,8 +174,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _counts(self, "n")
         if self.noise.kind == "gamma_elliptical" and \
                 self.noise.A.shape != (self.cov.p, self.cov.p):
             raise ValueError("noise mixing matrix A has wrong shape")
@@ -192,14 +190,14 @@ def covariance_sqrt(sigma) -> np.ndarray:
     return (Q * np.sqrt(w)) @ Q.T
 
 
-# A sample's products with Sigma^(1/2) and with A are taken by blocks of
-# rows that take at least _BLOCK_MADDS multiply-adds and are a multiple of
-# _BLOCK_ALIGN rows, so that a draw made by row blocks equals the
-# whole-array draw bit for bit. With OpenBLAS 0.3.31 on an AVX-512 x86-64
-# CPU, a product of up to 10**6 multiply-adds takes a small-matrix kernel
-# that rounds differently, and for p above 256 the rounding of a row
-# depends on its place in the kernel's tiles of 12 rows; 48 rows make a
-# whole number of tiles of 8, 12 or 16 rows.
+# A sample's products with Sigma^(1/2) and with A, and its noise, are
+# taken by blocks of rows that take at least _BLOCK_MADDS multiply-adds and
+# are a multiple of _BLOCK_ALIGN rows, so that a draw made by row blocks
+# equals the whole-array draw bit for bit. With OpenBLAS 0.3.31 on an
+# AVX-512 x86-64 CPU, a product of up to 10**6 multiply-adds takes a
+# small-matrix kernel that rounds differently, and for p above 256 the
+# rounding of a row depends on its place in the kernel's tiles of 12 rows;
+# 48 rows make a whole number of tiles of 8, 12 or 16 rows.
 _BLOCK_MADDS = 1 << 20
 _BLOCK_ALIGN = 48
 
@@ -217,24 +215,8 @@ def stable_symmetric(rng, beta, size):
     """Symmetric beta-stable draws with cf exp(-|t|^beta) (unit scale)."""
     V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     E = rng.exponential(1.0, size=size)
-    # sin(beta V) / cos(V)^(1/beta) * (cos((1 - beta) V) / E)^((1 - beta)/beta),
-    # in place over V, E and a block P, each step in the order of that
-    # expression
-    rows = _kernels._rows_per_block(math.prod(V.shape[1:]))
-    P_buf = np.empty_like(V[:rows])
-    for k in range(0, len(V), rows):
-        v, e = V[k:k + rows], E[k:k + rows]
-        P = np.multiply(1.0 - beta, v, out=P_buf[:len(v)])
-        np.cos(P, out=P)
-        P /= e
-        P **= (1.0 - beta) / beta
-        np.cos(v, out=e)
-        e **= 1.0 / beta
-        v *= beta
-        np.sin(v, out=v)
-        v /= e
-        v *= P
-    return V
+    return (np.sin(beta * V) / np.cos(V) ** (1.0 / beta)
+            * (np.cos((1.0 - beta) * V) / E) ** ((1.0 - beta) / beta))
 
 
 def stable_one_sided(rng, alpha, size):
@@ -243,72 +225,63 @@ def stable_one_sided(rng, alpha, size):
         raise ValueError("alpha must lie in (0, 1)")
     V = rng.uniform(0.0, math.pi, size=size)
     E = rng.exponential(1.0, size=size)
-    # (sin((1 - alpha) V) * sin(alpha V)^(alpha/(1 - alpha))
-    #  / sin(V)^(1/(1 - alpha)) / E)^((1 - alpha)/alpha), in place over E and
-    # two blocks a and s, each step in the order of that expression
-    rows = _kernels._rows_per_block(math.prod(V.shape[1:]))
-    a_buf, s_buf = np.empty_like(V[:rows]), np.empty_like(V[:rows])
-    for k in range(0, len(V), rows):
-        v, e = V[k:k + rows], E[k:k + rows]
-        a = np.multiply(1.0 - alpha, v, out=a_buf[:len(v)])
-        np.sin(a, out=a)
-        s = np.multiply(alpha, v, out=s_buf[:len(v)])
-        np.sin(s, out=s)
-        s **= alpha / (1.0 - alpha)
-        a *= s
-        np.sin(v, out=s)
-        s **= 1.0 / (1.0 - alpha)
-        a /= s
-        np.divide(a, e, out=e)
-        e **= (1.0 - alpha) / alpha
-    return E
+    return (np.sin((1.0 - alpha) * V)
+            * np.sin(alpha * V) ** (alpha / (1.0 - alpha))
+            / np.sin(V) ** (1.0 / (1.0 - alpha))
+            / E) ** ((1.0 - alpha) / alpha)
 
 
 def _add_noise(model: NoiseModel, X, rng):
-    """Add a draw of the noise to the sample X in place, taking the numbers
-    from ``rng`` in the order of a draw of the whole n x p noise array."""
+    """Add a draw of the noise to the sample X in place, one row block at a
+    time, each block taking its numbers from ``rng`` in turn. Gamma noise
+    first draws its weights for all n rows, so Gaussian and gamma noise, and
+    only they, equal a draw of the whole n x p noise array bit for bit."""
     n, p = X.shape
     if model.kind == "none":
         return
-    if model.kind == "stable" and model.norm == "lbeta":
-        noise = stable_symmetric(rng, model.beta, (n, p))
-        noise *= model.sigma ** (1.0 / model.beta)
-        X += noise
-        return
-    # the rest scale standard normals, mixed by A for gamma, by row
-    mix = None
-    if model.kind == "gaussian":
-        scale = model.rho
-    elif model.kind == "gamma_elliptical":
-        scale = rng.gamma(model.theta, 1.0, size=n)
-        np.sqrt(scale, out=scale)
-        mix = model.A.T
+    if model.kind == "gamma_elliptical":
+        weights = rng.gamma(model.theta, 1.0, size=n)
+        np.sqrt(weights, out=weights)
     elif model.kind == "stable":
-        # isotropic: sqrt of a one-sided (beta/2)-stable mixes a Gaussian;
-        # scaling chosen so the cf is exp(-sigma |u|_2^beta)
-        scale = stable_one_sided(rng, model.beta / 2.0, n)
-        np.sqrt(scale, out=scale)
-        scale *= model.sigma ** (1.0 / model.beta) * math.sqrt(2.0)
-    else:
+        scale = model.sigma ** (1.0 / model.beta)
+    elif model.kind != "gaussian":
         raise ValueError(f"unknown noise model {model.kind!r}")
     for rows in _row_blocks(n, p):
-        G = rng.standard_normal((rows.stop - rows.start, p))
-        if mix is not None:
-            G = G @ mix
-        G *= scale if np.ndim(scale) == 0 else scale[rows, None]
+        shape = (rows.stop - rows.start, p)
+        if model.kind == "gaussian":
+            G = rng.standard_normal(shape)
+            G *= model.rho
+        elif model.kind == "gamma_elliptical":
+            G = rng.standard_normal(shape) @ model.A.T
+            G *= weights[rows, None]
+        elif model.norm == "lbeta":
+            G = stable_symmetric(rng, model.beta, shape)
+            G *= scale
+        else:
+            # isotropic: sqrt of a one-sided (beta/2)-stable mixes a
+            # Gaussian; scaling chosen so the cf is exp(-sigma |u|_2^beta)
+            w = stable_one_sided(rng, model.beta / 2.0, shape[0])
+            np.sqrt(w, out=w)
+            w *= scale * math.sqrt(2.0)
+            G = rng.standard_normal(shape)
+            G *= w[:, None]
         X[rows] += G
+        del G  # so that it is not held while the next block is drawn
 
 
 def sample_scenario(s: Scenario) -> SampleMatrix:
     """Draw n noisy observations Y = X + eps, deterministic given the seed.
 
     The sample is drawn into its output array, whose products with
-    Sigma^(1/2) and with the noise's A are taken one row block at a time:
-    working memory beyond the output is a fixed block and a weight per row,
-    or two more n x p arrays for lbeta-stable noise. Every number is the
-    one that the whole-array draw rng.standard_normal((n, p)) @ Sigma^(1/2)
-    plus the noise gives, except for p above 256 with a multi-threaded
-    BLAS, whose whole-array product depends on the number of threads.
+    Sigma^(1/2) and with the noise's A are taken one row block at a time,
+    and the noise is drawn block by block: working memory beyond the output
+    is a few fixed-size blocks and, for gamma noise, a weight per row.
+    Stable noise takes its numbers block by block; gamma noise draws its
+    weights for all rows first. For Gaussian and gamma noise only, every
+    number is the one that the whole-array draw
+    rng.standard_normal((n, p)) @ Sigma^(1/2) plus the noise gives, except
+    for p above 256 with a multi-threaded BLAS, whose whole-array product
+    depends on the number of threads.
     """
     p = s.cov.p
     rng = np.random.default_rng(s.seed)

@@ -71,6 +71,20 @@ class SampleMatrix:
         object.__setattr__(self, "data", arr)
 
 
+def _counts(obj, *names):
+    """Store each named field of the frozen dataclass ``obj``, a whole number
+    >= 1, as an int, so that 10.0 runs as 10; else raise a ValueError that
+    names the field."""
+    for name in names:
+        value = getattr(obj, name)
+        # written so that NaN and infinite values fail too
+        if not 1 <= value < math.inf:
+            raise ValueError(f"{name} must be >= 1")
+        if value != int(value):
+            raise ValueError(f"{name} must be a whole number, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 def _as_data(Y) -> np.ndarray:
     if isinstance(Y, SampleMatrix):
         return Y.data

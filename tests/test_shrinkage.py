@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from speccov import shrinkage
 from speccov.harness import ESTIMATORS, load_spec
+from speccov.lowrank import LowRankConfig
 from speccov.shrinkage import (
     DEFAULT_TAU_GRID,
     ConvergenceError,
@@ -103,6 +104,12 @@ class TestHardThreshold:
         np.testing.assert_array_equal(a, -b)
         np.testing.assert_array_equal(a, a.T)
 
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_rejects_invalid_tau(self, tau):
+        # NaN and inf used to return the zero matrix
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            hard_threshold(np.array([[1.0, 0.3], [0.3, 1.0]]), tau)
+
 
 class TestSoftThreshold:
     def test_zero_threshold_is_identity(self):
@@ -134,6 +141,12 @@ class TestSoftThreshold:
         assert np.all(np.abs(out) <= np.abs(m) + 1e-15)
         assert np.all(np.abs(out - m) <= tau + 1e-15)
         np.testing.assert_array_equal(out, -soft_threshold(-m, tau).matrix)
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_rejects_invalid_tau(self, tau):
+        # tau = -1 used to add 1 to every |entry|
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            soft_threshold(np.array([[1.0, 0.3], [0.3, 1.0]]), tau)
 
 
 class TestPdSoftThreshold:
@@ -295,6 +308,34 @@ class TestPdSoftThreshold:
         base = spectral_estimate(Y, 3.0)
         a = pd_soft_threshold(base, PdSoftConfig(tau=0.25, rho_admm=2))
         b = pd_soft_threshold(base, PdSoftConfig(tau=0.25, rho_admm=2.0))
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    @pytest.mark.parametrize("make,field", [
+        (lambda v: PdSoftConfig(tau=0.1, max_iter=v), "max_iter"),
+        (lambda v: CvConfig(num_splits=v, tau_grid=[0.1]), "num_splits"),
+        (lambda v: LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=v),
+         "mc_samples"),
+        (lambda v: LowRankConfig(U=1.0, lambda_nuc=0.1, max_iter=v),
+         "max_iter"),
+        (lambda v: Scenario(CovModel.tridiagonal(2), NoiseModel.none(), n=v),
+         "n"),
+    ], ids=["pd_soft", "cv", "lowrank_mc_samples", "lowrank_max_iter",
+            "scenario"])
+    def test_whole_float_count_is_stored_as_int(self, make, field):
+        # a float count used to fail deep inside, in range() or in a shape
+        assert type(getattr(make(10.0), field)) is int
+        assert getattr(make(10.0), field) == 10
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be a whole number, got 10.5"):
+            make(10.5)
+
+    def test_whole_float_max_iter_matches_its_int(self):
+        Y = sample_scenario(Scenario(
+            CovModel.tridiagonal(20),
+            NoiseModel.gamma_elliptical(np.eye(20), 1.0), n=50.0, seed=5002))
+        base = spectral_estimate(Y, 3.0)
+        a = pd_soft_threshold(base, PdSoftConfig(tau=0.25, max_iter=500))
+        b = pd_soft_threshold(base, PdSoftConfig(tau=0.25, max_iter=500.0))
         assert a.matrix.tobytes() == b.matrix.tobytes()
 
 

@@ -139,8 +139,7 @@ class TestSampleScenario:
     ])
     def test_peak_memory_is_a_few_outputs(self, noise, bound):
         # the signal and the noise are drawn into the output in place, by
-        # row blocks: the peak allocation is the output and a block, and
-        # for stable lbeta noise also its uniforms and exponentials
+        # row blocks: the peak allocation is the output and a few blocks
         s = Scenario(cov=CovModel.tridiagonal(20), noise=noise, n=20_000,
                      seed=3)
         tracemalloc.start()
@@ -181,20 +180,13 @@ class TestSamplerBlocks:
     @pytest.mark.parametrize("noise", [
         NoiseModel.none(), NoiseModel.gaussian(0.7),
         NoiseModel.gamma_elliptical(0.5 * np.eye(20), 1.5),
-        NoiseModel.stable(1.5, 0.7, "l2")], ids=lambda m: m.kind)
+        NoiseModel.stable(1.5, 0.7, "l2"),
+        pytest.param(NoiseModel.stable(1.5, 0.7), id="stable_lbeta")],
+        ids=lambda m: m.kind)
     def test_peak_beyond_output_is_flat(self, noise, n):
         s = Scenario(cov=CovModel.tridiagonal(self.P), noise=noise, n=n,
                      seed=3)
         assert _peak_bytes(sample_scenario, s) - 8 * n * self.P < self.BOUND
-
-    @pytest.mark.parametrize("n", [40_000, 160_000])
-    def test_lbeta_stable_peak_is_two_draws_beyond_output(self, n):
-        # its uniforms and then its exponentials are drawn whole
-        s = Scenario(cov=CovModel.tridiagonal(self.P),
-                     noise=NoiseModel.stable(1.5, 0.7, "lbeta"), n=n, seed=3)
-        output = 8 * n * self.P
-        assert _peak_bytes(sample_scenario, s) - output < \
-            2 * output + self.BOUND
 
     @pytest.mark.parametrize("n", [40_000, 160_000])
     def test_spectral_estimate_peak_beyond_input_is_flat(self, n):
@@ -226,6 +218,29 @@ class TestSamplerBlocks:
         W = rng.gamma(1.5, 1.0, size=n)
         noise = rng.standard_normal((n, self.P)) @ A.T
         want = X + noise * np.sqrt(W)[:, None]
+        assert Y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("norm", ["lbeta", "l2"])
+    def test_stable_draw_equals_blockwise_formula(self, norm):
+        # at p = 20 a row block is 2640 rows (2**20 multiply-adds, rounded
+        # up to 48 rows) and the last one takes the remainder, so n = 8000
+        # makes three; each block draws its stable noise in turn
+        n, beta, sigma = 8_000, 1.5, 0.7
+        cov = CovModel.tridiagonal(self.P)
+        Y = sample_scenario(Scenario(
+            cov=cov, noise=NoiseModel.stable(beta, sigma, norm), n=n,
+            seed=7)).data
+        rng = np.random.default_rng(7)
+        want = rng.standard_normal((n, self.P)) @ cov.sqrt()
+        scale = sigma ** (1.0 / beta)
+        for a, b in [(0, 2640), (2640, 5280), (5280, n)]:
+            if norm == "lbeta":
+                noise = stable_symmetric(rng, beta, (b - a, self.P)) * scale
+            else:
+                w = np.sqrt(stable_one_sided(rng, beta / 2.0, b - a))
+                noise = (rng.standard_normal((b - a, self.P))
+                         * (w * (scale * math.sqrt(2.0)))[:, None])
+            want[a:b] += noise
         assert Y.tobytes() == want.tobytes()
 
 
@@ -334,7 +349,6 @@ class TestStableBuildingBlocks:
 
     @pytest.mark.parametrize("size", [200_000, (7_000, 20)])
     def test_symmetric_equals_its_whole_array_expression(self, size):
-        # it is computed by row blocks, in place
         beta = 1.4
         rng = np.random.default_rng(12)
         V = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
@@ -345,7 +359,6 @@ class TestStableBuildingBlocks:
         assert got.tobytes() == want.tobytes()
 
     def test_one_sided_equals_its_whole_array_expression(self):
-        # it is computed by row blocks, in place
         alpha, n = 0.6, 200_000
         rng = np.random.default_rng(13)
         V = rng.uniform(0.0, math.pi, size=n)
