@@ -55,7 +55,7 @@ def _cmd_estimate(args):
     if args.estimator in harness.THRESHOLD_TAGS:
         tuning.setdefault("tau", 0.25)
     Y = _load_matrix(args.input)
-    est = harness.ESTIMATORS[args.estimator](Y, tuning)
+    est = harness.estimate(args.estimator, Y, tuning)
     _write_matrix(est.matrix, args.output)
     return 0
 

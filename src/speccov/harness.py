@@ -29,6 +29,7 @@ __all__ = [
     "ExperimentSpec",
     "ResultRecord",
     "SummaryStats",
+    "estimate",
     "run_experiment",
     "summarize",
     "records_to_csv",
@@ -245,19 +246,26 @@ class SummaryStats:
     stderr: Optional[float] = None
 
 
-# The estimators read a tuning through _given, so that they take the
-# defaults of SCHEMA and of their constructors, as a config does.
-def _elliptical(Y, tuning):
-    gen_kind = tuning.get("generator", "gaussian")
-    if gen_kind not in _GENERATORS:
-        raise ValueError(f"unknown elliptical generator {gen_kind!r}")
-    gen = (spectral.stable_generator(**_given(tuning, _ALPHA))
-           if gen_kind == "stable" else spectral.gaussian_generator())
-    return spectral.spectral_estimate(Y, **_given(tuning, _U), gen=gen)
+# An estimator is a base, fn(Y, tuning) -> CovEstimate for an (n, p) array
+# Y, and maybe a rule, fn(bases, tuning, taus) -> each base's estimate at its
+# tau: CV hands a rule one base at every tau of its grid, and run_experiment
+# a block of replications' bases at one tau, which PD-soft solves as stacks.
+# Both read a tuning through _given, so that they take the defaults of
+# SCHEMA and of their constructors as a config does, and call package
+# functions through their modules, so that a rebound module attribute
+# (perfbench's tracer, a test's monkeypatch) takes effect.
+def _sample_covariance(Y, tuning):
+    return shrinkage.sample_covariance(Y)
 
 
 def _spectral(Y, tuning):
-    return spectral.spectral_estimate(Y, **_given(tuning, _U))
+    # the schema checks a config's generator; a tuning built in code is not
+    kind = tuning.get("generator", "gaussian")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown elliptical generator {kind!r}")
+    gen = (spectral.stable_generator(**_given(tuning, _ALPHA))
+           if kind == "stable" else spectral.gaussian_generator())
+    return spectral.spectral_estimate(Y, **_given(tuning, _U), gen=gen)
 
 
 def _lowrank(Y, tuning):
@@ -273,57 +281,43 @@ def _pd_soft(bases, tuning, taus):
         bases, [PdSoftConfig(tau, **solver) for tau in taus])
 
 
-# The estimators that take tau, each a base estimate of Y followed by a rule
-# applied to it; a cv: block selects tau and its rule is one of them.
-# base: fn(Y, tuning) -> CovEstimate. rule: fn(bases, tuning, taus) -> the
-# estimate of each base at its tau, for equal-length lists, so that CV hands
-# the rule one base per split at every tau of the grid, and run_experiment
-# the bases of a block of replications at one tau, which PD-soft solves as
-# stacks.
-_BASES = {
-    "sps": _spectral,
-    "soft": _spectral,
-    "hard": _spectral,
-    "pds": lambda Y, t: shrinkage.sample_covariance(Y),
-}
+def _soft(bases, tuning, taus):
+    return list(map(shrinkage.soft_threshold, bases, taus))
 
 
-def _entrywise(rule):
-    return lambda bases, t, taus: [rule(base, tau)
-                                   for base, tau in zip(bases, taus)]
+def _hard(bases, tuning, taus):
+    return list(map(shrinkage.hard_threshold, bases, taus))
 
 
-_RULES = {
-    "sps": _pd_soft,
-    "soft": _entrywise(shrinkage.soft_threshold),
-    "hard": _entrywise(shrinkage.hard_threshold),
-    "pds": _pd_soft,
-}
-THRESHOLD_TAGS = tuple(_RULES)
-
-
-def _thresholded(tag):
-    return lambda Y, t: _RULES[tag]([_BASES[tag](Y, t)], t, [t.get("tau")])[0]
-
-
-# tag -> fn(Y, tuning) -> CovEstimate, for an (n, p) array Y. Entries call
-# package functions through their modules, so a rebound module attribute
-# (perfbench's tracer, a test's monkeypatch) takes effect.
+# tag -> its base and its rule, or None for an estimator that takes no tau.
+# The tags with a rule take tau, which a cv: block may select by one of them.
+_Estimator = namedtuple("_Estimator", "base rule")
 ESTIMATORS = {
-    "cov": lambda Y, t: shrinkage.sample_covariance(Y),
-    **{tag: _thresholded(tag) for tag in THRESHOLD_TAGS},
-    "lowrank": _lowrank,
-    "elliptical": _elliptical,
+    "cov": _Estimator(_sample_covariance, None),
+    "sps": _Estimator(_spectral, _pd_soft),
+    "soft": _Estimator(_spectral, _soft),
+    "hard": _Estimator(_spectral, _hard),
+    "pds": _Estimator(_sample_covariance, _pd_soft),
+    "lowrank": _Estimator(_lowrank, None),
+    "elliptical": _Estimator(_spectral, None),
 }
+THRESHOLD_TAGS = tuple(tag for tag, e in ESTIMATORS.items() if e.rule)
+
+
+def estimate(tag, Y, tuning):
+    """The estimate of ``tag`` on the (n, p) array ``Y``: its base estimate,
+    with its rule applied at the tuning's tau when it has one."""
+    base, rule = ESTIMATORS[tag]
+    est = base(Y, tuning)
+    return est if rule is None else rule([est], tuning, [tuning.get("tau")])[0]
 
 
 def cv_fit(tag, tuning):
-    """The ``fit(train, taus)`` callable of cross_validate_tau for one tag:
-    the rule at every tau, applied to one base estimate of ``train``."""
-    def fit(train, taus):
-        base = _BASES[tag](train, tuning)
-        return _RULES[tag]([base] * len(taus), tuning, taus)
-    return fit
+    """The ``fit(train, taus)`` of cross_validate_tau for a tag with a
+    rule: the rule at every tau, applied to one base estimate of train."""
+    base, rule = ESTIMATORS[tag]
+    return lambda train, taus: rule([base(train, tuning)] * len(taus),
+                                    tuning, taus)
 
 
 def _admissible_flag(tuning, n, p):
@@ -354,10 +348,11 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
         # replication seed range
         cv_sample = simgen.sample_scenario(
             Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise, n=n,
-                     seed=_rep_seed(spec.scenario.seed, spec.replications)))
-        # the radius of the first estimator with a spectral base
+                     seed=[spec.scenario.seed, spec.replications]))
+        # the radius of the first estimator with a spectral base and a rule
         U_cv = _given(next((t for tag, t in spec.estimators
-                            if _BASES.get(tag) is _spectral), {}), _U)["U"]
+                            if ESTIMATORS[tag].base is _spectral
+                            and tag in THRESHOLD_TAGS), {}), _U)["U"]
         rule_tuning = next((t for tag, t in spec.estimators
                             if tag == spec.cv_rule), {})
         fit = cv_fit(spec.cv_rule, {**rule_tuning, "U": U_cv})
@@ -398,16 +393,15 @@ def _run_block(spec, reps, tunings, truth, cv_error):
         data = simgen.sample_scenario(
             Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise,
                      n=spec.scenario.n,
-                     seed=_rep_seed(spec.scenario.seed, rep))).data
+                     seed=[spec.scenario.seed, rep])).data
         for i, (tag, _) in enumerate(spec.estimators):
-            if tag in _RULES and cv_error is not None:
+            base, rule = ESTIMATORS[tag]
+            if rule and cv_error is not None:
                 out[rep, i] = (math.nan, 0.0, cv_error)
                 continue
             t0 = time.perf_counter()
-            # a threshold estimator's base, or another estimator's estimate
-            fn = _BASES[tag] if tag in _RULES else ESTIMATORS[tag]
-            est, err_msg = _attempt(fn, data, tunings[i])
-            if est is not None and tag in _RULES:
+            est, err_msg = _attempt(base, data, tunings[i])
+            if est is not None and rule:
                 bases.setdefault(i, []).append(
                     (rep, est, time.perf_counter() - t0))
                 continue
@@ -431,12 +425,11 @@ def _solve_block(tag, tuning, bases):
     of ``tag`` on each of ``bases`` at the tuning's tau: one call for all
     of them or, when that call raises, one call for each, so that only the
     failing bases fail, with the text that one base alone gives."""
-    tau = tuning.get("tau")
+    tau, rule = tuning.get("tau"), ESTIMATORS[tag].rule
     try:
-        ests = [(est, None) for est in
-                _RULES[tag](bases, tuning, [tau] * len(bases))]
+        ests = [(est, None) for est in rule(bases, tuning, [tau] * len(bases))]
     except Exception:
-        ests = [_attempt(lambda b: _RULES[tag]([b], tuning, [tau])[0], base)
+        ests = [_attempt(lambda b: rule([b], tuning, [tau])[0], base)
                 for base in bases]
     return [(est, err_msg,
              1 if est is None else est.tuning.get("iterations", 1))
@@ -449,10 +442,6 @@ def _attempt(fn, *args):
         return fn(*args), None
     except Exception as exc:  # isolate failures per record
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def _rep_seed(seed, rep):
-    return [int(seed), int(rep)]
 
 
 def summarize(records) -> dict:

@@ -130,6 +130,7 @@ class CvConfig:
             raise ValueError("tau_grid must be nonempty, positive, strictly ascending")
         object.__setattr__(self, "tau_grid", grid)
         _counts(self, "num_splits")
+        _counts(self, "seed", low=0)
 
 
 def _matrix(est) -> np.ndarray:

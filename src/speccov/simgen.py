@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import CovEstimate, SampleMatrix, _counts
+from .spectral import CovEstimate, SampleMatrix, _counts, _whole
 
 __all__ = [
     "CovModel",
@@ -175,6 +175,12 @@ class Scenario:
 
     def __post_init__(self):
         _counts(self, "n")
+        # a list of seeds is the entropy of one SeedSequence, such as
+        # run_experiment's (seed, replication)
+        seed = self.seed
+        object.__setattr__(self, "seed", [_whole("seed", s, 0) for s in seed]
+                           if isinstance(seed, (list, tuple))
+                           else _whole("seed", seed, 0))
         if self.noise.kind == "gamma_elliptical" and \
                 self.noise.A.shape != (self.cov.p, self.cov.p):
             raise ValueError("noise mixing matrix A has wrong shape")

@@ -71,18 +71,21 @@ class SampleMatrix:
         object.__setattr__(self, "data", arr)
 
 
-def _counts(obj, *names):
-    """Store each named field of the frozen dataclass ``obj``, a whole number
-    >= 1, as an int, so that 10.0 runs as 10; else raise a ValueError that
-    names the field."""
+def _whole(name, value, low=1):
+    """``value``, a whole number >= ``low``, as an int, so that 10.0 runs as
+    10; else (NaN and infinities included) raise a ValueError naming it."""
+    if not low <= value < math.inf:
+        raise ValueError(f"{name} must be >= {low}")
+    if value != int(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _counts(obj, *names, low=1):
+    """Store each named field of the frozen dataclass ``obj`` as _whole
+    returns it: a count is >= 1, a seed >= 0."""
     for name in names:
-        value = getattr(obj, name)
-        # written so that NaN and infinite values fail too
-        if not 1 <= value < math.inf:
-            raise ValueError(f"{name} must be >= 1")
-        if value != int(value):
-            raise ValueError(f"{name} must be a whole number, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, _whole(name, getattr(obj, name), low))
 
 
 def _as_data(Y) -> np.ndarray:

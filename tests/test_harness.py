@@ -171,6 +171,23 @@ class TestRunExperiment:
         records = run_experiment(spec)
         assert records[0].tuning_used["tau"] in (0.25, 0.8)
 
+    def test_cv_radius_is_that_of_the_first_thresholded_spectral_tag(
+            self, monkeypatch):
+        # elliptical comes first and has a spectral base, but no rule
+        seen = []
+
+        def recording(Y, U, cfg, fit):
+            seen.append(U)
+            return 0.2, [0.0]
+
+        monkeypatch.setattr(shrinkage, "cross_validate_tau", recording)
+        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.2], seed=0)
+        spec = small_spec([("elliptical", {"U": 2.0}), ("sps", {"U": 1.0})],
+                          replications=1, cv=cv, cv_rule="sps")
+        records = run_experiment(spec)
+        assert seen == [1.0]
+        assert all(r.error is None for r in records), [r.error for r in records]
+
     def test_cv_fits_use_rule_estimator_tuning(self, monkeypatch):
         seen = []
         solve = shrinkage.pd_soft_threshold
@@ -272,7 +289,7 @@ class TestRunExperiment:
                 cov=spec.scenario.cov, noise=spec.scenario.noise,
                 n=spec.scenario.n, seed=[spec.scenario.seed, r.replication]))
             try:
-                est = harness.ESTIMATORS[r.estimator](Y.data, r.tuning_used)
+                est = harness.estimate(r.estimator, Y.data, r.tuning_used)
             except shrinkage.ConvergenceError as exc:
                 assert r.error == f"ConvergenceError: {exc}"
                 assert math.isnan(r.frob_error)
@@ -332,15 +349,15 @@ class TestCvFit:
         taus = [0.02, 0.1, 0.3]
         path = harness.cv_fit(tag, tuning)(Y, taus)
         for tau, est in zip(taus, path):
-            one = harness.ESTIMATORS[tag](Y, {**tuning, "tau": tau})
+            one = harness.estimate(tag, Y, {**tuning, "tau": tau})
             np.testing.assert_allclose(est.matrix, one.matrix, rtol=0, atol=1e-5)
 
 
 class TestInputValidation:
     @pytest.mark.parametrize("run", [
-        lambda Y: harness.ESTIMATORS["cov"](Y, {}),
-        lambda Y: harness.ESTIMATORS["pds"](Y, {"tau": 0.1}),
-        lambda Y: harness.ESTIMATORS["lowrank"](Y, {"mc_samples": 64}),
+        lambda Y: harness.estimate("cov", Y, {}),
+        lambda Y: harness.estimate("pds", Y, {"tau": 0.1}),
+        lambda Y: harness.estimate("lowrank", Y, {"mc_samples": 64}),
         lambda Y: shrinkage.cross_validate_tau(
             Y, 1.0, shrinkage.CvConfig(num_splits=1, tau_grid=[0.1]),
             harness.cv_fit("hard", {})),
@@ -350,6 +367,14 @@ class TestInputValidation:
         Y[7, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             run(Y)
+
+    def test_unknown_generator_of_a_tuning_built_in_code_is_rejected(self):
+        # no schema checks this tuning, so the spectral base must itself
+        # refuse the name instead of taking the Gaussian generator
+        Y = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(ValueError,
+                           match="unknown elliptical generator 'foo'"):
+            harness.estimate("elliptical", Y, {"generator": "foo"})
 
 
 def _load_perfbench(name):
@@ -731,6 +756,17 @@ class TestConfigLoading:
                 listed[tag].add(row[0])
         assert listed == {tag: set(keys) for tag, keys
                           in harness.SCHEMA["estimator"].items()}
+        # the tag table gives each tag's base and rule, and no other tag
+        table = section.split("Each estimator tag is a base estimate", 1)[1]
+        table = table.split("The estimator tags take these keys", 1)[0]
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in table.splitlines() if line.startswith("| ")][1:]
+        assert {row[0]: tuple(row[1:]) for row in rows} == {
+            tag: (base.__name__.lstrip("_"),
+                  rule.__name__.lstrip("_") if rule else "",
+                  "yes" if rule else "no")
+            for tag, (base, rule) in harness.ESTIMATORS.items()}
+        assert set(harness.ESTIMATORS) == set(harness.SCHEMA["estimator"])
 
     def test_tuning_at_the_edge_of_its_range_parses(self):
         doc = copy.deepcopy(self.DOC)

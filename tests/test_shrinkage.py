@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from speccov import shrinkage
-from speccov.harness import ESTIMATORS, load_spec
+from speccov.harness import estimate, load_spec
 from speccov.lowrank import LowRankConfig
 from speccov.shrinkage import (
     DEFAULT_TAU_GRID,
@@ -319,8 +319,11 @@ class TestPdSoftThreshold:
          "max_iter"),
         (lambda v: Scenario(CovModel.tridiagonal(2), NoiseModel.none(), n=v),
          "n"),
+        (lambda v: Scenario(CovModel.tridiagonal(2), NoiseModel.none(), n=5,
+                            seed=v), "seed"),
+        (lambda v: CvConfig(num_splits=2, tau_grid=[0.1], seed=v), "seed"),
     ], ids=["pd_soft", "cv", "lowrank_mc_samples", "lowrank_max_iter",
-            "scenario"])
+            "scenario", "scenario_seed", "cv_seed"])
     def test_whole_float_count_is_stored_as_int(self, make, field):
         # a float count used to fail deep inside, in range() or in a shape
         assert type(getattr(make(10.0), field)) is int
@@ -328,6 +331,29 @@ class TestPdSoftThreshold:
         with pytest.raises(ValueError,
                            match=f"^{field} must be a whole number, got 10.5"):
             make(10.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: Scenario(CovModel.tridiagonal(2), NoiseModel.none(), n=5,
+                           seed=v),
+        lambda v: Scenario(CovModel.tridiagonal(2), NoiseModel.none(), n=5,
+                           seed=[3, v]),
+        lambda v: CvConfig(num_splits=2, tau_grid=[0.1], seed=v),
+    ], ids=["scenario", "scenario_list", "cv"])
+    def test_seed_is_a_whole_number_at_least_zero(self, make):
+        # a float seed used to fail deep inside, in numpy's SeedSequence
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            make(-1)
+        with pytest.raises(ValueError, match="^seed must be a whole number"):
+            make(1.5)
+        make(0)
+
+    def test_whole_float_seed_draws_the_seed_of_its_int(self):
+        def draw(seed):
+            return sample_scenario(Scenario(
+                CovModel.tridiagonal(3), NoiseModel.none(), n=20,
+                seed=seed)).data
+        assert draw(1.0).tobytes() == draw(1).tobytes()
+        assert draw([1.0, 2.0]).tobytes() == draw([1, 2]).tobytes()
 
     def test_whole_float_max_iter_matches_its_int(self):
         Y = sample_scenario(Scenario(
@@ -562,7 +588,7 @@ class TestAdmmIterationBudget:
                 n=spec.scenario.n, seed=[spec.scenario.seed, rep]))
             for tag, tuning in spec.estimators:
                 if tag in ("sps", "pds"):
-                    total += ESTIMATORS[tag](Y, tuning).tuning["iterations"]
+                    total += estimate(tag, Y, tuning).tuning["iterations"]
         assert total <= 720
 
 
@@ -598,14 +624,14 @@ class TestPdsBaseline:
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((200, 3))
         cov = sample_covariance(Y).matrix
-        got = ESTIMATORS["pds"](Y, {"tau": 1e-9, "lambda": 1e-9}).matrix
+        got = estimate("pds", Y, {"tau": 1e-9, "lambda": 1e-9}).matrix
         assert np.linalg.norm(got - cov) < 1e-4
 
     def test_kkt_certificate_2x2(self):
         Y = np.array([[1.0, 0.2], [-0.4, 1.1], [0.3, -0.9], [1.2, 0.5]])
         tau, lam = 0.1, 1e-4
         shat = sample_covariance(Y).matrix
-        got = ESTIMATORS["pds"](Y, {"tau": tau, "lambda": lam}).matrix
+        got = estimate("pds", Y, {"tau": tau, "lambda": lam}).matrix
         assert pd_soft_kkt_residual(got, shat, tau, lam) < 1e-6
         for E in (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])):
             assert pd_soft_kkt_residual(got + 1e-4 * E, shat, tau, lam) > 1e-6
