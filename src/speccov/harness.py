@@ -8,6 +8,7 @@ specs produce byte-identical CSV output.
 """
 
 import csv
+import difflib
 import io
 import json
 import math
@@ -74,13 +75,19 @@ def _block(block, d, *keys):
 
 def _check(block, d, table):
     """Return ``d`` after raising ValueError naming ``block`` and the key
-    when ``d`` is not a mapping, sets a key that ``table`` does not list,
-    lacks a required one, or holds a value not of its key's kind (checked,
-    not coerced: int("20") would pass silently) or out of its range."""
+    when ``d`` is not a mapping, sets a key that ``table`` does not list
+    (suggesting the nearest one that it does), lacks a required one, or
+    holds a value not of its key's kind (checked, not coerced: int("20")
+    would pass silently) or out of its range."""
     for key in _block(block, d):
         if key not in table:
+            # the nearest allowed key, whatever its case
+            lower = {k.lower(): k for k in table}
+            near = difflib.get_close_matches(str(key).lower(), lower, n=1)
             raise ValueError(f"{block}: unknown key {key!r}; allowed keys: "
-                             f"{', '.join(table) or 'none'}")
+                             f"{', '.join(table) or 'none'}"
+                             + (f"; did you mean {lower[near[0]]!r}?"
+                                if near else ""))
     for key, k in table.items():
         if key not in d:
             if k.required:
@@ -206,12 +213,9 @@ class ExperimentSpec:
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         for tag, tuning in self.estimators:
-            if tag not in ESTIMATORS:
-                raise ValueError(f"unknown estimator tag {tag!r}")
             # a None tau is left to be chosen by cross-validation
-            _check(f"estimator {tag!r}", {
-                k: v for k, v in tuning.items()
-                if not (k == "tau" and v is None)}, SCHEMA["estimator"][tag])
+            _check_tuning(tag, {k: v for k, v in tuning.items()
+                                if not (k == "tau" and v is None)})
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
@@ -259,12 +263,10 @@ def _sample_covariance(Y, tuning):
 
 
 def _spectral(Y, tuning):
-    # the schema checks a config's generator; a tuning built in code is not
-    kind = tuning.get("generator", "gaussian")
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown elliptical generator {kind!r}")
+    # every caller has checked the generator against the schema
     gen = (spectral.stable_generator(**_given(tuning, _ALPHA))
-           if kind == "stable" else spectral.gaussian_generator())
+           if tuning.get("generator") == "stable"
+           else spectral.gaussian_generator())
     return spectral.spectral_estimate(Y, **_given(tuning, _U), gen=gen)
 
 
@@ -304,18 +306,38 @@ ESTIMATORS = {
 THRESHOLD_TAGS = tuple(tag for tag, e in ESTIMATORS.items() if e.rule)
 
 
+def _check_tuning(tag, tuning, needs_tau=False):
+    """Raise ValueError naming the tag, and the key, when ``tag`` is not in
+    ESTIMATORS or ``tuning`` fails its table in SCHEMA; with ``needs_tau``,
+    a tag with a rule must set tau."""
+    if tag not in ESTIMATORS:
+        raise ValueError(f"unknown estimator tag {tag!r}")
+    table = SCHEMA["estimator"][tag]
+    if needs_tau and ESTIMATORS[tag].rule:
+        table = {**table, "tau": table["tau"]._replace(required=True)}
+    _check(f"estimator {tag!r}", tuning, table)
+
+
 def estimate(tag, Y, tuning):
     """The estimate of ``tag`` on the (n, p) array ``Y``: its base estimate,
-    with its rule applied at the tuning's tau when it has one."""
+    with its rule applied at the tuning's tau when it has one. The tuning
+    is checked as a config's estimator block is, and must set tau for a
+    tag with a rule."""
+    _check_tuning(tag, tuning, needs_tau=True)
     base, rule = ESTIMATORS[tag]
     est = base(Y, tuning)
-    return est if rule is None else rule([est], tuning, [tuning.get("tau")])[0]
+    return est if rule is None else rule([est], tuning, [tuning["tau"]])[0]
 
 
 def cv_fit(tag, tuning):
     """The ``fit(train, taus)`` of cross_validate_tau for a tag with a
-    rule: the rule at every tau, applied to one base estimate of train."""
+    rule: the rule at every tau, applied to one base estimate of train.
+    The tuning is checked as a config's estimator block is."""
+    _check_tuning(tag, tuning)
     base, rule = ESTIMATORS[tag]
+    if rule is None:
+        raise ValueError(f"estimator {tag!r} takes no tau, so cross-"
+                         f"validation has no rule of it to tune")
     return lambda train, taus: rule([base(train, tuning)] * len(taus),
                                     tuning, taus)
 
@@ -353,9 +375,14 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
         U_cv = _given(next((t for tag, t in spec.estimators
                             if ESTIMATORS[tag].base is _spectral
                             and tag in THRESHOLD_TAGS), {}), _U)["U"]
+        # the rule's own tuning and U_cv, of the keys that its tag takes;
+        # CV selects tau
         rule_tuning = next((t for tag, t in spec.estimators
                             if tag == spec.cv_rule), {})
-        fit = cv_fit(spec.cv_rule, {**rule_tuning, "U": U_cv})
+        table = SCHEMA["estimator"][spec.cv_rule]
+        fit = cv_fit(spec.cv_rule, {
+            k: v for k, v in {**rule_tuning, "U": U_cv}.items()
+            if k in table and k != "tau"})
         try:
             tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
         except Exception as exc:  # fails the tuned records only, below

@@ -2,7 +2,13 @@
 kernels of :mod:`speccov._kernels` and the probe geometry of
 :func:`speccov.spectral.probe_log_moduli`."""
 
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -359,8 +365,20 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
+def _per_worker(base, block_bytes):
+    """A peak bound of ``base`` at one worker, plus one block's working set
+    for each further worker that may run a block at the same time."""
+    return base + (_kernels._WORKERS - 1) * block_bytes
+
+
+# the working set of a block: probe_cf's W, and ecf's two arrays
+_PROBE_BLOCK_BYTES = 8 * _kernels._BLOCK
+_ECF_BLOCK_BYTES = 2 * 8 * _kernels._BLOCK
+
+
 class TestMemoryFlat:
-    """Working memory is bounded by the block, not by the sample size."""
+    """Working memory is bounded by a block per running worker, not by the
+    sample size."""
 
     BOUND = 4 * 2**20
 
@@ -369,9 +387,156 @@ class TestMemoryFlat:
         rng = np.random.default_rng(13)
         Y = rng.standard_normal((n, 5))
         F = rng.standard_normal((1024, 5))
-        assert _peak_bytes(_kernels.ecf, Y, F) < self.BOUND
+        assert _peak_bytes(_kernels.ecf, Y, F) < _per_worker(
+            self.BOUND, _ECF_BLOCK_BYTES)
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_probe_cf(self, n):
         Y = np.random.default_rng(14).standard_normal((n, 20))
-        assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < self.BOUND
+        assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < _per_worker(
+            self.BOUND, _PROBE_BLOCK_BYTES)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bounds_at_each_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        rng = np.random.default_rng(15)
+        Y = rng.standard_normal((16000, 20))
+        F = rng.standard_normal((1024, 20))
+        assert _peak_bytes(_kernels.ecf, Y, F) < _per_worker(
+            self.BOUND, _ECF_BLOCK_BYTES)
+        assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < _per_worker(
+            self.BOUND, _PROBE_BLOCK_BYTES)
+
+
+def _at_each_worker_count(monkeypatch, fn, *args):
+    """The bytes of ``fn(*args)`` with the blocks run on 1, 2 and 3
+    workers."""
+    out = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        out.append(fn(*args).tobytes())
+    return out
+
+
+class TestWorkers:
+    """The row blocks run on a pool of ``_kernels._WORKERS`` threads, and
+    their sums are added in block order whatever the worker count."""
+
+    @pytest.mark.parametrize("n", _around_block(_PROBE_ROWS)
+                             + [9 * _PROBE_ROWS + 5])
+    def test_probe_cf_bitwise_equal_at_any_worker_count(self, monkeypatch, n):
+        Y = np.random.default_rng(n).standard_normal((n, _PROBE_P))
+        assert len(set(_at_each_worker_count(
+            monkeypatch, _kernels.probe_cf, Y, 1.3))) == 1
+
+    @pytest.mark.parametrize("n", _around_block(_ECF_ROWS)
+                             + [9 * _ECF_ROWS + 5])
+    def test_ecf_bitwise_equal_at_any_worker_count(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        Y = rng.standard_normal((n, 2))
+        F = rng.standard_normal((_ECF_M, 2))
+        assert len(set(_at_each_worker_count(
+            monkeypatch, _kernels.ecf, Y, F))) == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_exception_in_a_worker_reaches_the_caller(self, monkeypatch,
+                                                      workers):
+        # a frequency width that does not match Y makes every block's
+        # product raise; the caller sees the error that one block raises
+        rng = np.random.default_rng(16)
+        Y = rng.standard_normal((5 * _ECF_ROWS, 3))
+        F = rng.standard_normal((_ECF_M, 3))
+        with pytest.raises(ValueError) as inline:
+            Y[:1] @ F[:, :2].T
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        with pytest.raises(ValueError) as pooled:
+            _kernels.ecf(Y, F[:, :2])
+        assert str(pooled.value) == str(inline.value)
+        got = _kernels.ecf(Y, F)
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        assert got.tobytes() == _kernels.ecf(Y, F).tobytes()
+
+    def test_forked_child_computes_on_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        Y = np.random.default_rng(17).standard_normal((5 * _PROBE_ROWS,
+                                                       _PROBE_P))
+        want = _kernels.probe_cf(Y, 1.3).tobytes()
+        assert _kernels._pool is not None
+        with warnings.catch_warnings():
+            # Python 3.12 warns on a fork of a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: exit 0 on the parent's bytes from a
+            code = 3  # pool of its own, without running pytest's exit
+            try:
+                got = _kernels.probe_cf(Y, 1.3).tobytes()
+                code = (1 if got != want else
+                        2 if _kernels._pool[0][0] != os.getpid() else 0)
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish in 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # more workers than CPUs and a short switch interval, so that the
+        # callers and the blocks interleave as much as they can
+        Y = np.random.default_rng(19).standard_normal((9 * _PROBE_ROWS + 5,
+                                                       _PROBE_P))
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        want = _kernels.probe_cf(Y, 1.3).tobytes()
+        monkeypatch.setattr(_kernels, "_WORKERS", 3)
+        monkeypatch.setattr(_kernels, "_pool", None)
+        got = [None] * 4
+
+        def run(i):
+            got[i] = _kernels.probe_cf(Y, 1.3).tobytes()
+
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 4
+
+    def test_a_replaced_pool_ends_its_threads(self, monkeypatch):
+        Y = np.random.default_rng(20).standard_normal((5 * _PROBE_ROWS,
+                                                       _PROBE_P))
+        monkeypatch.setattr(_kernels, "_WORKERS", 3)
+        monkeypatch.setattr(_kernels, "_pool", None)
+        before = set(threading.enumerate())
+        _kernels.probe_cf(Y, 1.3)
+        started = set(threading.enumerate()) - before
+        assert 1 <= len(started) <= 3
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        _kernels.probe_cf(Y, 1.3)
+        for t in started:
+            t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inline_calls_create_no_pool(self, monkeypatch, workers):
+        # one block at any worker count, and any input at one worker
+        monkeypatch.setattr(_kernels, "_pool", None)
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        rng = np.random.default_rng(18)
+        n = _PROBE_ROWS if workers > 1 else 3 * _PROBE_ROWS
+        _kernels.probe_cf(rng.standard_normal((n, _PROBE_P)), 1.3)
+        n = _ECF_ROWS if workers > 1 else 3 * _ECF_ROWS
+        _kernels.ecf(rng.standard_normal((n, 2)),
+                     rng.standard_normal((_ECF_M, 2)))
+        assert _kernels._pool is None

@@ -345,7 +345,10 @@ class TestCvFit:
         Y = simgen.sample_scenario(Scenario(
             cov=CovModel.tridiagonal(5),
             noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0), n=60, seed=2))
-        tuning = {"U": 1.0, "rho_admm": 20.0}
+        # each key where the tag takes it: pds takes no U, soft and hard
+        # no rho_admm
+        tuning = {k: v for k, v in {"U": 1.0, "rho_admm": 20.0}.items()
+                  if k in harness.SCHEMA["estimator"][tag]}
         taus = [0.02, 0.1, 0.3]
         path = harness.cv_fit(tag, tuning)(Y, taus)
         for tau, est in zip(taus, path):
@@ -369,12 +372,39 @@ class TestInputValidation:
             run(Y)
 
     def test_unknown_generator_of_a_tuning_built_in_code_is_rejected(self):
-        # no schema checks this tuning, so the spectral base must itself
-        # refuse the name instead of taking the Gaussian generator
+        # estimate checks a tuning against the schema, so the name is
+        # refused instead of the Gaussian generator being taken
         Y = np.random.default_rng(0).standard_normal((40, 3))
-        with pytest.raises(ValueError,
-                           match="unknown elliptical generator 'foo'"):
+        with pytest.raises(ValueError, match=re.escape(
+                "estimator 'elliptical': generator must be one of gaussian, "
+                "stable, got 'foo'")):
             harness.estimate("elliptical", Y, {"generator": "foo"})
+
+    @pytest.mark.parametrize("tag,tuning,message", [
+        ("sps", {"tau": 0.1, "lamda": 1.0},
+         "estimator 'sps': unknown key 'lamda'"),
+        ("soft", {"tau": 0.1, "rho_admm": 20.0},
+         "estimator 'soft': unknown key 'rho_admm'"),
+        ("hard", {}, "estimator 'hard': missing key 'tau'"),
+        ("pds", {"lambda": 1e-4}, "estimator 'pds': missing key 'tau'"),
+        ("cov", {"tau": 0.1}, "estimator 'cov': unknown key 'tau'"),
+        ("sps", {"tau": -0.1}, "estimator 'sps': tau must be >= 0"),
+        ("lasso", {}, "unknown estimator tag 'lasso'"),
+    ])
+    def test_estimate_checks_the_tuning(self, tag, tuning, message):
+        Y = np.random.default_rng(0).standard_normal((40, 3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            harness.estimate(tag, Y, tuning)
+
+    @pytest.mark.parametrize("tag,tuning,message", [
+        ("pds", {"U": 1.0}, "estimator 'pds': unknown key 'U'"),
+        ("hard", {"rho_admm": 20.0}, "estimator 'hard': unknown key 'rho_admm'"),
+        ("cov", {}, "estimator 'cov' takes no tau"),
+        ("elliptical", {"U": 1.0}, "estimator 'elliptical' takes no tau"),
+    ])
+    def test_cv_fit_checks_the_tag_and_tuning(self, tag, tuning, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            harness.cv_fit(tag, tuning)
 
 
 def _load_perfbench(name):
@@ -737,6 +767,28 @@ class TestConfigLoading:
             block[path[-1]] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             spec_from_dict(doc)
+
+    @pytest.mark.parametrize("block,key,suggestion", [
+        ("cv", "num_split", "; did you mean 'num_splits'?"),
+        ("sps", "lamda", "; did you mean 'lambda'?"),
+        # whatever the case
+        ("sps", "u", "; did you mean 'U'?"),
+        ("cov", "tau", ""),
+        ("sps", "zzz", ""),
+    ])
+    def test_unknown_key_suggests_the_nearest(self, block, key, suggestion):
+        doc = copy.deepcopy(self.DOC)
+        if block == "cv":
+            doc["cv"] = {key: 3}
+        else:
+            tau = {"tau": 0.25} if block == "sps" else {}
+            doc["estimators"] = [{"tag": block, **tau, key: 1.0}]
+        with pytest.raises(ValueError) as err:
+            spec_from_dict(doc)
+        message = str(err.value)
+        assert f"unknown key {key!r}; allowed keys: " in message
+        assert message.endswith(suggestion) and message.count("did you") \
+            == bool(suggestion)
 
     def test_readme_schema_section_matches_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -20,7 +20,7 @@ from speccov.simgen import (
     stable_symmetric,
 )
 from speccov.spectral import spectral_estimate
-from test_charfreq import _peak_bytes
+from test_charfreq import _PROBE_BLOCK_BYTES, _peak_bytes, _per_worker
 from test_charfreq import ecf as empirical_cf
 
 
@@ -190,11 +190,13 @@ class TestSamplerBlocks:
 
     @pytest.mark.parametrize("n", [40_000, 160_000])
     def test_spectral_estimate_peak_beyond_input_is_flat(self, n):
-        # the probe ECF kernel's block of 2**16 float64 and a few p x p
-        # arrays; a flag per entry of Y alone would take 0.8 MB at n=40 000
+        # the probe ECF kernel's block of 2**16 float64 per running worker
+        # and a few p x p arrays; a flag per entry of Y alone would take
+        # 0.8 MB at n=40 000
         Y = sample_scenario(Scenario(cov=CovModel.tridiagonal(self.P),
                                      noise=NoiseModel.none(), n=n, seed=4))
-        assert _peak_bytes(spectral_estimate, Y.data, 1.0) < 2**20
+        assert _peak_bytes(spectral_estimate, Y.data, 1.0) < _per_worker(
+            2**20, _PROBE_BLOCK_BYTES)
 
     @pytest.mark.parametrize("n", [60, 80_000])
     def test_gaussian_draw_equals_whole_array_formula(self, n):
