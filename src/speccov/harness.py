@@ -16,7 +16,7 @@ import numbers
 import re
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -134,9 +134,9 @@ def _given(d, table, **params):
 _SEED = {"seed": _Key(WHOLE, _at_least(0))}
 _U = {"U": _Key(NUMBER, _above(0), default=1.0)}
 _TAU = {"tau": _Key(NUMBER, _at_least(0))}
-_PD_SOLVER = {  # PdSoftConfig's keys besides tau
-    "lambda": _Key(NUMBER, _above(0)), "rho_admm": _Key(NUMBER, _above(0)),
-    "tol": _Key(NUMBER, _above(0)), "max_iter": _Key(WHOLE, _at_least(1))}
+_PD_SOLVER = {  # PdSoftConfig's keys besides tau and the start penalty
+    "lambda": _Key(NUMBER, _above(0)), "tol": _Key(NUMBER, _above(0)),
+    "max_iter": _Key(WHOLE, _at_least(1))}
 # the theory constants of the admissibility check: R bounds the largest
 # entry of Sigma, (T, beta) the noise class, gamma the concentration
 _THEORY = {
@@ -152,103 +152,6 @@ _LOWRANK = {  # LowRankConfig's keys; its annulus radius is at least 1
     "mc_samples": _Key(WHOLE, _at_least(1))}
 _P = {"p": _Key(WHOLE, _at_least(1), required=True)}
 _SAMPLE = {"n": _Key(WHOLE, _at_least(1), required=True), **_SEED}
-
-# Each block's table; the covariance and noise tables by kind, the tuning
-# tables by estimator tag. A tuning's ranges are those of the constructor
-# that takes it, so that a value out of range fails when the config is
-# parsed instead of in every record.
-SCHEMA = {
-    "config": {"scenario": _Key(required=True),
-               "estimators": _Key(LIST, required=True),
-               "replications": _Key(WHOLE, _at_least(1), required=True),
-               "cv": _Key(), "output": _Key()},
-    "scenario": {"covariance": _Key(required=True), "noise": _Key(),
-                 **_SAMPLE},
-    "covariance": {
-        "tridiagonal": _P,
-        "block_diagonal": {
-            **_P, "block_sizes": _Key(WHOLES, _at_least(0), required=True),
-            **_SEED},
-        "explicit": {"matrix": _Key(required=True)}},
-    "noise": {
-        "none": {},
-        "gamma_elliptical": {"theta": _Key(NUMBER, required=True),
-                             "A": _Key(default="identity")},
-        "gaussian": {"rho": _Key(NUMBER, required=True)},
-        "stable": {"beta": _Key(NUMBER, required=True),
-                   "sigma": _Key(NUMBER, required=True), "norm": _Key()}},
-    "cv": {"num_splits": _Key(WHOLE, _at_least(1), default=100),
-           "tau_grid": _Key(NUMBERS, default=shrinkage.DEFAULT_TAU_GRID),
-           **_SEED, "rule": _Key()},
-    "estimator": {
-        "cov": {},
-        "pds": {**_TAU, **_PD_SOLVER},
-        "sps": {**_TAU, **_PD_SOLVER, **_U, **_THEORY},
-        "soft": {**_TAU, **_U, **_THEORY},
-        "hard": {**_TAU, **_U, **_THEORY},
-        "elliptical": {**_U, "generator": _Key(_GENERATORS),
-                       **_ALPHA, **_THEORY},
-        "lowrank": {**_LOWRANK, **_SEED}},
-}
-
-
-CSV_HEADER = [
-    "replication", "estimator", "frob_error", "wall_time_s",
-    "tau", "U", "lambda", "admissible", "error",
-]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    scenario: Scenario
-    estimators: List[tuple]  # (tag, tuning dict)
-    replications: int
-    cv: Optional[CvConfig] = None
-    cv_rule: str = "sps"
-    output: Optional[str] = None
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if not self.estimators:
-            raise ValueError("at least one estimator is required")
-        for tag, tuning in self.estimators:
-            # a None tau is left to be chosen by cross-validation
-            _check_tuning(tag, {k: v for k, v in tuning.items()
-                                if not (k == "tau" and v is None)})
-            if (tag in THRESHOLD_TAGS and self.cv is None
-                    and tuning.get("tau") is None):
-                raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
-        if self.cv is not None and self.cv_rule not in THRESHOLD_TAGS:
-            raise ValueError(f"unknown cv rule {self.cv_rule!r}")
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    replication: int
-    estimator: str
-    frob_error: float
-    wall_time: float
-    tuning_used: dict = field(default_factory=dict)
-    admissible_flag: Optional[bool] = None
-    error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SummaryStats:
-    """An estimator's record count ``n``, how many of them failed, and the
-    statistics of the others' errors (None when every record failed)."""
-
-    n: int
-    n_failed: int
-    min: Optional[float] = None
-    q25: Optional[float] = None
-    median: Optional[float] = None
-    q75: Optional[float] = None
-    max: Optional[float] = None
-    mean: Optional[float] = None
-    stderr: Optional[float] = None
-
 
 # An estimator is a base, fn(Y, tuning) -> CovEstimate for an (n, p) array
 # Y, and maybe a rule, fn(bases, tuning, taus) -> each base's estimate at its
@@ -306,6 +209,104 @@ ESTIMATORS = {
 THRESHOLD_TAGS = tuple(tag for tag, e in ESTIMATORS.items() if e.rule)
 
 
+# Each block's table; the covariance and noise tables by kind, the tuning
+# tables by estimator tag. A tuning's ranges are those of the constructor
+# that takes it, so that a value out of range fails when the config is
+# parsed instead of in every record.
+SCHEMA = {
+    "config": {"scenario": _Key(required=True),
+               "estimators": _Key(LIST, required=True),
+               "replications": _Key(WHOLE, _at_least(1), required=True),
+               "cv": _Key(), "output": _Key()},
+    "scenario": {"covariance": _Key(required=True), "noise": _Key(),
+                 **_SAMPLE},
+    "covariance": {
+        "tridiagonal": _P,
+        "block_diagonal": {
+            **_P, "block_sizes": _Key(WHOLES, _at_least(0), required=True),
+            **_SEED},
+        "explicit": {"matrix": _Key(required=True)}},
+    "noise": {
+        "none": {},
+        "gamma_elliptical": {"theta": _Key(NUMBER, required=True),
+                             "A": _Key(default="identity")},
+        "gaussian": {"rho": _Key(NUMBER, required=True)},
+        "stable": {"beta": _Key(NUMBER, required=True),
+                   "sigma": _Key(NUMBER, required=True),
+                   "norm": _Key(("lbeta", "l2"))}},
+    "cv": {"num_splits": _Key(WHOLE, _at_least(1), default=100),
+           "tau_grid": _Key(NUMBERS, default=shrinkage.DEFAULT_TAU_GRID),
+           **_SEED, "rule": _Key(THRESHOLD_TAGS)},
+    "estimator": {
+        "cov": {},
+        "pds": {**_TAU, **_PD_SOLVER},
+        "sps": {**_TAU, **_PD_SOLVER, **_U, **_THEORY},
+        "soft": {**_TAU, **_U, **_THEORY},
+        "hard": {**_TAU, **_U, **_THEORY},
+        "elliptical": {**_U, "generator": _Key(_GENERATORS),
+                       **_ALPHA, **_THEORY},
+        "lowrank": {**_LOWRANK, **_SEED}},
+}
+
+
+CSV_HEADER = [
+    "replication", "estimator", "frob_error", "wall_time_s",
+    "tau", "U", "lambda", "admissible", "error",
+]
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    scenario: Scenario
+    estimators: List[tuple]  # (tag, tuning dict)
+    replications: int
+    cv: Optional[CvConfig] = None
+    cv_rule: str = "sps"
+    output: Optional[str] = None
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        if not self.estimators:
+            raise ValueError("at least one estimator is required")
+        for tag, tuning in self.estimators:
+            # a None tau is left to be chosen by cross-validation
+            _check_tuning(tag, {k: v for k, v in tuning.items()
+                                if not (k == "tau" and v is None)})
+            if (tag in THRESHOLD_TAGS and self.cv is None
+                    and tuning.get("tau") is None):
+                raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
+        if self.cv is not None:
+            _check("cv", {"rule": self.cv_rule}, SCHEMA["cv"])
+
+
+@dataclass(frozen=True)
+class ResultRecord:
+    replication: int
+    estimator: str
+    frob_error: float
+    wall_time: float
+    tuning_used: dict = field(default_factory=dict)
+    admissible_flag: Optional[bool] = None
+    error: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class SummaryStats:
+    """An estimator's record count ``n``, how many of them failed, and the
+    statistics of the others' errors (None when every record failed)."""
+
+    n: int
+    n_failed: int
+    min: Optional[float] = None
+    q25: Optional[float] = None
+    median: Optional[float] = None
+    q75: Optional[float] = None
+    max: Optional[float] = None
+    mean: Optional[float] = None
+    stderr: Optional[float] = None
+
+
 def _check_tuning(tag, tuning, needs_tau=False):
     """Raise ValueError naming the tag, and the key, when ``tag`` is not in
     ESTIMATORS or ``tuning`` fails its table in SCHEMA; with ``needs_tau``,
@@ -356,6 +357,12 @@ def _admissible_flag(tuning, n, p):
 _BLOCK = 8
 
 
+def _sample(scenario, k):
+    """The sample of ``scenario`` at [seed, k], or [*seed, k] for a list seed."""
+    seed = scenario.seed if isinstance(scenario.seed, list) else [scenario.seed]
+    return simgen.sample_scenario(replace(scenario, seed=[*seed, k]))
+
+
 def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
     """Run all replications; estimator failures are recorded, not raised.
 
@@ -368,9 +375,7 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
     if spec.cv is not None:
         # select tau once on an independent sample drawn past the
         # replication seed range
-        cv_sample = simgen.sample_scenario(
-            Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise, n=n,
-                     seed=[spec.scenario.seed, spec.replications]))
+        cv_sample = _sample(spec.scenario, spec.replications)
         # the radius of the first estimator with a spectral base and a rule
         U_cv = _given(next((t for tag, t in spec.estimators
                             if ESTIMATORS[tag].base is _spectral
@@ -417,10 +422,7 @@ def _run_block(spec, reps, tunings, truth, cv_error):
     out = {}
     bases = {}  # estimator index -> [(replication, base, base seconds)]
     for rep in reps:
-        data = simgen.sample_scenario(
-            Scenario(cov=spec.scenario.cov, noise=spec.scenario.noise,
-                     n=spec.scenario.n,
-                     seed=[spec.scenario.seed, rep])).data
+        data = _sample(spec.scenario, rep).data
         for i, (tag, _) in enumerate(spec.estimators):
             base, rule = ESTIMATORS[tag]
             if rule and cv_error is not None:

@@ -17,8 +17,8 @@ that point, so that update is skipped: k iterations cost k - 1
 eigendecompositions. The ADMM penalty adapts by residual balancing, which
 clears the acceleration's memory, so ``PdSoftConfig.rho_admm`` is only the
 starting penalty: it changes the iteration count, not the solution, and the
-solver converges on the whole default CV grid ``DEFAULT_TAU_GRID``. Given
-several configs that differ only in tau, and one estimate or one per
+solver converges on the whole default CV grid ``DEFAULT_TAU_GRID``; no
+config sets it. Given configs that differ only in tau, one estimate per
 config, ``pd_soft_threshold`` solves them as stacks of problems that share
 each iteration's numpy calls (one stacked eigendecomposition among them)
 while each converges on its own and then leaves the stack; CV solves a
@@ -444,15 +444,14 @@ def pd_soft_threshold(est, cfg):
     """Soft thresholding with a log-det barrier; output PD up to rounding.
 
     ``cfg`` is a PdSoftConfig, and the result one estimate; or a sequence
-    of them that differ only in tau (else ValueError), and the result the
-    list of their estimates, in order. With a sequence of configs, ``est``
-    is one estimate for all of them or a sequence of estimates, one per
-    config. The problems of a sequence are solved together as stacks of at
-    most ``_STACK // p**2``, which all share one eigendecomposition call
-    per iteration and each converge, count iterations and balance rho on
-    their own. A problem leaves its stack as soon as it converges, so a
-    stack's iterations cost less as its problems finish, and a solve in a
-    stack returns what it returns alone.
+    of them that differ only in tau, with ``est`` a sequence of as many
+    estimates (else ValueError), and the result the list of their
+    estimates, in order. The problems of a sequence are solved together as
+    stacks of at most ``_STACK // p**2``, which all share one
+    eigendecomposition call per iteration and each converge, count
+    iterations and balance rho on their own. A problem leaves its stack as
+    soon as it converges, so a stack's iterations cost less as its problems
+    finish, and a solve in a stack returns what it returns alone.
 
     The solution is positive definite in exact arithmetic. In floating
     point the returned X has eigenvalues >= -p * eps * |X|_2: the barrier
@@ -492,12 +491,10 @@ def pd_soft_threshold(est, cfg):
     if len({(c.lambda_barrier, c.max_iter, c.tol, c.rho_admm)
             for c in cfgs}) > 1:
         raise ValueError("the configs of one call may differ only in tau")
-    if isinstance(est, (list, tuple)):
-        if len(est) != len(cfgs):
-            raise ValueError(f"{len(est)} estimates for {len(cfgs)} configs")
-        shats = [_matrix(e) for e in est]
-    else:
-        shats = [_matrix(est)] * len(cfgs)
+    if not isinstance(est, (list, tuple)) or len(est) != len(cfgs):
+        raise ValueError(f"{len(cfgs)} configs take a sequence of as many "
+                         f"estimates")
+    shats = [_matrix(e) for e in est]
     taus = [c.tau for c in cfgs]
     size = max(1, _STACK // shats[0].size) if shats else 1
     return [solved for i in range(0, len(taus), size)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from speccov import _kernels, lowrank, shrinkage, spectral
+from speccov.harness import ExperimentSpec, run_experiment, summarize
 from speccov.shrinkage import PdSoftConfig
 from speccov.simgen import (
     CovModel,
@@ -33,34 +34,23 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def run_scenario_medians(noise, n_reps, seed_tag, U, tau, p=20, n=50,
-                         lam=1e-4, rho_admm=20.0, estimators=("cov", "pds", "sps")):
-    truth = make_tridiagonal(p)
-    errs = {tag: [] for tag in estimators}
-    cfg = PdSoftConfig(tau=tau, lambda_barrier=lam, rho_admm=rho_admm)
-    for rep in range(n_reps):
-        Y = sample_scenario(Scenario(cov=CovModel.tridiagonal(p), noise=noise,
-                                     n=n, seed=[seed_tag, rep]))
-        if "cov" in errs:
-            errs["cov"].append(
-                frobenius_error(shrinkage.sample_covariance(Y), truth))
-        if "pds" in errs:
-            errs["pds"].append(
-                frobenius_error(shrinkage.pd_soft_threshold(
-                    shrinkage.sample_covariance(Y), cfg), truth))
-        if "sps" in errs:
-            base = spectral.spectral_estimate(Y, U)
-            errs["sps"].append(
-                frobenius_error(shrinkage.pd_soft_threshold(base, cfg), truth))
-    return {tag: float(np.median(v)) for tag, v in errs.items()}
+def medians(spec):
+    """The median error of each estimator of ``spec``, run as ``simulate``
+    runs a config; every record must succeed."""
+    records = run_experiment(spec)
+    assert [r.error for r in records if r.error] == []
+    return {tag: s.median for tag, s in summarize(records).items()}
 
 
 class TestCriterion1BiasSeparation:
     def test_gamma_noise_median_ordering(self):
         t0 = time.perf_counter()
-        med = run_scenario_medians(
-            noise=NoiseModel.gamma_elliptical(np.eye(20), 1.0),
-            n_reps=200, seed_tag=7, U=3.0, tau=0.25)
+        med = medians(ExperimentSpec(
+            Scenario(CovModel.tridiagonal(20),
+                     NoiseModel.gamma_elliptical(np.eye(20), 1.0), n=50,
+                     seed=7),
+            [("cov", {}), ("pds", {"tau": 0.25, "lambda": 1e-4}),
+             ("sps", {"tau": 0.25, "U": 3.0, "lambda": 1e-4})], 200))
         elapsed = time.perf_counter() - t0
         floor = 0.8 * math.sqrt(20)
         ok = (med["sps"] < med["pds"] and med["sps"] < med["cov"]
@@ -246,10 +236,11 @@ class TestCriterion8EllipticalReduction:
 
 class TestCriterion9MisspecificationRobustness:
     def test_gaussian_noise_sps_not_worse_than_pds(self):
-        med = run_scenario_medians(
-            noise=NoiseModel.gaussian(math.sqrt(0.5)),
-            n_reps=200, seed_tag=11, U=0.3, tau=0.4,
-            estimators=("pds", "sps"))
+        med = medians(ExperimentSpec(
+            Scenario(CovModel.tridiagonal(20),
+                     NoiseModel.gaussian(math.sqrt(0.5)), n=50, seed=11),
+            [("pds", {"tau": 0.4, "lambda": 1e-4}),
+             ("sps", {"tau": 0.4, "U": 0.3, "lambda": 1e-4})], 200))
         ok = med["sps"] <= med["pds"]
         report(9, ok, f"median sps={med['sps']:.4f} <= pds={med['pds']:.4f} "
                       f"(Gaussian noise, 200 replications)")

@@ -34,7 +34,7 @@ scenario:
   seed: 2
 estimators:
   - {tag: cov}
-  - {tag: sps, tau: 0.3, U: 1.0, lambda: 1.0e-4, rho_admm: 20.0}
+  - {tag: sps, tau: 0.3, U: 1.0, lambda: 1.0e-4, tol: 1.0e-7}
 replications: 2
 """
     )
@@ -148,16 +148,16 @@ scenario:
   n: 40
   seed: 2
 estimators:
-  - {{tag: sps, tau: {tau}, U: 1.0, lambda: {lam}, rho_admm: 20.0}}
+  - {{tag: sps, tau: {tau}, U: 1.0, lambda: {lam}, tol: {tol}}}
   - {{tag: hard, tau: {tau}, U: 1.0}}
 replications: 2
 output: "1e3"
 """
         rows = []
-        for name, tau, lam in (("dot", "0.25", "1.0e-4"),
-                               ("exp", "25e-2", "1e-4")):
+        for name, tau, lam, tol in (("dot", "0.25", "1.0e-4", "1.0e-7"),
+                                    ("exp", "25e-2", "1e-4", "1E-7")):
             cfg = tmp_path / f"{name}.yaml"
-            cfg.write_text(body.format(tau=tau, lam=lam))
+            cfg.write_text(body.format(tau=tau, lam=lam, tol=tol))
             out = tmp_path / f"{name}.csv"
             assert main(["simulate", "--config", str(cfg),
                          "--output", str(out)]) == 0

@@ -83,7 +83,7 @@ class TestSpecValidation:
         cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
         small_spec([(tag, {})], cv=cv, cv_rule=tag)
 
-    @pytest.mark.parametrize("key", ["tau", "U", "lambda", "rho_admm",
+    @pytest.mark.parametrize("key", ["tau", "U", "lambda",
                                      "tol", "max_iter", "mc_samples",
                                      "seed", "alpha", "R", "T", "beta",
                                      "gamma"])
@@ -126,6 +126,34 @@ class TestRunExperiment:
         truth = spec.scenario.cov.matrix()
         assert rec.frob_error == simgen.frobenius_error(est, truth)
         assert rec.error is None
+
+    def test_list_seed_draws_after_its_entries(self, monkeypatch):
+        # a list seed is the entropy of one SeedSequence: replication r
+        # draws at [*seed, r] and the CV sample at [*seed, replications],
+        # as an int seed draws at [seed, r]
+        scenario = Scenario(CovModel.tridiagonal(3), NoiseModel.none(), n=20,
+                            seed=[1, 2])
+        records = run_experiment(ExperimentSpec(scenario, [("cov", {})], 3))
+        truth = scenario.cov.matrix()
+        assert [r.replication for r in records] == [0, 1, 2]
+        for r in records:
+            Y = simgen.sample_scenario(
+                dataclasses.replace(scenario, seed=[1, 2, r.replication]))
+            assert r.error is None
+            assert r.frob_error == simgen.frobenius_error(
+                shrinkage.sample_covariance(Y), truth)
+        seen = []
+
+        def recording(Y, U, cfg, fit):
+            seen.append(Y)
+            return 0.1, None
+
+        monkeypatch.setattr(shrinkage, "cross_validate_tau", recording)
+        cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.1])
+        run_experiment(ExperimentSpec(scenario, [("hard", {})], 3, cv, "hard"))
+        want = simgen.sample_scenario(
+            dataclasses.replace(scenario, seed=[1, 2, 3]))
+        assert seen[0].data.tobytes() == want.data.tobytes()
 
     def test_record_count_and_ordering(self):
         spec = small_spec([("sps", {"tau": 0.3, "U": 1.0}), ("cov", {})],
@@ -198,7 +226,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(shrinkage, "pd_soft_threshold", recording)
         cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3, 0.6], seed=0)
-        spec = small_spec([("sps", {"tau": 0.3, "U": 1.0, "rho_admm": 20.0,
+        spec = small_spec([("sps", {"tau": 0.3, "U": 1.0, "tol": 1e-8,
                                     "lambda": 1.0e-3})],
                           replications=1, n=60, cv=cv, cv_rule="sps")
         records = run_experiment(spec)
@@ -208,7 +236,9 @@ class TestRunExperiment:
         assert [[c.tau for c in cfgs] for cfgs in seen[:2]] == \
             [[0.1, 0.3, 0.6]] * 2
         assert [c.tau for c in seen[2]] == [records[0].tuning_used["tau"]]
-        assert all(c.rho_admm == 20.0 and c.lambda_barrier == 1e-3
+        # the ADMM starts at the solver's own penalty
+        assert all(c.tol == 1e-8 and c.lambda_barrier == 1e-3
+                   and c.rho_admm == shrinkage.PdSoftConfig(0.0).rho_admm
                    for cfgs in seen for c in cfgs)
 
     def test_cv_failure_fails_only_the_tuned_records(self, monkeypatch):
@@ -346,8 +376,8 @@ class TestCvFit:
             cov=CovModel.tridiagonal(5),
             noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0), n=60, seed=2))
         # each key where the tag takes it: pds takes no U, soft and hard
-        # no rho_admm
-        tuning = {k: v for k, v in {"U": 1.0, "rho_admm": 20.0}.items()
+        # no tol
+        tuning = {k: v for k, v in {"U": 1.0, "tol": 1e-8}.items()
                   if k in harness.SCHEMA["estimator"][tag]}
         taus = [0.02, 0.1, 0.3]
         path = harness.cv_fit(tag, tuning)(Y, taus)
@@ -715,8 +745,8 @@ class TestConfigLoading:
          "estimator 'lowrank': lambda must be > 0, got 0"),
         (("estimators",), [{"tag": "lowrank", "U": 0.5}],
          "estimator 'lowrank': U must be >= 1, got 0.5"),
-        (("estimators",), [{"tag": "pds", "tau": 0.2, "rho_admm": 0.0}],
-         "estimator 'pds': rho_admm must be > 0, got 0.0"),
+        (("estimators",), [{"tag": "pds", "tau": 0.2, "tol": 0.0}],
+         "estimator 'pds': tol must be > 0, got 0.0"),
         (("estimators",), [{"tag": "sps", "tau": 0.2, "tol": -1e-7}],
          "estimator 'sps': tol must be > 0, got -1e-07"),
         (("estimators",), [{"tag": "elliptical", "generator": "stable",
@@ -734,7 +764,7 @@ class TestConfigLoading:
         # a misspelt or misplaced key fails instead of running at a default
         (("estimators",), [{"tag": "sps", "tau": 0.25, "lamda": 5.0}],
          "estimator 'sps': unknown key 'lamda'; allowed keys: tau, lambda, "
-         "rho_admm, tol, max_iter, U, R, T, beta, gamma"),
+         "tol, max_iter, U, R, T, beta, gamma"),
         (("estimators",), [{"tag": "sps", "tau": 0.25, "u": 9}],
          "estimator 'sps': unknown key 'u'"),
         (("scenario", "nosie"), {"kind": "gaussian", "rho": 0.5},
@@ -755,6 +785,19 @@ class TestConfigLoading:
          "config: estimators must be a list, got {'tag': 'cov'}"),
         (("estimators",), "cov",
          "config: estimators must be a list, got 'cov'"),
+        (("scenario", "noise"),
+         {"kind": "stable", "beta": 1.5, "sigma": 0.7, "norm": "l3"},
+         "noise: norm must be one of lbeta, l2, got 'l3'"),
+        (("cv",), {"rule": "cov"},
+         "cv: rule must be one of sps, soft, hard, pds, got 'cov'"),
+        # the ADMM starts at the solver's own penalty, which residual
+        # balancing adapts; only a PdSoftConfig built in Python sets it
+        (("estimators",), [{"tag": "pds", "tau": 0.2, "rho_admm": 20.0}],
+         "estimator 'pds': unknown key 'rho_admm'; allowed keys: tau, lambda, "
+         "tol, max_iter"),
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "rho_admm": 20.0}],
+         "estimator 'sps': unknown key 'rho_admm'; allowed keys: tau, lambda, "
+         "tol, max_iter, U"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)
@@ -793,11 +836,6 @@ class TestConfigLoading:
     def test_readme_schema_section_matches_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Config schema\n", 1)[1].split("\n## ", 1)[0]
-        # the documented example is a valid config
-        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-        spec = spec_from_dict(yaml.load(example, Loader=harness._SpecLoader))
-        assert [tag for tag, _ in spec.estimators] == \
-            ["cov", "pds", "sps", "lowrank"]
         # the tag table lists every key that each tag takes, and no other
         table = section.split("The estimator tags take these keys", 1)[1]
         rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
@@ -819,6 +857,15 @@ class TestConfigLoading:
                   "yes" if rule else "no")
             for tag, (base, rule) in harness.ESTIMATORS.items()}
         assert set(harness.ESTIMATORS) == set(harness.SCHEMA["estimator"])
+
+    def test_readme_example_config_parses(self):
+        # so that a key the schema dropped cannot linger in the example
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config schema\n", 1)[1].split("\n## ", 1)[0]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        spec = spec_from_dict(yaml.load(example, Loader=harness._SpecLoader))
+        assert [tag for tag, _ in spec.estimators] == \
+            ["cov", "pds", "sps", "lowrank"]
 
     def test_tuning_at_the_edge_of_its_range_parses(self):
         doc = copy.deepcopy(self.DOC)
@@ -845,7 +892,7 @@ scenario:
   n: 40
   seed: 2
 estimators:
-  - {tag: sps, tau: 25e-2, U: 1.0, lambda: 1e-4, rho_admm: 2E+1}
+  - {tag: sps, tau: 25e-2, U: 1.0, lambda: 1e-4, max_iter: 1E+4}
   - {tag: hard, tau: 0.25, U: 1.0}
   - {tag: lowrank, lambda: 1.0e-4, seed: 3}
 cv: {num_splits: 2, tau_grid: [1e-3, 5E-2, 0.3], seed: 1}
@@ -888,7 +935,7 @@ class TestSpecLoaders:
         if name == "exponent":
             tuning = dict(spec_from_dict(docs[0]).estimators[0][1])
             assert tuning == {"tau": 0.25, "U": 1.0, "lambda": 1e-4,
-                              "rho_admm": 20.0}
+                              "max_iter": 10_000.0}
             assert docs[0]["output"] == "1e3"
 
 

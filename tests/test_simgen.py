@@ -173,10 +173,16 @@ class TestSamplerBlocks:
     beyond the output does not grow with n, and it takes and combines the
     same numbers as the whole-array draw."""
 
-    BOUND = 4 * 2**20
     P = 20
+    # _row_blocks merges a remainder into the last block, which so runs to
+    # one row short of two blocks (5279 rows at p = 20): shorter blocks
+    # would take BLAS's small-matrix kernel and change the draw's bits.
+    # The l_beta-stable sampler holds five arrays of a block at its peak;
+    # the bound allows six of the longest.
+    LONGEST = 2 * simgen._row_blocks(2**20, P)[0].stop - 1
+    BOUND = 6 * 8 * P * LONGEST
 
-    @pytest.mark.parametrize("n", [40_000, 160_000])
+    @pytest.mark.parametrize("n", [40_000, 160_000, 42_239, 161_039])
     @pytest.mark.parametrize("noise", [
         NoiseModel.none(), NoiseModel.gaussian(0.7),
         NoiseModel.gamma_elliptical(0.5 * np.eye(20), 1.5),
