@@ -39,7 +39,6 @@ from .spectral import (
     CovEstimate,
     EstimationError,
     PreAsymptoticError,
-    SampleMatrix,
     SpectralConfig,
     admissible,
     gaussian_generator,

@@ -103,7 +103,9 @@ def _cmd_cv(args):
 def _cmd_rates(args):
     cfg = spectral.SpectralConfig(U=args.u, R=args.r, T=args.t,
                                   beta=args.beta, gamma=args.gamma)
-    print("n,p,tau,admissible,u_star,rate")
+    # printed once every row is computed, so that a bad constant prints
+    # only its ERROR line
+    lines = ["n,p,tau,admissible,u_star,rate"]
     for n in args.n:
         for p in args.p:
             tau = spectral.tau_threshold(cfg, n, p)
@@ -115,7 +117,9 @@ def _cmd_rates(args):
                 ustar_s = ""
             rate = spectral.theoretical_rate(args.s, args.r, args.t,
                                              args.beta, args.q, n, p)
-            print(f"{n},{p},{tau:.6g},{str(adm).lower()},{ustar_s},{rate:.6g}")
+            lines.append(f"{n},{p},{tau:.6g},{str(adm).lower()},{ustar_s},"
+                         f"{rate:.6g}")
+    print("\n".join(lines))
     return 0
 
 

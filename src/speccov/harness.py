@@ -4,7 +4,10 @@ An experiment is a scenario (covariance model, noise model, n, seed) plus a
 list of estimators with their tuning. Each replication draws a fresh sample
 with a seed derived from (seed, replication index), runs every estimator,
 and records the Frobenius error against the true covariance. Identical
-specs produce byte-identical CSV output.
+specs produce byte-identical CSV output except for the measured
+``wall_time_s`` column, and for p above 256 only at a fixed BLAS thread
+count: a multi-threaded OpenBLAS rounds the sample's product with
+Sigma^(1/2) differently for each thread count.
 """
 
 import csv
@@ -422,7 +425,7 @@ def _run_block(spec, reps, tunings, truth, cv_error):
     out = {}
     bases = {}  # estimator index -> [(replication, base, base seconds)]
     for rep in reps:
-        data = _sample(spec.scenario, rep).data
+        data = _sample(spec.scenario, rep)
         for i, (tag, _) in enumerate(spec.estimators):
             base, rule = ESTIMATORS[tag]
             if rule and cv_error is not None:

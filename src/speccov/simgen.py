@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import CovEstimate, SampleMatrix, _counts, _whole
+from .spectral import CovEstimate, _as_data, _counts, _whole
 
 __all__ = [
     "CovModel",
@@ -141,16 +141,19 @@ class NoiseModel:
     def none(cls):
         return cls(kind="none")
 
+    # the checks below are written so that NaN and infinite values fail too
     @classmethod
     def gamma_elliptical(cls, A, theta):
-        if theta <= 0:
+        if not 0 < theta < math.inf:
             raise ValueError("theta must be positive")
-        return cls(kind="gamma_elliptical", A=np.asarray(A, dtype=float),
-                   theta=float(theta))
+        A = np.asarray(A, dtype=float)
+        if not np.isfinite(A).all():
+            raise ValueError("A must have finite entries")
+        return cls(kind="gamma_elliptical", A=A, theta=float(theta))
 
     @classmethod
     def gaussian(cls, rho):
-        if rho < 0:
+        if not 0 <= rho < math.inf:
             raise ValueError("rho must be nonnegative")
         return cls(kind="gaussian", rho=float(rho))
 
@@ -158,7 +161,7 @@ class NoiseModel:
     def stable(cls, beta, sigma, norm="lbeta"):
         if not (0 < beta < 2):
             raise ValueError("beta must lie in (0, 2)")
-        if sigma <= 0:
+        if not 0 < sigma < math.inf:
             raise ValueError("sigma must be positive")
         if norm not in ("lbeta", "l2"):
             raise ValueError("norm must be 'lbeta' or 'l2'")
@@ -275,8 +278,9 @@ def _add_noise(model: NoiseModel, X, rng):
         del G  # so that it is not held while the next block is drawn
 
 
-def sample_scenario(s: Scenario) -> SampleMatrix:
-    """Draw n noisy observations Y = X + eps, deterministic given the seed.
+def sample_scenario(s: Scenario) -> np.ndarray:
+    """Draw n noisy observations Y = X + eps, deterministic given the seed,
+    as a float64 (n, p) array whose entries are checked to be finite.
 
     The sample is drawn into its output array, whose products with
     Sigma^(1/2) and with the noise's A are taken one row block at a time,
@@ -296,7 +300,7 @@ def sample_scenario(s: Scenario) -> SampleMatrix:
     for rows in _row_blocks(s.n, p):
         X[rows] = X[rows] @ root
     _add_noise(s.noise, X, rng)
-    return SampleMatrix(X)
+    return _as_data(X)
 
 
 def noise_cf(model: NoiseModel, u) -> complex:

@@ -24,7 +24,6 @@ import numpy as np
 from . import _kernels
 
 __all__ = [
-    "SampleMatrix",
     "probe_log_moduli",
     "SpectralConfig",
     "CovEstimate",
@@ -53,24 +52,6 @@ class PreAsymptoticError(ValueError):
     """n is too small for the theory-driven spectral radius to be real."""
 
 
-@dataclass(frozen=True)
-class SampleMatrix:
-    """n observations of a p-vector, rows are observations."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("sample must be a 2-d array with n >= 1, p >= 1")
-        # by row blocks, so that no n x p array of flags is built
-        rows = _kernels._rows_per_block(arr.shape[1])
-        if not all(np.isfinite(arr[k:k + rows]).all()
-                   for k in range(0, len(arr), rows)):
-            raise ValueError("sample contains non-finite entries")
-        object.__setattr__(self, "data", arr)
-
-
 def _whole(name, value, low=1):
     """``value``, a whole number >= ``low``, as an int, so that 10.0 runs as
     10; else (NaN and infinities included) raise a ValueError naming it."""
@@ -89,9 +70,17 @@ def _counts(obj, *names, low=1):
 
 
 def _as_data(Y) -> np.ndarray:
-    if isinstance(Y, SampleMatrix):
-        return Y.data
-    return SampleMatrix(np.asarray(Y, dtype=float)).data
+    """Y, n observations of a p-vector in rows, as a float64 array; a
+    ValueError unless it is 2-d with n, p >= 1 and every entry finite."""
+    arr = np.asarray(Y, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("sample must be a 2-d array with n >= 1, p >= 1")
+    # by row blocks, so that no n x p array of flags is built
+    rows = _kernels._rows_per_block(arr.shape[1])
+    if not all(np.isfinite(arr[k:k + rows]).all()
+               for k in range(0, len(arr), rows)):
+        raise ValueError("sample contains non-finite entries")
+    return arr
 
 
 def probe_log_moduli(Y, U: float):
@@ -238,9 +227,10 @@ def admissible(cfg: SpectralConfig, n: int, p: int) -> bool:
 
 def spectral_radius_star(R: float, gamma: float, n: int, p: int) -> float:
     """Theory-driven probe radius U* = sqrt(log(n / (64 gamma^2 log(ep))) / (4R))."""
-    if R <= 0:
+    # written so that NaN and infinite values fail too
+    if not 0 < R < math.inf:
         raise ValueError("R must be positive")
-    if gamma <= SQRT2:
+    if not SQRT2 < gamma < math.inf:
         raise ValueError("gamma must exceed sqrt(2)")
     arg = n / (64.0 * gamma**2 * math.log(math.e * p))
     if arg <= 1.0:
@@ -257,6 +247,12 @@ def theoretical_rate(
 
     Here L = log(n / log(ep)). Diagnostic only; never used for tuning.
     """
+    if not 0 <= S < math.inf:
+        raise ValueError("S must be nonnegative")
+    if not 0 < R < math.inf:
+        raise ValueError("R must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be positive")
     if not (0 <= q < 2) or not (0 <= beta < 2):
         raise ValueError("q and beta must lie in [0, 2)")
     L = math.log(n / math.log(math.e * p))

@@ -46,7 +46,7 @@ def write_input(path):
     p = 8
     Y = sample_scenario(Scenario(
         cov=CovModel.tridiagonal(p),
-        noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0), n=60, seed=3)).data
+        noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0), n=60, seed=3))
     np.savetxt(path, Y, delimiter=",", fmt="%.17g")
 
 

@@ -125,7 +125,7 @@ class TestCriterion4SolverCertificates:
             A = rng.standard_normal((p, p))
             Y = sample_scenario(Scenario(
                 cov=CovModel.explicit(A @ A.T), noise=NoiseModel.none(),
-                n=2000, seed=[41, p])).data
+                n=2000, seed=[41, p]))
             w = lowrank.bump_weight(p)
             cfg = lowrank.LowRankConfig(U=1.0, lambda_nuc=0.1,
                                         mc_samples=600, tol=1e-14,
@@ -182,7 +182,7 @@ class TestCriterion6GeneratorFidelity:
         for k, model in enumerate(models):
             eps = sample_scenario(Scenario(
                 cov=CovModel.explicit(np.zeros((p, p))), noise=model, n=n,
-                seed=[51, k])).data
+                seed=[51, k]))
             ecf = _kernels.ecf(eps, grid)
             for u, value in zip(grid, ecf):
                 worst = max(worst, abs(value - noise_cf(model, u)))

@@ -1,8 +1,9 @@
-"""The empirical characteristic function (ECF): the sample type, the
+"""The empirical characteristic function (ECF): the sample check, the
 kernels of :mod:`speccov._kernels` and the probe geometry of
 :func:`speccov.spectral.probe_log_moduli`."""
 
 import os
+import re
 import signal
 import sys
 import threading
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from speccov import _kernels
-from speccov.spectral import SampleMatrix, probe_log_moduli
+from speccov.shrinkage import sample_covariance
+from speccov.spectral import probe_log_moduli, spectral_estimate
 
 
 def direction(i, j, p):
@@ -37,30 +39,42 @@ def ecf(Y, u):
                                 np.asarray(u, dtype=float)[None, :])[0])
 
 
-class TestSampleMatrix:
-    def test_wraps_2d_array(self):
-        s = SampleMatrix(np.ones((3, 2)))
-        assert s.data.shape == (3, 2)
+# every estimator checks its sample with spectral._as_data on entry
+_ENTRY_POINTS = pytest.mark.parametrize("estimate", [
+    lambda Y: spectral_estimate(Y, 1.0), sample_covariance,
+], ids=["spectral_estimate", "sample_covariance"])
+_NOT_2D = re.escape("sample must be a 2-d array with n >= 1, p >= 1")
+_NOT_FINITE = "sample contains non-finite entries"
 
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            SampleMatrix(np.ones(4))
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            SampleMatrix(np.array([[1.0, np.nan]]))
+class TestSampleCheck:
+    @_ENTRY_POINTS
+    def test_accepts_2d_array(self, estimate):
+        assert estimate(np.ones((3, 2))).matrix.shape == (2, 2)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SampleMatrix(np.ones((0, 3)))
+    @_ENTRY_POINTS
+    def test_rejects_1d(self, estimate):
+        with pytest.raises(ValueError, match=_NOT_2D):
+            estimate(np.ones(4))
 
+    @_ENTRY_POINTS
+    def test_rejects_nan(self, estimate):
+        with pytest.raises(ValueError, match=_NOT_FINITE):
+            estimate(np.array([[1.0, np.nan]]))
+
+    @_ENTRY_POINTS
+    def test_rejects_empty(self, estimate):
+        with pytest.raises(ValueError, match=_NOT_2D):
+            estimate(np.ones((0, 3)))
+
+    @_ENTRY_POINTS
     @pytest.mark.parametrize("row", [0, 3276, 9999])
-    def test_rejects_nan_in_any_row_block(self, row):
+    def test_rejects_inf_in_any_row_block(self, estimate, row):
         # finiteness is checked by row blocks of 3276 rows at p = 20
         Y = np.ones((10_000, 20))
         Y[row, 7] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            SampleMatrix(Y)
+        with pytest.raises(ValueError, match=_NOT_FINITE):
+            estimate(Y)
 
 
 class TestEmpiricalCf:

@@ -370,7 +370,7 @@ class TestCv:
         p = 20
         Y = sample_scenario(Scenario(
             cov=CovModel.tridiagonal(p),
-            noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0), n=50, seed=0)).data
+            noise=NoiseModel.gamma_elliptical(np.eye(p), 1.0), n=50, seed=0))
         path = tmp_path / "y.csv"
         np.savetxt(path, Y, delimiter=",", fmt="%.17g")
         code = main(["cv", "--input", str(path), "--splits", "2"])
@@ -408,6 +408,16 @@ class TestRates:
         assert first[3] in ("true", "false")
         # tau and rate decrease with n
         assert float(lines[2].split(",")[2]) < float(lines[1].split(",")[2])
+
+    def test_bad_constant_prints_only_an_error(self, capsys):
+        code = main(["rates", "--n", "1000", "--p", "5", "--s", "nan"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ERROR ")
+        assert json.loads(err[len("ERROR "):])["message"] == \
+            "S must be nonnegative"
 
 
 class TestParserReuse:

@@ -153,7 +153,7 @@ class TestRunExperiment:
         run_experiment(ExperimentSpec(scenario, [("hard", {})], 3, cv, "hard"))
         want = simgen.sample_scenario(
             dataclasses.replace(scenario, seed=[1, 2, 3]))
-        assert seen[0].data.tobytes() == want.data.tobytes()
+        assert seen[0].tobytes() == want.tobytes()
 
     def test_record_count_and_ordering(self):
         spec = small_spec([("sps", {"tau": 0.3, "U": 1.0}), ("cov", {})],
@@ -319,7 +319,7 @@ class TestRunExperiment:
                 cov=spec.scenario.cov, noise=spec.scenario.noise,
                 n=spec.scenario.n, seed=[spec.scenario.seed, r.replication]))
             try:
-                est = harness.estimate(r.estimator, Y.data, r.tuning_used)
+                est = harness.estimate(r.estimator, Y, r.tuning_used)
             except shrinkage.ConvergenceError as exc:
                 assert r.error == f"ConvergenceError: {exc}"
                 assert math.isnan(r.frob_error)

@@ -29,7 +29,7 @@ def _two_dim_problem(lam=0.1):
                   n=2000, seed=15)
     cfg = LowRankConfig(U=1.0, lambda_nuc=lam, mc_samples=800,
                         tol=1e-14, max_iter=20_000)
-    return sample_scenario(sc).data, cfg, bump_weight(2)
+    return sample_scenario(sc), cfg, bump_weight(2)
 
 
 def _rank_one_problem(p, n=2000):
@@ -40,7 +40,7 @@ def _rank_one_problem(p, n=2000):
                   noise=NoiseModel.gamma_elliptical(0.3 * np.eye(p), 1.0),
                   n=n, seed=p)
     cfg = LowRankConfig(U=1.0, lambda_nuc=0.01)
-    return sample_scenario(sc).data, cfg, bump_weight(p)
+    return sample_scenario(sc), cfg, bump_weight(p)
 
 
 def _full_surrogate(Y, cfg, w, seed):
@@ -256,7 +256,7 @@ class TestObjective:
         n = 1000
         s = Scenario(cov=CovModel.explicit(0.1 * np.eye(3)),
                      noise=NoiseModel.none(), n=n, seed=9)
-        Y = sample_scenario(s).data
+        Y = sample_scenario(s)
         # the truncation cutoff is 1/(2 sqrt n)
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=4000)
         _, _, _, keep = _surrogate(Y, cfg, bump_weight(3), seed=10)

@@ -351,7 +351,7 @@ class TestPdSoftThreshold:
         def draw(seed):
             return sample_scenario(Scenario(
                 CovModel.tridiagonal(3), NoiseModel.none(), n=20,
-                seed=seed)).data
+                seed=seed))
         assert draw(1.0).tobytes() == draw(1).tobytes()
         assert draw([1.0, 2.0]).tobytes() == draw([1, 2]).tobytes()
 

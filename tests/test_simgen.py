@@ -102,14 +102,14 @@ class TestSampleScenario:
         s = Scenario(cov=CovModel.tridiagonal(4),
                      noise=NoiseModel.gamma_elliptical(np.eye(4), 1.0),
                      n=100, seed=7)
-        a = sample_scenario(s).data
-        b = sample_scenario(s).data
+        a = sample_scenario(s)
+        b = sample_scenario(s)
         assert a.tobytes() == b.tobytes()
 
     def test_noiseless_identity_sample_covariance(self):
         s = Scenario(cov=CovModel.explicit(np.eye(3)),
                      noise=NoiseModel.none(), n=200_000, seed=1)
-        Y = sample_scenario(s).data
+        Y = sample_scenario(s)
         np.testing.assert_allclose(Y.T @ Y / len(Y), np.eye(3), atol=0.02)
 
     def test_gamma_elliptical_noise_covariance(self):
@@ -117,10 +117,26 @@ class TestSampleScenario:
         s = Scenario(cov=CovModel.explicit(np.zeros((3, 3))),
                      noise=NoiseModel.gamma_elliptical(np.eye(3), theta),
                      n=100_000, seed=2)
-        eps = sample_scenario(s).data
+        eps = sample_scenario(s)
         emp = eps.T @ eps / len(eps)
         np.testing.assert_allclose(emp, theta * np.eye(3),
                                    atol=0.05 * theta)
+
+    def test_returns_a_float64_array(self):
+        Y = sample_scenario(Scenario(cov=CovModel.tridiagonal(3),
+                                     noise=NoiseModel.gaussian(0.5), n=40))
+        assert type(Y) is np.ndarray
+        assert Y.dtype == np.float64 and Y.shape == (40, 3)
+
+    def test_rejects_its_own_non_finite_draw(self, monkeypatch):
+        def overflow(model, X, rng):
+            X[-1, 0] = np.inf
+
+        monkeypatch.setattr(simgen, "_add_noise", overflow)
+        with pytest.raises(ValueError,
+                           match="sample contains non-finite entries"):
+            sample_scenario(Scenario(cov=CovModel.tridiagonal(3),
+                                     noise=NoiseModel.none(), n=40))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -144,7 +160,7 @@ class TestSampleScenario:
                      seed=3)
         tracemalloc.start()
         try:
-            Y = sample_scenario(s).data
+            Y = sample_scenario(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -160,7 +176,7 @@ class TestSampleScenario:
         cov = CovModel.block_diagonal(6, [3, 3], seed=2)
         for seed in range(3):
             Y = sample_scenario(Scenario(cov=cov, noise=NoiseModel.none(),
-                                         n=50, seed=seed)).data
+                                         n=50, seed=seed))
             want = (np.random.default_rng(seed).standard_normal((50, 6))
                     @ real(cov.matrix()))
             assert Y.tobytes() == want.tobytes()
@@ -201,14 +217,14 @@ class TestSamplerBlocks:
         # 0.8 MB at n=40 000
         Y = sample_scenario(Scenario(cov=CovModel.tridiagonal(self.P),
                                      noise=NoiseModel.none(), n=n, seed=4))
-        assert _peak_bytes(spectral_estimate, Y.data, 1.0) < _per_worker(
+        assert _peak_bytes(spectral_estimate, Y, 1.0) < _per_worker(
             2**20, _PROBE_BLOCK_BYTES)
 
     @pytest.mark.parametrize("n", [60, 80_000])
     def test_gaussian_draw_equals_whole_array_formula(self, n):
         cov = CovModel.tridiagonal(self.P)
         Y = sample_scenario(Scenario(cov=cov, noise=NoiseModel.gaussian(0.7),
-                                     n=n, seed=5)).data
+                                     n=n, seed=5))
         rng = np.random.default_rng(5)
         want = (rng.standard_normal((n, self.P)) @ cov.sqrt()
                 + 0.7 * rng.standard_normal((n, self.P)))
@@ -220,7 +236,7 @@ class TestSamplerBlocks:
         A = np.random.default_rng(2).standard_normal((self.P, self.P))
         Y = sample_scenario(Scenario(
             cov=cov, noise=NoiseModel.gamma_elliptical(A, 1.5), n=n,
-            seed=6)).data
+            seed=6))
         rng = np.random.default_rng(6)
         X = rng.standard_normal((n, self.P)) @ cov.sqrt()
         W = rng.gamma(1.5, 1.0, size=n)
@@ -237,7 +253,7 @@ class TestSamplerBlocks:
         cov = CovModel.tridiagonal(self.P)
         Y = sample_scenario(Scenario(
             cov=cov, noise=NoiseModel.stable(beta, sigma, norm), n=n,
-            seed=7)).data
+            seed=7))
         rng = np.random.default_rng(7)
         want = rng.standard_normal((n, self.P)) @ cov.sqrt()
         scale = sigma ** (1.0 / beta)
@@ -290,7 +306,7 @@ class TestNoiseSamplersMatchCf:
     def _noise_sample(self, model, p, seed):
         s = Scenario(cov=CovModel.explicit(np.zeros((p, p))), noise=model,
                      n=self.N, seed=seed)
-        return sample_scenario(s).data
+        return sample_scenario(s)
 
     def test_cauchy_univariate(self):
         eps = self._noise_sample(NoiseModel.stable(1.0, 1.0), 1, 3)
@@ -391,6 +407,23 @@ class TestModelValidation:
             NoiseModel.stable(1.0, 0.0)
         with pytest.raises(ValueError):
             NoiseModel.stable(1.0, 1.0, norm="l1")
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: NoiseModel.gaussian(math.nan), "rho must be nonnegative"),
+        (lambda: NoiseModel.gaussian(math.inf), "rho must be nonnegative"),
+        (lambda: NoiseModel.gamma_elliptical(np.eye(3), math.inf),
+         "theta must be positive"),
+        (lambda: NoiseModel.gamma_elliptical(np.eye(3), math.nan),
+         "theta must be positive"),
+        (lambda: NoiseModel.gamma_elliptical([[1.0, math.nan], [0.0, 1.0]],
+                                             1.0),
+         "A must have finite entries"),
+        (lambda: NoiseModel.stable(1.0, math.inf), "sigma must be positive"),
+        (lambda: NoiseModel.stable(1.0, math.nan), "sigma must be positive"),
+    ])
+    def test_noise_parameters_must_be_finite(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
     @pytest.mark.parametrize("matrix,message", [
         ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square matrix, got shape (2, 3)"),

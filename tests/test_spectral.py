@@ -258,6 +258,11 @@ class TestSpectralRadiusStar:
             spectral_radius_star(-1.0, 1.5, 10**4, 2)
         with pytest.raises(ValueError):
             spectral_radius_star(1.0, 1.0, 10**4, 2)
+        for R, gamma, name in [(math.nan, 1.5, "R"), (math.inf, 1.5, "R"),
+                               (1.0, math.nan, "gamma"),
+                               (1.0, math.inf, "gamma")]:
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                spectral_radius_star(R, gamma, 10**6, 5)
 
 
 class TestTheoreticalRate:
@@ -282,3 +287,13 @@ class TestTheoreticalRate:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             theoretical_rate(1.0, 1.0, 1.0, 1.0, 2.0, 10**3, 2)
+
+    @pytest.mark.parametrize("S,R,T,name", [
+        (math.nan, 1.0, 1.0, "S"), (math.inf, 1.0, 1.0, "S"),
+        (-1.0, 1.0, 1.0, "S"), (1.0, -1.0, 1.0, "R"),
+        (1.0, math.nan, 1.0, "R"), (1.0, 1.0, -1.0, "T"),
+        (1.0, 1.0, math.inf, "T"),
+    ])
+    def test_rejects_bad_constants(self, S, R, T, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            theoretical_rate(S, R, T, 1.0, 0.0, 10**6, 5)
