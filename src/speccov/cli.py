@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import harness, shrinkage, spectral
+from ._checks import _check
 from .shrinkage import CvConfig
 
 
@@ -86,8 +87,8 @@ _CV_FLAGS = {**harness.SCHEMA["cv"],
 def _cmd_cv(args):
     grid = ([float(x) for x in args.grid.split(",")] if args.grid
             else shrinkage.DEFAULT_TAU_GRID)
-    harness._check("cv", {"num_splits": args.splits, "tau_grid": grid,
-                          "seed": args.seed, "U": args.u}, _CV_FLAGS)
+    _check("cv", {"num_splits": args.splits, "tau_grid": grid,
+                  "seed": args.seed, "U": args.u}, _CV_FLAGS)
     Y = _load_matrix(args.input)
     cfg = CvConfig(num_splits=args.splits, tau_grid=grid, seed=args.seed)
     # U sets the validation target's radius, and the rule's if it takes one

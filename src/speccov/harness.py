@@ -11,11 +11,9 @@ Sigma^(1/2) differently for each thread count.
 """
 
 import csv
-import difflib
 import io
 import json
 import math
-import numbers
 import re
 import time
 from collections import namedtuple
@@ -26,6 +24,8 @@ import numpy as np
 import yaml
 
 from . import lowrank, shrinkage, simgen, spectral
+from ._checks import (LIST, NUMBER, NUMBERS, _COUNT, _Key, _block, _check,
+                      _fields, _given)
 from .shrinkage import CvConfig, PdSoftConfig
 from .simgen import CovModel, NoiseModel, Scenario
 
@@ -42,119 +42,23 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# The config schema (SCHEMA, below) maps every key that a block allows to a
-# _Key: the kind of its value (NUMBER, WHOLE, NUMBERS or WHOLES, LIST for a
-# list of anything, a tuple of the allowed names, or None for a value that a
-# constructor checks), the range of a number or of each entry of a list,
-# whether the block must set it, and its default where no constructor holds
-# one. _check walks a block against its table; _given passes on only the
-# keys that a block sets and the table's defaults, so other defaults stay
-# with their constructors.
-NUMBER, WHOLE = "number", "whole number"
-NUMBERS, WHOLES = "list of numbers", "list of whole numbers"
-LIST = "list"
-_Key = namedtuple("_Key", "kind range required default",
-                  defaults=(None, None, False, None))
-
-
-def _at_least(low):
-    return (lambda v: v >= low), f">= {low}"
-
-
-def _above(low):
-    return (lambda v: v > low), f"> {low}"
-
-
-def _block(block, d, *keys):
-    """Return ``d`` after raising ValueError naming ``block`` when it is not
-    a mapping or lacks a key of ``keys``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{block}: must be a mapping, got {d!r}")
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"{block}: missing key {key!r}")
-    return d
-
-
-def _check(block, d, table):
-    """Return ``d`` after raising ValueError naming ``block`` and the key
-    when ``d`` is not a mapping, sets a key that ``table`` does not list
-    (suggesting the nearest one that it does), lacks a required one, or
-    holds a value not of its key's kind (checked, not coerced: int("20")
-    would pass silently) or out of its range."""
-    for key in _block(block, d):
-        if key not in table:
-            # the nearest allowed key, whatever its case
-            lower = {k.lower(): k for k in table}
-            near = difflib.get_close_matches(str(key).lower(), lower, n=1)
-            raise ValueError(f"{block}: unknown key {key!r}; allowed keys: "
-                             f"{', '.join(table) or 'none'}"
-                             + (f"; did you mean {lower[near[0]]!r}?"
-                                if near else ""))
-    for key, k in table.items():
-        if key not in d:
-            if k.required:
-                raise ValueError(f"{block}: missing key {key!r}")
-            continue
-        v = d[key]
-        if isinstance(k.kind, tuple) and not (isinstance(v, str)
-                                              and v in k.kind):
-            raise ValueError(f"{block}: {key} must be one of "
-                             f"{', '.join(k.kind)}, got {v!r}")
-        if k.kind == LIST and not isinstance(v, list):
-            raise ValueError(f"{block}: {key} must be a list, got {v!r}")
-        if k.kind not in (NUMBER, WHOLE, NUMBERS, WHOLES):
-            continue
-        many, whole = k.kind in (NUMBERS, WHOLES), k.kind in (WHOLE, WHOLES)
-        vals = v if many else (v,)
-        if (many and not isinstance(v, (list, tuple, np.ndarray))
-                or not all(not isinstance(x, bool)
-                           and isinstance(x, numbers.Real) and math.isfinite(x)
-                           and not (whole and x != int(x)) for x in vals)):
-            raise ValueError(f"{block}: {key} must be a {k.kind}, got {v!r}")
-        if k.range and not all(map(k.range[0], vals)):
-            raise ValueError(f"{block}: {key} must be {k.range[1]}"
-                             f"{' each' if many else ''}, got {v!r}")
-    return d
-
-
-def _given(d, table, **params):
-    """The keyword arguments that block ``d`` gives a constructor: each key
-    of ``table`` that ``d`` sets to a value other than None, else its
-    default where the table holds one, a whole number as an int and a
-    number as a float, named by the parameter that ``params`` maps to the
-    key or else by the key."""
-    names = {key: param for param, key in params.items()}
-    out = {}
-    for key, k in table.items():
-        v = k.default if d.get(key) is None else d[key]
-        if v is not None:
-            out[names.get(key, key)] = (int(v) if k.kind == WHOLE else
-                                        float(v) if k.kind == NUMBER else v)
-    return out
-
-
-_SEED = {"seed": _Key(WHOLE, _at_least(0))}
-_U = {"U": _Key(NUMBER, _above(0), default=1.0)}
-_TAU = {"tau": _Key(NUMBER, _at_least(0))}
+# The fragments of SCHEMA (below): a number's _Key is the one that the
+# module taking its value keeps, with a config's default or requirement.
+_U = {"U": spectral._RANGES["U"]._replace(default=1.0)}
+_TAU = {"tau": shrinkage._RANGES["tau"]}
 _PD_SOLVER = {  # PdSoftConfig's keys besides tau and the start penalty
-    "lambda": _Key(NUMBER, _above(0)), "tol": _Key(NUMBER, _above(0)),
-    "max_iter": _Key(WHOLE, _at_least(1))}
-# the theory constants of the admissibility check: R bounds the largest
-# entry of Sigma, (T, beta) the noise class, gamma the concentration
-_THEORY = {
-    "R": _Key(NUMBER, _above(0)), "T": _Key(NUMBER, _above(0)),
-    "beta": _Key(NUMBER, ((lambda v: 0 <= v < 2), "in [0, 2)")),
-    "gamma": _Key(NUMBER, ((lambda v: v > spectral.SQRT2), "> sqrt(2)"))}
-_GENERATORS = ("gaussian", "stable")
-_ALPHA = {"alpha": _Key(NUMBER, ((lambda v: 0 < v <= 2), "in (0, 2]"),
-                        default=1.0)}
-_LOWRANK = {  # LowRankConfig's keys; its annulus radius is at least 1
-    "U": _U["U"]._replace(range=_at_least(1)),
-    "lambda": _PD_SOLVER["lambda"]._replace(default=1e-4),
-    "mc_samples": _Key(WHOLE, _at_least(1))}
-_P = {"p": _Key(WHOLE, _at_least(1), required=True)}
-_SAMPLE = {"n": _Key(WHOLE, _at_least(1), required=True), **_SEED}
+    "lambda": shrinkage._RANGES["lambda_barrier"],
+    "tol": shrinkage._RANGES["tol"], "max_iter": shrinkage._RANGES["max_iter"]}
+# the theory constants of the admissibility check
+_THEORY = {key: spectral._RANGES[key] for key in ("R", "T", "beta", "gamma")}
+_ALPHA = {"alpha": spectral._RANGES["alpha"]._replace(default=1.0)}
+_LOWRANK = {  # LowRankConfig's keys
+    "U": lowrank._RANGES["U"]._replace(default=1.0),
+    "lambda": lowrank._RANGES["lambda_nuc"]._replace(default=1e-4),
+    "mc_samples": lowrank._RANGES["mc_samples"]}
+_P = {"p": simgen._RANGES["p"]._replace(required=True)}
+_SEED = {"seed": simgen._RANGES["seed"]}
+_SAMPLE = {"n": simgen._RANGES["n"]._replace(required=True), **_SEED}
 
 # An estimator is a base, fn(Y, tuning) -> CovEstimate for an (n, p) array
 # Y, and maybe a rule, fn(bases, tuning, taus) -> each base's estimate at its
@@ -212,22 +116,21 @@ ESTIMATORS = {
 THRESHOLD_TAGS = tuple(tag for tag, e in ESTIMATORS.items() if e.rule)
 
 
-# Each block's table; the covariance and noise tables by kind, the tuning
-# tables by estimator tag. A tuning's ranges are those of the constructor
-# that takes it, so that a value out of range fails when the config is
-# parsed instead of in every record.
+# Each block's table of _Keys (see _checks); the covariance and noise tables
+# by kind, the tuning tables by estimator tag. A value out of range fails
+# when the config is parsed instead of in every record.
 SCHEMA = {
     "config": {"scenario": _Key(required=True),
                "estimators": _Key(LIST, required=True),
-               "replications": _Key(WHOLE, _at_least(1), required=True),
+               "replications": _COUNT._replace(required=True),
                "cv": _Key(), "output": _Key()},
     "scenario": {"covariance": _Key(required=True), "noise": _Key(),
                  **_SAMPLE},
     "covariance": {
         "tridiagonal": _P,
         "block_diagonal": {
-            **_P, "block_sizes": _Key(WHOLES, _at_least(0), required=True),
-            **_SEED},
+            **_P, "block_sizes": simgen._RANGES["block_sizes"]._replace(
+                required=True), **_SEED},
         "explicit": {"matrix": _Key(required=True)}},
     "noise": {
         "none": {},
@@ -237,7 +140,7 @@ SCHEMA = {
         "stable": {"beta": _Key(NUMBER, required=True),
                    "sigma": _Key(NUMBER, required=True),
                    "norm": _Key(("lbeta", "l2"))}},
-    "cv": {"num_splits": _Key(WHOLE, _at_least(1), default=100),
+    "cv": {"num_splits": shrinkage._RANGES["num_splits"]._replace(default=100),
            "tau_grid": _Key(NUMBERS, default=shrinkage.DEFAULT_TAU_GRID),
            **_SEED, "rule": _Key(THRESHOLD_TAGS)},
     "estimator": {
@@ -246,7 +149,7 @@ SCHEMA = {
         "sps": {**_TAU, **_PD_SOLVER, **_U, **_THEORY},
         "soft": {**_TAU, **_U, **_THEORY},
         "hard": {**_TAU, **_U, **_THEORY},
-        "elliptical": {**_U, "generator": _Key(_GENERATORS),
+        "elliptical": {**_U, "generator": _Key(("gaussian", "stable")),
                        **_ALPHA, **_THEORY},
         "lowrank": {**_LOWRANK, **_SEED}},
 }
@@ -268,8 +171,7 @@ class ExperimentSpec:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _fields(self, {"replications": _COUNT})
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         for tag, tuning in self.estimators:
@@ -586,7 +488,7 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
         rule = {"cv_rule": args.pop("rule")} if "rule" in args else {}
         cv = CvConfig(**args)
     return ExperimentSpec(Scenario(cov, noise, **_given(sc, _SAMPLE)),
-                          estimators, int(doc["replications"]), cv,
+                          estimators, doc["replications"], cv,
                           output=doc.get("output"), **rule)
 
 

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .spectral import CovEstimate, _as_data, _counts
+from . import _kernels, spectral
+from ._checks import (NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _Key,
+                      _at_least, _check, _fields)
+from .spectral import CovEstimate, _as_data
 
 __all__ = [
     "WeightFunction",
@@ -29,6 +31,12 @@ __all__ = [
 ]
 
 ANNULUS = (0.25, 0.5)
+
+# The ranges of LowRankConfig's fields and of lambda_threshold's norm of
+# Sigma and noise level, 0 for noiseless data (see _checks).
+_RANGES = {"U": _Key(NUMBER, _at_least(1)), "lambda_nuc": _POSITIVE,
+           "mc_samples": _COUNT, "max_iter": _COUNT, "tol": _POSITIVE,
+           "sigma_norm": _NONNEGATIVE, "T": _NONNEGATIVE}
 
 
 class SolverError(RuntimeError):
@@ -109,14 +117,7 @@ class LowRankConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        # written so that NaN and infinite values fail too
-        if not 1 <= self.U < math.inf:
-            raise ValueError("U must be >= 1")
-        if not 0 < self.lambda_nuc < math.inf:
-            raise ValueError("lambda_nuc must be positive")
-        if not 0 < self.tol < math.inf:
-            raise ValueError("invalid solver controls")
-        _counts(self, "mc_samples", "max_iter")
+        _fields(self, _RANGES)
 
 
 def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
@@ -238,6 +239,8 @@ def lambda_threshold(cfg: LowRankConfig, sigma_norm, T, beta, gamma, n):
     (lam, hypothesis_ok); the flag is False when the concentration
     hypothesis exp(|Sigma| U^2/8 + 2 T U^beta) <= sqrt(n) fails.
     """
+    _check(None, {"sigma_norm": sigma_norm, "T": T}, _RANGES)
+    _check(None, {"beta": beta, "gamma": gamma, "n": n}, spectral._RANGES)
     U = cfg.U
     lam = (
         gamma**2 * math.exp(sigma_norm * U**2 / 4.0 + 4.0 * T * U**beta)

@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import CovEstimate, _as_data, _counts, spectral_estimate
+from ._checks import _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _check, _fields
+from .spectral import CovEstimate, _as_data, spectral_estimate
 
 __all__ = [
     "PdSoftConfig",
@@ -78,6 +79,10 @@ _AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
 # workload, stacks of 3, 8 and 20 raised the peak RSS of a run by about
 # 0.8, 1.5 and 4.3 MB.
 _STACK = 1600
+# The ranges of PdSoftConfig's fields, CvConfig's counts and every tau.
+_RANGES = {"tau": _NONNEGATIVE, "lambda_barrier": _POSITIVE,
+           "max_iter": _COUNT, "tol": _POSITIVE, "rho_admm": _POSITIVE,
+           "num_splits": _COUNT, "seed": _SEED}
 
 
 class ConvergenceError(RuntimeError):
@@ -87,12 +92,6 @@ class ConvergenceError(RuntimeError):
         self.dual = dual
         self.iterations = iterations
         self.rho = rho
-
-
-def _check_tau(tau):
-    # written so that NaN and infinite values fail too
-    if not 0 <= tau < math.inf:
-        raise ValueError("tau must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,13 +106,7 @@ class PdSoftConfig:
     rho_admm: float = 2.0
 
     def __post_init__(self):
-        _check_tau(self.tau)
-        # written so that NaN and infinite values fail too
-        if not 0 < self.lambda_barrier < math.inf:
-            raise ValueError("lambda_barrier must be positive")
-        if not (0 < self.tol < math.inf and 0 < self.rho_admm < math.inf):
-            raise ValueError("invalid solver controls")
-        _counts(self, "max_iter")
+        _fields(self, _RANGES)
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,7 @@ class CvConfig:
                 or np.any(np.diff(grid) <= 0)):
             raise ValueError("tau_grid must be nonempty, positive, strictly ascending")
         object.__setattr__(self, "tau_grid", grid)
-        _counts(self, "num_splits")
-        _counts(self, "seed", low=0)
+        _fields(self, _RANGES)
 
 
 def _matrix(est) -> np.ndarray:
@@ -145,14 +137,14 @@ def _soft(x, t, out=None):
 
 def hard_threshold(est, tau: float) -> CovEstimate:
     """Zero out entries with |value| <= tau (strict survival rule)."""
-    _check_tau(tau)
+    _check(None, {"tau": tau}, _RANGES)
     m = _matrix(est)
     return CovEstimate(np.where(np.abs(m) > tau, m, 0.0), {"tau": tau})
 
 
 def soft_threshold(est, tau: float) -> CovEstimate:
     """Shrink every entry toward zero by tau: sign(x) * (|x| - tau)_+."""
-    _check_tau(tau)
+    _check(None, {"tau": tau}, _RANGES)
     return CovEstimate(_soft(_matrix(est), tau), {"tau": tau})
 
 
@@ -528,10 +520,9 @@ def cross_validate_tau(Y, U, cfg: CvConfig, fit):
     n = data.shape[0]
     if n < 4:
         raise ValueError("need n >= 4 for a nondegenerate split")
+    # n >= 4 gives n2 >= 2 and n1 >= 1
     n2 = int(n / math.log(n))
     n1 = n - n2
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"degenerate split sizes n1={n1}, n2={n2}")
     grid = np.asarray(cfg.tau_grid, dtype=float)
     Q = np.zeros(len(grid))
     for m in range(cfg.num_splits):

@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .spectral import CovEstimate, _as_data, _counts, _whole
+from ._checks import WHOLES, _COUNT, _NONNEGATIVE, _SEED, _Key, _args, _fields
+from .spectral import CovEstimate, _as_data
 
 __all__ = [
     "CovModel",
@@ -30,12 +31,14 @@ __all__ = [
 # The most negative eigenvalue a covariance matrix may have: smaller ones
 # are taken as rounding and clipped to zero.
 _PSD_CUTOFF = -1e-10
+# The ranges of the sizes and seeds that this module's code takes.
+_RANGES = {"p": _COUNT, "n": _COUNT, "seed": _SEED,
+           "block_sizes": _Key(WHOLES, _NONNEGATIVE.range)}
 
 
 def make_tridiagonal(p: int) -> np.ndarray:
     """Unit diagonal, 0.4 on the first off-diagonals."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _args(_RANGES, p=p)["p"]
     m = np.eye(p)
     idx = np.arange(p - 1)
     m[idx, idx + 1] = m[idx + 1, idx] = 0.4
@@ -49,7 +52,8 @@ def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
     form, so the target is hit exactly (up to eigensolver accuracy). The
     result is rescaled to unit largest eigenvalue.
     """
-    sizes = list(block_sizes)
+    args = _args(_RANGES, p=p, block_sizes=list(block_sizes), seed=seed)
+    p, sizes, seed = args["p"], args["block_sizes"], args["seed"]
     if sum(sizes) != p:
         raise ValueError("block sizes must sum to p")
     rng = np.random.default_rng(seed)
@@ -177,13 +181,13 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        _counts(self, "n")
+        _fields(self, {"n": _RANGES["n"]})
         # a list of seeds is the entropy of one SeedSequence, such as
-        # run_experiment's (seed, replication)
-        seed = self.seed
-        object.__setattr__(self, "seed", [_whole("seed", s, 0) for s in seed]
-                           if isinstance(seed, (list, tuple))
-                           else _whole("seed", seed, 0))
+        # run_experiment's (seed, replication), each entry checked as a seed
+        many = isinstance(self.seed, (list, tuple))
+        seeds = [_args(_RANGES, seed=s)["seed"]
+                 for s in (self.seed if many else [self.seed])]
+        object.__setattr__(self, "seed", seeds if many else seeds[0])
         if self.noise.kind == "gamma_elliptical" and \
                 self.noise.A.shape != (self.cov.p, self.cov.p):
             raise ValueError("noise mixing matrix A has wrong shape")

@@ -22,6 +22,8 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
+from ._checks import (NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _Key, _check,
+                      _fields)
 
 __all__ = [
     "probe_log_moduli",
@@ -40,8 +42,15 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
-# |ecf| at or below this is treated as an exact zero and log|ecf| is set to 0.
-ZERO_MODULUS_TOL = 1e-300
+# The ranges of the values that this module's code takes (see _checks): the
+# probe radius, the theory constants, alpha and the sizes n and p.
+_IN_0_2 = _Key(NUMBER, ((lambda v: 0 <= v < 2), "in [0, 2)"))
+_RANGES = {
+    "U": _POSITIVE, "R": _POSITIVE, "T": _POSITIVE, "beta": _IN_0_2,
+    "gamma": _Key(NUMBER, ((lambda v: v > SQRT2), "> sqrt(2)")),
+    "S": _NONNEGATIVE, "q": _IN_0_2,
+    "alpha": _Key(NUMBER, ((lambda v: 0 < v <= 2), "in (0, 2]")),
+    "n": _COUNT, "p": _COUNT}
 
 
 class EstimationError(RuntimeError):
@@ -50,23 +59,6 @@ class EstimationError(RuntimeError):
 
 class PreAsymptoticError(ValueError):
     """n is too small for the theory-driven spectral radius to be real."""
-
-
-def _whole(name, value, low=1):
-    """``value``, a whole number >= ``low``, as an int, so that 10.0 runs as
-    10; else (NaN and infinities included) raise a ValueError naming it."""
-    if not low <= value < math.inf:
-        raise ValueError(f"{name} must be >= {low}")
-    if value != int(value):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _counts(obj, *names, low=1):
-    """Store each named field of the frozen dataclass ``obj`` as _whole
-    returns it: a count is >= 1, a seed >= 0."""
-    for name in names:
-        object.__setattr__(obj, name, _whole(name, getattr(obj, name), low))
 
 
 def _as_data(Y) -> np.ndarray:
@@ -86,17 +78,14 @@ def _as_data(Y) -> np.ndarray:
 def probe_log_moduli(Y, U: float):
     """log|ecf(U * u_ij)| at every probe frequency in a single data pass.
 
-    A modulus at or below ``ZERO_MODULUS_TOL`` carries no usable magnitude
-    information and maps to 0 rather than -inf, which keeps downstream
-    estimates finite. Returns an exactly symmetric p x p matrix whose entry
-    (i, j) is the probe of u_ij, so entry (i, i) is at U * e_i.
+    Returns an exactly symmetric p x p matrix whose entry (i, j) is the
+    probe of u_ij, so entry (i, i) is at U * e_i. A zero modulus, which
+    carries no information, gives -inf, which the estimate rejects.
     """
     data = _as_data(Y)
-    if not 0 < U < math.inf:
-        raise ValueError("spectral radius U must be positive")
-    mod = np.abs(_kernels.probe_cf(data, float(U)))
+    _check(None, {"U": U}, _RANGES)
     with np.errstate(divide="ignore"):
-        return np.where(mod <= ZERO_MODULUS_TOL, 0.0, np.log(mod))
+        return np.log(np.abs(_kernels.probe_cf(data, float(U))))
 
 
 @dataclass(frozen=True)
@@ -115,15 +104,7 @@ class SpectralConfig:
     gamma: float = 1.5
 
     def __post_init__(self):
-        # written so that NaN and infinite values fail too
-        if not 0 < self.U < math.inf:
-            raise ValueError("U must be positive")
-        if not SQRT2 < self.gamma < math.inf:
-            raise ValueError("gamma must exceed sqrt(2)")
-        if not (0 <= self.beta < 2):
-            raise ValueError("beta must lie in [0, 2)")
-        if not (0 < self.R < math.inf and 0 < self.T < math.inf):
-            raise ValueError("R and T must be positive")
+        _fields(self, _RANGES)
 
 
 @dataclass(frozen=True)
@@ -158,8 +139,7 @@ _GAUSSIAN = gaussian_generator()
 
 def stable_generator(alpha: float) -> Callable:
     """eta_inv(y) = y**(2/alpha) of the alpha-stable generator x**(alpha/2)."""
-    if not (0 < alpha <= 2):
-        raise ValueError("alpha must lie in (0, 2]")
+    _check(None, {"alpha": alpha}, _RANGES)
     h = alpha / 2.0
     return lambda y: np.asarray(y, dtype=float) ** (1.0 / h)
 
@@ -201,8 +181,7 @@ def tau_threshold(cfg: SpectralConfig, n: int, p: int) -> float:
     Sum of a stochastic term growing like exp(R U^2 + 3 T U^beta) / U^2 and
     a deterministic noise-bias term 3 T U^(beta-2).
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
+    _check(None, {"n": n, "p": p}, _RANGES)
     U = cfg.U
     stoch = (
         6.0
@@ -220,6 +199,7 @@ def admissible(cfg: SpectralConfig, n: int, p: int) -> bool:
     8 gamma sqrt(log(ep)/n) < exp(-R U^2 - 3 T U^beta). Estimation proceeds
     regardless; the flag is advisory and recorded by the harness.
     """
+    _check(None, {"n": n, "p": p}, _RANGES)
     lhs = 8.0 * cfg.gamma * math.sqrt(math.log(math.e * p) / n)
     rhs = math.exp(-cfg.R * cfg.U**2 - 3.0 * cfg.T * cfg.U**cfg.beta)
     return lhs < rhs
@@ -227,11 +207,7 @@ def admissible(cfg: SpectralConfig, n: int, p: int) -> bool:
 
 def spectral_radius_star(R: float, gamma: float, n: int, p: int) -> float:
     """Theory-driven probe radius U* = sqrt(log(n / (64 gamma^2 log(ep))) / (4R))."""
-    # written so that NaN and infinite values fail too
-    if not 0 < R < math.inf:
-        raise ValueError("R must be positive")
-    if not SQRT2 < gamma < math.inf:
-        raise ValueError("gamma must exceed sqrt(2)")
+    _check(None, {"R": R, "gamma": gamma, "n": n, "p": p}, _RANGES)
     arg = n / (64.0 * gamma**2 * math.log(math.e * p))
     if arg <= 1.0:
         raise PreAsymptoticError(
@@ -247,16 +223,10 @@ def theoretical_rate(
 
     Here L = log(n / log(ep)). Diagnostic only; never used for tuning.
     """
-    if not 0 <= S < math.inf:
-        raise ValueError("S must be nonnegative")
-    if not 0 < R < math.inf:
-        raise ValueError("R must be positive")
-    if not 0 < T < math.inf:
-        raise ValueError("T must be positive")
-    if not (0 <= q < 2) or not (0 <= beta < 2):
-        raise ValueError("q and beta must lie in [0, 2)")
+    _check(None, {"S": S, "R": R, "T": T, "beta": beta, "q": q, "n": n,
+                  "p": p}, _RANGES)
     L = math.log(n / math.log(math.e * p))
     if L <= 0:
-        raise ValueError("n / log(ep) must exceed 1")
+        raise ValueError(f"needs n > log(ep), got n={n}, p={p}")
     inner = R ** (1.0 - beta / 2.0) * T * L ** (-1.0 + beta / 2.0)
     return math.sqrt(S) * inner ** (1.0 - q / 2.0)

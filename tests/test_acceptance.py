@@ -18,7 +18,6 @@ from speccov.simgen import (
     CovModel,
     NoiseModel,
     Scenario,
-    frobenius_error,
     make_tridiagonal,
     noise_cf,
     sample_scenario,
@@ -198,25 +197,20 @@ class TestCriterion7RateShape:
         truth = 0.15 * make_tridiagonal(p)
         noise = NoiseModel.stable(beta, T)
         ns = (10**3, 10**4, 10**5, 10**6)
-        medians = []
+        by_n = []
         for n in ns:
             U = spectral.spectral_radius_star(R, gamma, n, p)
             cfg = spectral.SpectralConfig(U=U, R=R, T=T, beta=beta, gamma=gamma)
             tau = spectral.tau_threshold(cfg, n, p)
-            errs = []
-            for rep in range(11):
-                Y = sample_scenario(Scenario(cov=CovModel.explicit(truth),
-                                             noise=noise, n=n,
-                                             seed=[21, n, rep]))
-                est = shrinkage.hard_threshold(
-                    spectral.spectral_estimate(Y, U), tau)
-                errs.append(frobenius_error(est, truth))
-            medians.append(float(np.median(errs)))
+            # replication r draws its sample at the seed [21, n, r]
+            by_n.append(medians(ExperimentSpec(
+                Scenario(CovModel.explicit(truth), noise, n, seed=[21, n]),
+                [("hard", {"tau": tau, "U": U})], 11))["hard"])
         x = [math.log(n / math.log(math.e * p)) for n in ns]
-        slope = np.polyfit(x, np.log(medians), 1)[0]
-        decreasing = all(a > b for a, b in zip(medians, medians[1:]))
+        slope = np.polyfit(x, np.log(by_n), 1)[0]
+        decreasing = all(a > b for a, b in zip(by_n, by_n[1:]))
         ok = decreasing and slope < 0
-        report(7, ok, "medians " + ", ".join(f"{m:.3f}" for m in medians)
+        report(7, ok, "medians " + ", ".join(f"{m:.3f}" for m in by_n)
                       + f" strictly decreasing; log-log slope {slope:.3f} < 0")
 
 

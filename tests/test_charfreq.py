@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from speccov import _kernels
 from speccov.shrinkage import sample_covariance
-from speccov.spectral import probe_log_moduli, spectral_estimate
+from speccov.spectral import EstimationError, probe_log_moduli, spectral_estimate
 
 
 def direction(i, j, p):
@@ -132,14 +132,30 @@ class TestLogModulusCf:
 
     def test_vanishing_modulus_convention(self):
         # exp(i*pi) and exp(-i*pi) cancel exactly against two exp(0) terms,
-        # so the ECF at U = 1 is an exact 0, whose log maps to 0, not -inf
+        # so the ECF at U = 1 is an exact 0, whose log is -inf, and the
+        # estimate names the probe instead of reading it as <u, Sigma u> = 0
         Y = np.array([[0.0], [0.0], [np.pi], [-np.pi]])
         assert _kernels.probe_cf(Y, 1.0)[0, 0] == 0.0
-        assert probe_log_moduli(Y, 1.0)[0, 0] == 0.0
+        assert probe_log_moduli(Y, 1.0)[0, 0] == -np.inf
+        with pytest.raises(EstimationError, match=r"at probe \(0, 0\)"):
+            spectral_estimate(Y, 1.0)
 
-    def test_default_cutoff_is_tiny(self):
+    def test_zero_modulus_probe_fails_the_estimate(self, monkeypatch):
+        probe_cf = _kernels.probe_cf
+
+        def one_zero(Y, U):
+            cf = probe_cf(Y, U)
+            cf[1, 2] = cf[2, 1] = 0.0
+            return cf
+
+        monkeypatch.setattr(_kernels, "probe_cf", one_zero)
+        Y = np.random.default_rng(1).standard_normal((50, 3))
+        with pytest.raises(EstimationError, match=r"at probe \(1, 2\)"):
+            spectral_estimate(Y, 1.0)
+
+    def test_tiny_modulus_keeps_a_finite_log(self):
         # cos(pi/2) = 0 in real arithmetic; in floats the ECF of this sample
-        # lands at ~6e-17, far above the cutoff, and its log stays finite
+        # lands at ~6e-17, and its log stays finite
         Y = np.array([[1.0], [-1.0]])
         logmod = probe_log_moduli(Y, np.pi / 2.0)[0, 0]
         assert np.isfinite(logmod) and logmod < -30.0
@@ -222,7 +238,7 @@ class TestProbeLogModuli:
 
     def test_rejects_nonpositive_radius(self):
         for U in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="must be positive"):
+            with pytest.raises(ValueError, match="^U must be "):
                 probe_log_moduli(np.ones((3, 2)), U)
 
 

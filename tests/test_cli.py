@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from speccov import cli, simgen
+from speccov import cli, shrinkage, simgen
 from speccov.cli import main
 from speccov.harness import load_spec
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
@@ -137,6 +137,35 @@ class TestSimulate:
         main(["simulate", "--config", str(config_file),
               "--output", str(out), "--replications", "1"])
         assert len(out.read_text().splitlines()) == 1 + 2
+
+    def test_writes_csv_to_stdout_without_an_output(self, config_file,
+                                                   tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        main(["simulate", "--config", str(config_file), "--output", str(out)])
+        capsys.readouterr()
+        code = main(["simulate", "--config", str(config_file)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+
+        def rows_without_time(text):
+            return [r.split(",")[:3] + r.split(",")[4:]
+                    for r in text.splitlines()]
+
+        assert rows_without_time(captured.out) == \
+            rows_without_time(out.read_text())
+
+    def test_warns_of_recorded_failures(self, config_file, capsys,
+                                        monkeypatch):
+        def fail(est, cfg):
+            raise RuntimeError("no solve")
+
+        monkeypatch.setattr(shrinkage, "pd_soft_threshold", fail)
+        code = main(["simulate", "--config", str(config_file)])
+        captured = capsys.readouterr()
+        # the run goes on: each sps record carries the error
+        assert code == 0
+        assert captured.err == "warning: 2 estimator failures recorded\n"
+        assert captured.out.count("RuntimeError: no solve") == 2
 
     def test_exponent_floats_without_a_dot(self, tmp_path, capsys):
         # YAML 1.1 reads 1e-4 and 25e-2 as strings unless load_spec
@@ -366,7 +395,7 @@ class TestCv:
         assert len(lines) == 4  # header + one line per grid point
 
     def test_default_grid_converges(self, tmp_path, capsys):
-        # the default grid reaches tau = 2 at the default ADMM penalty 1
+        # the default grid reaches tau = 2 at the default ADMM penalty 2
         p = 20
         Y = sample_scenario(Scenario(
             cov=CovModel.tridiagonal(p),
@@ -409,6 +438,17 @@ class TestRates:
         # tau and rate decrease with n
         assert float(lines[2].split(",")[2]) < float(lines[1].split(",")[2])
 
+    def test_pre_asymptotic_row_leaves_u_star_blank(self, capsys):
+        # 64 gamma^2 log(ep) = 376 at gamma = 1.5 and p = 5, so U* exists
+        # at n = 1000 and not at n = 100
+        code = main(["rates", "--n", "100", "1000", "--p", "5"])
+        assert code == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert rows[0][4] == ""
+        assert float(rows[1][4]) > 0
+        assert all(len(row) == 6 and row[5] for row in rows)
+
     def test_bad_constant_prints_only_an_error(self, capsys):
         code = main(["rates", "--n", "1000", "--p", "5", "--s", "nan"])
         assert code == 1
@@ -417,7 +457,7 @@ class TestRates:
         err = captured.err.strip()
         assert err.startswith("ERROR ")
         assert json.loads(err[len("ERROR "):])["message"] == \
-            "S must be nonnegative"
+            "S must be a number, got nan"
 
 
 class TestParserReuse:

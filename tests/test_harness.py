@@ -62,6 +62,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec([("cov", {})], replications=0)
 
+    def test_whole_float_replications_is_stored_as_int(self):
+        assert type(small_spec([("cov", {})], replications=2.0)
+                    .replications) is int
+        with pytest.raises(ValueError, match=re.escape(
+                "replications must be a whole number, got 2.5")):
+            small_spec([("cov", {})], replications=2.5)
+
     def test_rejects_empty_estimators(self):
         with pytest.raises(ValueError):
             small_spec([])
@@ -608,6 +615,16 @@ class TestConfigLoading:
         doc = copy.deepcopy(self.DOC)
         doc["scenario"]["noise"] = None
         assert spec_from_dict(doc).scenario.noise.kind == "none"
+
+    def test_whole_float_block_sizes_build_the_int_matrix(self):
+        # a whole float is a whole number; such block sizes used to raise
+        # TypeError inside numpy
+        def matrix(sizes):
+            doc = copy.deepcopy(self.DOC)
+            doc["scenario"]["covariance"] = {
+                "kind": "block_diagonal", "p": 3, "block_sizes": sizes}
+            return spec_from_dict(doc).scenario.cov.matrix()
+        np.testing.assert_array_equal(matrix([1.0, 2.0]), matrix([1, 2]))
 
     def test_committed_configs_load(self, tmp_path):
         import glob

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -363,3 +364,19 @@ class TestLambdaThreshold:
         cfg = LowRankConfig(U=2.0, lambda_nuc=0.1)
         _, ok = lambda_threshold(cfg, 0.0, T=1.0, beta=1.0, gamma=1.5, n=1)
         assert ok is False
+
+    @pytest.mark.parametrize("args,message", [
+        ((math.nan, 1.0, 1.0, 1.5, 100), "sigma_norm must be a number"),
+        ((-1.0, 1.0, 1.0, 1.5, 100), "sigma_norm must be >= 0"),
+        ((1.0, math.inf, 1.0, 1.5, 100), "T must be a number"),
+        ((1.0, 1.0, 5.0, 1.5, 100), "beta must be in [0, 2)"),
+        ((1.0, 1.0, 1.0, 1.0, 100), "gamma must be > sqrt(2)"),
+        ((1.0, 1.0, 1.0, 1.5, 0), "n must be >= 1"),
+    ], ids=["sigma_norm_nan", "sigma_norm_negative", "T_inf", "beta_5",
+            "gamma_1", "n_0"])
+    def test_rejects_bad_constants(self, args, message):
+        # NaN used to return (nan, False), beta = 5 and gamma = 1 a value,
+        # and n = 0 to raise ZeroDivisionError
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            lambda_threshold(cfg, *args)

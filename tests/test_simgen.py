@@ -52,6 +52,11 @@ class TestTridiagonal:
         with pytest.raises(ValueError):
             make_tridiagonal(0)
 
+    def test_whole_float_p_runs_as_its_int(self):
+        np.testing.assert_array_equal(make_tridiagonal(4.0), make_tridiagonal(4))
+        with pytest.raises(ValueError, match=r"^p must be a whole number, got 4\.5"):
+            make_tridiagonal(4.5)
+
 
 class TestBlockDiagonal:
     def test_size_one_block_normalizes_to_one(self):
@@ -76,6 +81,22 @@ class TestBlockDiagonal:
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError):
             make_block_diagonal(5, (2, 2))
+
+    def test_whole_float_sizes_run_as_their_ints(self):
+        # float block sizes used to raise TypeError inside numpy
+        np.testing.assert_array_equal(
+            make_block_diagonal(7.0, [3.0, 4.0], seed=2.0),
+            make_block_diagonal(7, [3, 4], seed=2))
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, []), "p must be >= 1, got 0"),
+        ((4, [2, 2.5]), "block_sizes must be a list of whole numbers"),
+        ((4, [6, -2]), "block_sizes must be >= 0 each"),
+        ((4, [2, 2], -1), "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make_block_diagonal(*args)
 
 
 class TestCovarianceSqrt:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,17 @@ class TestEllipticalReduction:
         for eta_inv, eta_x in pairs:
             np.testing.assert_allclose(eta_inv(eta_x), x, rtol=1e-9)
 
+    @pytest.mark.parametrize("alpha,message", [
+        (0.0, "alpha must be in (0, 2], got 0.0"),
+        (2.5, "alpha must be in (0, 2], got 2.5"),
+        (math.nan, "alpha must be a number, got nan"),
+    ])
+    def test_stable_generator_rejects_alpha_outside_0_2(self, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stable_generator(alpha)
+        # the closed end of the range is the Gaussian generator
+        assert stable_generator(2.0)(3.0) == 3.0
+
 
 class TestTauThreshold:
     def test_direct_substitution_value(self):
@@ -197,6 +209,17 @@ class TestTauThreshold:
         n = round(math.e * 10**6)
         expected = 6.0 * g * math.exp(1.0) * math.sqrt(1.0 / n) + 3e-12
         assert tau_threshold(cfg, n, 1) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n,p,message", [
+        (math.nan, 5, "n must be a whole number, got nan"),
+        (10**4, 2.5, "p must be a whole number, got 2.5"),
+        (10**4, 0, "p must be >= 1, got 0"),
+    ])
+    def test_rejects_bad_sizes(self, n, p, message):
+        # NaN used to return NaN
+        cfg = SpectralConfig(U=1.0, R=1.0, T=1.0, beta=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tau_threshold(cfg, n, p)
 
     def test_noiseless_limit_proportional_to_sqrt_log_over_n(self):
         cfg = SpectralConfig(U=1.0, R=0.5, T=1e-300, beta=0.0)
@@ -234,6 +257,17 @@ class TestAdmissible:
         assert admissible(cfg, 10**4, 2) is True
         assert admissible(cfg, 100, 2) is False
 
+    @pytest.mark.parametrize("n,p,message", [
+        (0, 5, "n must be >= 1, got 0"),
+        (math.nan, 5, "n must be a whole number, got nan"),
+        (10**4, math.inf, "p must be a whole number, got inf"),
+    ])
+    def test_rejects_bad_sizes(self, n, p, message):
+        # n = 0 used to raise ZeroDivisionError, and NaN to return False
+        cfg = SpectralConfig(U=1.0, R=1.0, T=1.0, beta=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            admissible(cfg, n, p)
+
 
 class TestSpectralRadiusStar:
     def test_value_matches_formula(self):
@@ -263,6 +297,15 @@ class TestSpectralRadiusStar:
                                (1.0, math.inf, "gamma")]:
             with pytest.raises(ValueError, match=f"^{name} must"):
                 spectral_radius_star(R, gamma, 10**6, 5)
+
+    @pytest.mark.parametrize("n,p,name", [
+        (math.nan, 5, "n"), (0, 5, "n"), (10**6, math.nan, "p"),
+        (10**6, 0, "p"),
+    ])
+    def test_rejects_bad_sizes(self, n, p, name):
+        # NaN used to return NaN
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            spectral_radius_star(1.0, 1.5, n, p)
 
 
 class TestTheoreticalRate:
@@ -297,3 +340,17 @@ class TestTheoreticalRate:
     def test_rejects_bad_constants(self, S, R, T, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
             theoretical_rate(S, R, T, 1.0, 0.0, 10**6, 5)
+
+    @pytest.mark.parametrize("n,p,name", [
+        (math.nan, 5, "n"), (10**6, 0, "p"), (10**6, 1.5, "p"),
+    ])
+    def test_rejects_bad_sizes(self, n, p, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            theoretical_rate(1.0, 1.0, 1.0, 1.0, 0.0, n, p)
+
+    def test_rejects_n_at_most_log_ep(self):
+        # log(5e) = 2.61, so L = log(n / log(ep)) <= 0 at n = 2
+        with pytest.raises(ValueError, match=re.escape(
+                "needs n > log(ep), got n=2, p=5")):
+            theoretical_rate(1.0, 1.0, 1.0, 1.0, 0.0, 2, 5)
+        assert theoretical_rate(1.0, 1.0, 1.0, 1.0, 0.0, 3, 5) > 0
