@@ -20,7 +20,6 @@ import numpy as np
 
 from . import harness, shrinkage, spectral
 from ._checks import _check
-from .shrinkage import CvConfig
 
 
 def _load_matrix(path):
@@ -79,18 +78,15 @@ def _cmd_simulate(args):
     return 0
 
 
-# the keys of cv's flags: a config's cv: block and the probe radius U
-_CV_FLAGS = {**harness.SCHEMA["cv"],
-             "U": harness.SCHEMA["estimator"]["sps"]["U"]}
-
-
 def _cmd_cv(args):
     grid = ([float(x) for x in args.grid.split(",")] if args.grid
             else shrinkage.DEFAULT_TAU_GRID)
-    _check("cv", {"num_splits": args.splits, "tau_grid": grid,
-                  "seed": args.seed, "U": args.u}, _CV_FLAGS)
+    # a config's cv: block and the radius U, checked before the input is read
+    cfg, _ = harness._cv_from_dict({"num_splits": args.splits,
+                                    "tau_grid": grid, "seed": args.seed,
+                                    "rule": args.rule})
+    _check("cv", {"U": args.u}, harness.SCHEMA["estimator"]["sps"])
     Y = _load_matrix(args.input)
-    cfg = CvConfig(num_splits=args.splits, tau_grid=grid, seed=args.seed)
     # U sets the validation target's radius, and the rule's if it takes one
     takes_u = "U" in harness.SCHEMA["estimator"][args.rule]
     fit = harness.cv_fit(args.rule, {"U": args.u} if takes_u else {})
@@ -99,6 +95,14 @@ def _cmd_cv(args):
     for t, q in zip(grid, Q):
         print(f"{t},{q}")
     return 0
+
+
+def _cell(fn, *args):
+    """fn(*args) as a table cell, blank where n is pre-asymptotic."""
+    try:
+        return f"{fn(*args):.6g}"
+    except spectral.PreAsymptoticError:
+        return ""
 
 
 def _cmd_rates(args):
@@ -111,15 +115,11 @@ def _cmd_rates(args):
         for p in args.p:
             tau = spectral.tau_threshold(cfg, n, p)
             adm = spectral.admissible(cfg, n, p)
-            try:
-                ustar = spectral.spectral_radius_star(args.r, args.gamma, n, p)
-                ustar_s = f"{ustar:.6g}"
-            except spectral.PreAsymptoticError:
-                ustar_s = ""
-            rate = spectral.theoretical_rate(args.s, args.r, args.t,
-                                             args.beta, args.q, n, p)
-            lines.append(f"{n},{p},{tau:.6g},{str(adm).lower()},{ustar_s},"
-                         f"{rate:.6g}")
+            ustar = _cell(spectral.spectral_radius_star, args.r, args.gamma,
+                          n, p)
+            rate = _cell(spectral.theoretical_rate, args.s, args.r, args.t,
+                         args.beta, args.q, n, p)
+            lines.append(f"{n},{p},{tau:.6g},{str(adm).lower()},{ustar},{rate}")
     print("\n".join(lines))
     return 0
 
@@ -159,8 +159,9 @@ def build_parser():
     cv.add_argument("--u", type=float, default=U)
     cv.add_argument("--grid", default=None, help="comma-separated tau grid")
     cv.add_argument("--splits", type=int, default=splits)
-    cv.add_argument("--seed", type=int, default=CvConfig.seed)
-    cv.add_argument("--rule", default="sps", choices=harness.THRESHOLD_TAGS)
+    cv.add_argument("--seed", type=int, default=shrinkage.CvConfig.seed)
+    cv.add_argument("--rule", default=harness.SCHEMA["cv"]["rule"].default,
+                    choices=harness.THRESHOLD_TAGS)
     cv.set_defaults(func=_cmd_cv)
 
     rates = sub.add_parser("rates", help="print theory tables")

@@ -24,8 +24,7 @@ import numpy as np
 import yaml
 
 from . import lowrank, shrinkage, simgen, spectral
-from ._checks import (LIST, NUMBER, NUMBERS, _COUNT, _Key, _block, _check,
-                      _fields, _given)
+from ._checks import LIST, _COUNT, _Key, _block, _check, _fields, _given
 from .shrinkage import CvConfig, PdSoftConfig
 from .simgen import CovModel, NoiseModel, Scenario
 
@@ -56,9 +55,11 @@ _LOWRANK = {  # LowRankConfig's keys
     "U": lowrank._RANGES["U"]._replace(default=1.0),
     "lambda": lowrank._RANGES["lambda_nuc"]._replace(default=1e-4),
     "mc_samples": lowrank._RANGES["mc_samples"]}
-_P = {"p": simgen._RANGES["p"]._replace(required=True)}
+# simgen's _Keys, each required: the scenario values that a block must set
+_NEEDS = {key: k._replace(required=True) for key, k in simgen._RANGES.items()}
+_P = {"p": _NEEDS["p"]}
 _SEED = {"seed": simgen._RANGES["seed"]}
-_SAMPLE = {"n": simgen._RANGES["n"]._replace(required=True), **_SEED}
+_SAMPLE = {"n": _NEEDS["n"], **_SEED}
 
 # An estimator is a base, fn(Y, tuning) -> CovEstimate for an (n, p) array
 # Y, and maybe a rule, fn(bases, tuning, taus) -> each base's estimate at its
@@ -129,20 +130,19 @@ SCHEMA = {
     "covariance": {
         "tridiagonal": _P,
         "block_diagonal": {
-            **_P, "block_sizes": simgen._RANGES["block_sizes"]._replace(
-                required=True), **_SEED},
+            **_P, "block_sizes": _NEEDS["block_sizes"], **_SEED},
         "explicit": {"matrix": _Key(required=True)}},
     "noise": {
         "none": {},
-        "gamma_elliptical": {"theta": _Key(NUMBER, required=True),
+        "gamma_elliptical": {"theta": _NEEDS["theta"],
                              "A": _Key(default="identity")},
-        "gaussian": {"rho": _Key(NUMBER, required=True)},
-        "stable": {"beta": _Key(NUMBER, required=True),
-                   "sigma": _Key(NUMBER, required=True),
-                   "norm": _Key(("lbeta", "l2"))}},
+        "gaussian": {"rho": _NEEDS["rho"]},
+        "stable": {"beta": _NEEDS["beta"], "sigma": _NEEDS["sigma"],
+                   "norm": simgen._RANGES["norm"]}},
     "cv": {"num_splits": shrinkage._RANGES["num_splits"]._replace(default=100),
-           "tau_grid": _Key(NUMBERS, default=shrinkage.DEFAULT_TAU_GRID),
-           **_SEED, "rule": _Key(THRESHOLD_TAGS)},
+           "tau_grid": shrinkage._RANGES["tau_grid"]._replace(
+               default=shrinkage.DEFAULT_TAU_GRID),
+           **_SEED, "rule": _Key(THRESHOLD_TAGS, default="sps")},
     "estimator": {
         "cov": {},
         "pds": {**_TAU, **_PD_SOLVER},
@@ -167,7 +167,7 @@ class ExperimentSpec:
     estimators: List[tuple]  # (tag, tuning dict)
     replications: int
     cv: Optional[CvConfig] = None
-    cv_rule: str = "sps"
+    cv_rule: str = SCHEMA["cv"]["rule"].default
     output: Optional[str] = None
 
     def __post_init__(self):
@@ -436,33 +436,33 @@ def summary_to_json(summary) -> str:
     )
 
 
-def _kind(block, d):
-    """(kind, the keyword arguments that block ``d`` gives its constructor)
-    after the table of its kind in SCHEMA checks ``d``. Each covariance and
-    noise kind is named after its CovModel or NoiseModel constructor."""
+def _build(block, make, **args):
+    """make(**args), a ValueError that it raises prefixed by ``block``."""
+    try:
+        return make(**args)
+    except ValueError as exc:
+        raise ValueError(f"{block}: {exc}") from None
+
+
+def _model(block, d, models, p=None):
+    """The constructor of ``models`` (CovModel or NoiseModel) that the kind
+    of block ``d`` names, called by _build on the arguments that ``d`` gives
+    once its kind's table checks it; ``A: identity`` is the p x p one."""
     kind = _block(block, d, "kind")["kind"]
     table = SCHEMA[block].get(kind) if isinstance(kind, str) else None
     if table is None:
         raise ValueError(f"unknown {block} kind {kind!r}")
-    _check(block, d, {"kind": _Key(), **table})
-    return kind, _given(d, table)
-
-
-def _cov_from_dict(d):
-    kind, args = _kind("covariance", d)
-    if kind != "explicit":
-        return getattr(CovModel, kind)(**args)
-    try:
-        return CovModel.explicit(**args)
-    except ValueError as exc:
-        raise ValueError(f"covariance: matrix {exc}") from None
-
-
-def _noise_from_dict(d, p):
-    kind, args = _kind("noise", d)
+    args = _given(_check(block, d, {"kind": _Key(), **table}), table)
     if isinstance(args.get("A"), str) and args["A"] == "identity":
         args["A"] = np.eye(p)
-    return getattr(NoiseModel, kind)(**args)
+    return _build(block, getattr(models, kind), **args)
+
+
+def _cv_from_dict(d):
+    """(CvConfig, rule) of the cv block ``d``, checked against SCHEMA."""
+    args = _given(_check("cv", d, SCHEMA["cv"]), SCHEMA["cv"])
+    rule = args.pop("rule")
+    return _build("cv", CvConfig, **args), rule
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
@@ -473,23 +473,21 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     """
     _check("config", doc, SCHEMA["config"])
     sc = _check("scenario", doc["scenario"], SCHEMA["scenario"])
-    cov = _cov_from_dict(sc["covariance"])
+    cov = _model("covariance", sc["covariance"], CovModel)
     # a bare "noise:" key, like an absent one, is no noise
-    noise = _noise_from_dict(sc.get("noise") or {"kind": "none"}, cov.p)
+    noise = _model("noise", sc.get("noise") or {"kind": "none"}, NoiseModel,
+                   cov.p)
     estimators = []
     for i, e in enumerate(doc["estimators"]):
         e = dict(_block(f"estimator {i}", e, "tag"))
         estimators.append((e.pop("tag"), e))
-    cv, rule = None, {}
-    if "cv" in doc:
-        # only a bare "cv:" key is an empty block: every CV default
-        args = _given(_check("cv", {} if doc["cv"] is None else doc["cv"],
-                             SCHEMA["cv"]), SCHEMA["cv"])
-        rule = {"cv_rule": args.pop("rule")} if "rule" in args else {}
-        cv = CvConfig(**args)
-    return ExperimentSpec(Scenario(cov, noise, **_given(sc, _SAMPLE)),
-                          estimators, doc["replications"], cv,
-                          output=doc.get("output"), **rule)
+    # only a bare "cv:" key is an empty block: every CV default
+    cv, rule = (None, SCHEMA["cv"]["rule"].default) if "cv" not in doc \
+        else _cv_from_dict({} if doc["cv"] is None else doc["cv"])
+    return ExperimentSpec(
+        _build("scenario", Scenario, cov=cov, noise=noise,
+               **_given(sc, _SAMPLE)),
+        estimators, doc["replications"], cv, rule, doc.get("output"))
 
 
 class _SpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

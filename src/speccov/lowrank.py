@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, spectral
-from ._checks import (NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _Key,
-                      _at_least, _check, _fields)
+from ._checks import (NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _Key,
+                      _args, _at_least, _check, _fields)
 from .spectral import CovEstimate, _as_data
 
 __all__ = [
@@ -32,11 +32,11 @@ __all__ = [
 
 ANNULUS = (0.25, 0.5)
 
-# The ranges of LowRankConfig's fields and of lambda_threshold's norm of
-# Sigma and noise level, 0 for noiseless data (see _checks).
+# The ranges of LowRankConfig's fields, lowrank_estimate's seed and
+# lambda_threshold's norm of Sigma and noise level, 0 without noise.
 _RANGES = {"U": _Key(NUMBER, _at_least(1)), "lambda_nuc": _POSITIVE,
            "mc_samples": _COUNT, "max_iter": _COUNT, "tol": _POSITIVE,
-           "sigma_norm": _NONNEGATIVE, "T": _NONNEGATIVE}
+           "seed": _SEED, "sigma_norm": _NONNEGATIVE, "T": _NONNEGATIVE}
 
 
 class SolverError(RuntimeError):
@@ -182,6 +182,7 @@ def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEst
     lambda * tr(M); converged when the relative objective decrease drops
     below cfg.tol. ``w`` must be the weight of the data's dimension.
     """
+    seed = _args(_RANGES, seed=seed)["seed"]
     data = _as_data(Y)
     p = data.shape[1]
     if w.p != p:
@@ -231,17 +232,16 @@ def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEst
         "seed": seed, "objective_trace": tuple(trace)})
 
 
-def lambda_threshold(cfg: LowRankConfig, sigma_norm, T, beta, gamma, n):
-    """Two-term heuristic bound for the nuclear penalty.
+def lambda_threshold(U, sigma_norm, T, beta, gamma, n):
+    """Two-term heuristic bound for the nuclear penalty at radius U.
 
     lam = gamma^2 exp(|Sigma| U^2/4 + 4 T U^beta)/(U^2 sqrt(n)) + T U^(beta-2)
     with both existential constants set to 1 (heuristic). Returns
     (lam, hypothesis_ok); the flag is False when the concentration
     hypothesis exp(|Sigma| U^2/8 + 2 T U^beta) <= sqrt(n) fails.
     """
-    _check(None, {"sigma_norm": sigma_norm, "T": T}, _RANGES)
+    _check(None, {"U": U, "sigma_norm": sigma_norm, "T": T}, _RANGES)
     _check(None, {"beta": beta, "gamma": gamma, "n": n}, spectral._RANGES)
-    U = cfg.U
     lam = (
         gamma**2 * math.exp(sigma_norm * U**2 / 4.0 + 4.0 * T * U**beta)
         / (U**2 * math.sqrt(n))

@@ -31,7 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _check, _fields
+from ._checks import (NUMBERS, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _Key,
+                      _check, _fields)
 from .spectral import CovEstimate, _as_data, spectral_estimate
 
 __all__ = [
@@ -79,10 +80,11 @@ _AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
 # workload, stacks of 3, 8 and 20 raised the peak RSS of a run by about
 # 0.8, 1.5 and 4.3 MB.
 _STACK = 1600
-# The ranges of PdSoftConfig's fields, CvConfig's counts and every tau.
+# The ranges of PdSoftConfig's and CvConfig's fields and of every tau.
 _RANGES = {"tau": _NONNEGATIVE, "lambda_barrier": _POSITIVE,
            "max_iter": _COUNT, "tol": _POSITIVE, "rho_admm": _POSITIVE,
-           "num_splits": _COUNT, "seed": _SEED}
+           "num_splits": _COUNT, "tau_grid": _Key(NUMBERS, _POSITIVE.range),
+           "seed": _SEED}
 
 
 class ConvergenceError(RuntimeError):
@@ -116,13 +118,12 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        grid = np.asarray(self.tau_grid, dtype=float)
-        # written so that NaN and infinite values fail too
-        if (grid.size == 0 or not np.all((0 < grid) & (grid < np.inf))
-                or np.any(np.diff(grid) <= 0)):
-            raise ValueError("tau_grid must be nonempty, positive, strictly ascending")
-        object.__setattr__(self, "tau_grid", grid)
         _fields(self, _RANGES)
+        grid = np.asarray(self.tau_grid, dtype=float)
+        if grid.size == 0 or np.any(np.diff(grid) <= 0):
+            raise ValueError("tau_grid must be nonempty and strictly "
+                             f"ascending, got {self.tau_grid!r}")
+        object.__setattr__(self, "tau_grid", grid)
 
 
 def _matrix(est) -> np.ndarray:

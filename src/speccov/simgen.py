@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import WHOLES, _COUNT, _NONNEGATIVE, _SEED, _Key, _args, _fields
+from ._checks import (NUMBER, WHOLES, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED,
+                      _Key, _args, _check, _fields)
 from .spectral import CovEstimate, _as_data
 
 __all__ = [
@@ -31,9 +32,15 @@ __all__ = [
 # The most negative eigenvalue a covariance matrix may have: smaller ones
 # are taken as rounding and clipped to zero.
 _PSD_CUTOFF = -1e-10
-# The ranges of the sizes and seeds that this module's code takes.
+# The ranges of the sizes, seeds and numbers that this module's code takes;
+# each noise kind is named after its NoiseModel constructor.
 _RANGES = {"p": _COUNT, "n": _COUNT, "seed": _SEED,
-           "block_sizes": _Key(WHOLES, _NONNEGATIVE.range)}
+           "block_sizes": _Key(WHOLES, _NONNEGATIVE.range),
+           "alpha": _Key(NUMBER, ((lambda v: 0 < v < 1), "in (0, 1)")),
+           "kind": _Key(("none", "gamma_elliptical", "gaussian", "stable")),
+           "theta": _POSITIVE, "rho": _NONNEGATIVE,
+           "beta": _Key(NUMBER, ((lambda v: 0 < v < 2), "in (0, 2)")),
+           "sigma": _POSITIVE, "norm": _Key(("lbeta", "l2"))}
 
 
 def make_tridiagonal(p: int) -> np.ndarray:
@@ -102,15 +109,16 @@ class CovModel:
         positive semidefinite up to the cutoff of covariance_sqrt."""
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-            raise ValueError(f"must be a square matrix, got shape {m.shape}")
+            raise ValueError("matrix must be a square matrix, got shape "
+                             f"{m.shape}")
         if not np.all(np.isfinite(m)):
-            raise ValueError("must have finite entries")
+            raise ValueError("matrix must have finite entries")
         if not np.array_equal(m, m.T):
-            raise ValueError("must be symmetric")
+            raise ValueError("matrix must be symmetric")
         w_min = np.linalg.eigvalsh(m)[0]
         if w_min < _PSD_CUTOFF:
-            raise ValueError("must be positive semidefinite, has eigenvalue "
-                             f"{w_min:.3e}")
+            raise ValueError("matrix must be positive semidefinite, has "
+                             f"eigenvalue {w_min:.3e}")
         return cls(m)
 
     @property
@@ -141,36 +149,29 @@ class NoiseModel:
     sigma: Optional[float] = None
     norm: str = "lbeta"  # lbeta (independent coords) | l2 (isotropic)
 
+    def __post_init__(self):
+        _fields(self, {"kind": _RANGES["kind"]})
+
     @classmethod
     def none(cls):
         return cls(kind="none")
 
-    # the checks below are written so that NaN and infinite values fail too
     @classmethod
     def gamma_elliptical(cls, A, theta):
-        if not 0 < theta < math.inf:
-            raise ValueError("theta must be positive")
+        theta = _args(_RANGES, theta=theta)["theta"]
         A = np.asarray(A, dtype=float)
         if not np.isfinite(A).all():
             raise ValueError("A must have finite entries")
-        return cls(kind="gamma_elliptical", A=A, theta=float(theta))
+        return cls(kind="gamma_elliptical", A=A, theta=theta)
 
     @classmethod
     def gaussian(cls, rho):
-        if not 0 <= rho < math.inf:
-            raise ValueError("rho must be nonnegative")
-        return cls(kind="gaussian", rho=float(rho))
+        return cls(kind="gaussian", **_args(_RANGES, rho=rho))
 
     @classmethod
     def stable(cls, beta, sigma, norm="lbeta"):
-        if not (0 < beta < 2):
-            raise ValueError("beta must lie in (0, 2)")
-        if not 0 < sigma < math.inf:
-            raise ValueError("sigma must be positive")
-        if norm not in ("lbeta", "l2"):
-            raise ValueError("norm must be 'lbeta' or 'l2'")
-        return cls(kind="stable", beta=float(beta), sigma=float(sigma),
-                   norm=norm)
+        return cls(kind="stable",
+                   **_args(_RANGES, beta=beta, sigma=sigma, norm=norm))
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,7 @@ def stable_symmetric(rng, beta, size):
 
 def stable_one_sided(rng, alpha, size):
     """Positive alpha-stable (alpha < 1) with Laplace transform exp(-s^alpha)."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
+    _check(None, {"alpha": alpha}, _RANGES)
     V = rng.uniform(0.0, math.pi, size=size)
     E = rng.exponential(1.0, size=size)
     return (np.sin((1.0 - alpha) * V)
@@ -257,8 +257,6 @@ def _add_noise(model: NoiseModel, X, rng):
         np.sqrt(weights, out=weights)
     elif model.kind == "stable":
         scale = model.sigma ** (1.0 / model.beta)
-    elif model.kind != "gaussian":
-        raise ValueError(f"unknown noise model {model.kind!r}")
     for rows in _row_blocks(n, p):
         shape = (rows.stop - rows.start, p)
         if model.kind == "gaussian":
@@ -317,14 +315,12 @@ def noise_cf(model: NoiseModel, u) -> complex:
     elif model.kind == "gamma_elliptical":
         q = float(u @ (model.A @ model.A.T) @ u)
         val = complex((1.0 + 0.5 * q) ** (-model.theta))
-    elif model.kind == "stable":
+    else:  # stable
         if model.norm == "lbeta":
             r = float(np.sum(np.abs(u) ** model.beta))
         else:
             r = float(np.linalg.norm(u) ** model.beta)
         val = complex(np.exp(-model.sigma * r))
-    else:
-        raise ValueError(f"unknown noise model {model.kind!r}")
     return val
 
 

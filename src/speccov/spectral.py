@@ -58,7 +58,7 @@ class EstimationError(RuntimeError):
 
 
 class PreAsymptoticError(ValueError):
-    """n is too small for the theory-driven spectral radius to be real."""
+    """n is too small for the theory's radius U* or rate to be defined."""
 
 
 def _as_data(Y) -> np.ndarray:
@@ -227,6 +227,6 @@ def theoretical_rate(
                   "p": p}, _RANGES)
     L = math.log(n / math.log(math.e * p))
     if L <= 0:
-        raise ValueError(f"needs n > log(ep), got n={n}, p={p}")
+        raise PreAsymptoticError(f"needs n > log(ep), got n={n}, p={p}")
     inner = R ** (1.0 - beta / 2.0) * T * L ** (-1.0 + beta / 2.0)
     return math.sqrt(S) * inner ** (1.0 - q / 2.0)

@@ -423,6 +423,15 @@ class TestCv:
         message = json.loads(err[len("ERROR "):])["message"]
         assert message.startswith(f"cv: {key} ")
 
+    def test_grid_is_checked_before_the_input_is_read(self, tmp_path, capsys):
+        code = main(["cv", "--input", str(tmp_path / "missing.csv"),
+                     "--grid", "0.3,0.2"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("ERROR ")
+        assert json.loads(err[len("ERROR "):])["message"].startswith(
+            "cv: tau_grid")
+
 
 class TestRates:
     def test_table_shape_and_content(self, capsys):
@@ -458,6 +467,16 @@ class TestRates:
         assert err.startswith("ERROR ")
         assert json.loads(err[len("ERROR "):])["message"] == \
             "S must be a number, got nan"
+
+    def test_undefined_rate_leaves_its_cell_blank(self, capsys):
+        # n = 2 <= log(5e) = 2.61, so the rate's log(n / log(ep)) is not
+        # positive there; the row at n = 1000 still has its rate
+        code = main(["rates", "--n", "2", "1000", "--p", "5"])
+        assert code == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["2", "5"], ["1000", "5"]]
+        assert rows[0][5] == "" and float(rows[1][5]) > 0
 
 
 class TestParserReuse:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from speccov import harness, shrinkage, simgen, spectral
+from speccov import _checks, harness, shrinkage, simgen, spectral
 from speccov.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -815,6 +815,32 @@ class TestConfigLoading:
         (("estimators",), [{"tag": "sps", "tau": 0.2, "rho_admm": 20.0}],
          "estimator 'sps': unknown key 'rho_admm'; allowed keys: tau, lambda, "
          "tol, max_iter, U"),
+        # the noise, cv and covariance constructors' own errors name their
+        # block too
+        (("scenario", "noise", "theta"), 0.0,
+         "noise: theta must be > 0, got 0.0"),
+        (("scenario", "noise", "theta"), -1.0,
+         "noise: theta must be > 0, got -1.0"),
+        (("scenario", "noise"), {"kind": "gaussian", "rho": -0.5},
+         "noise: rho must be >= 0, got -0.5"),
+        (("scenario", "noise"), {"kind": "stable", "beta": 0.0, "sigma": 0.7},
+         "noise: beta must be in (0, 2), got 0.0"),
+        (("scenario", "noise"), {"kind": "stable", "beta": 2.5, "sigma": 0.7},
+         "noise: beta must be in (0, 2), got 2.5"),
+        (("scenario", "noise"), {"kind": "stable", "beta": 1.5, "sigma": 0.0},
+         "noise: sigma must be > 0, got 0.0"),
+        (("cv",), {"tau_grid": [-1.0, 0.2]},
+         "cv: tau_grid must be > 0 each, got [-1.0, 0.2]"),
+        (("cv",), {"tau_grid": [0.3, 0.2]},
+         "cv: tau_grid must be nonempty and strictly ascending, got "
+         "[0.3, 0.2]"),
+        (("scenario", "covariance"),
+         {"kind": "block_diagonal", "p": 3, "block_sizes": [1, 1]},
+         "covariance: block sizes must sum to p"),
+        (("scenario", "noise", "A"), [[1.0, math.nan], [0.0, 1.0]],
+         "noise: A must have finite entries"),
+        (("scenario", "noise", "A"), [[1.0, 0.0], [0.0, 1.0]],
+         "scenario: noise mixing matrix A has wrong shape"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)
@@ -853,22 +879,56 @@ class TestConfigLoading:
     def test_readme_schema_section_matches_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Config schema\n", 1)[1].split("\n## ", 1)[0]
-        # the tag table lists every key that each tag takes, and no other
+
+        def rows(table):  # each row's cells, ≥ read as >= and √2 as sqrt(2)
+            return [[cell.strip().replace("≥", ">=").replace("√2", "sqrt(2)")
+                     for cell in line.strip().strip("|").split("|")]
+                    for line in table.splitlines() if line.startswith("| ")][1:]
+
+        def range_text(k):
+            each = "each " if k.kind in (_checks.NUMBERS, _checks.WHOLES) \
+                else ""
+            return each + k.range[1] if k.range else ""
+
+        # the block table lists every key of each block, with its range; a
+        # row with an empty block cell is of the block above
+        table = section.split("Required keys are in bold.", 1)[1]
+        table = table.split("Each estimator tag is a base estimate", 1)[0]
+        listed, block = {}, None
+        for row in rows(table):
+            block = row[0] or block
+            if row[1]:
+                listed[block, row[1].strip("*")] = row[3]
+        blocks = {"top level": harness.SCHEMA["config"],
+                  "scenario": harness.SCHEMA["scenario"],
+                  "cv": harness.SCHEMA["cv"],
+                  **{f"{name}, `kind: {kind}`": keys
+                     for name in ("covariance", "noise")
+                     for kind, keys in harness.SCHEMA[name].items()}}
+        assert listed == {(block, key): range_text(k)
+                          for block, keys in blocks.items()
+                          for key, k in keys.items()}
+        # the tag table lists every key that each tag takes, and no other,
+        # with its range: a range led by a tag, as "lowrank" leads the
+        # second of "> 0; lowrank ≥ 1", is that tag's, the other the rest's
         table = section.split("The estimator tags take these keys", 1)[1]
-        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
-                for line in table.splitlines() if line.startswith("| ")][1:]
         listed = {tag: set() for tag in harness.SCHEMA["estimator"]}
-        for row in rows:
-            for tag in row[-1].split(", "):
+        for row in rows(table):
+            tags = row[-1].split(", ")
+            parts = [part.split(" ", 1) for part in row[2].split("; ")]
+            named = {part[0]: part[1] for part in parts if part[0] in tags}
+            rest = "; ".join(" ".join(part) for part in parts
+                             if part[0] not in tags)
+            for tag in tags:
                 listed[tag].add(row[0])
+                assert named.get(tag, rest) == range_text(
+                    harness.SCHEMA["estimator"][tag][row[0]]), (tag, row[0])
         assert listed == {tag: set(keys) for tag, keys
                           in harness.SCHEMA["estimator"].items()}
         # the tag table gives each tag's base and rule, and no other tag
         table = section.split("Each estimator tag is a base estimate", 1)[1]
         table = table.split("The estimator tags take these keys", 1)[0]
-        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
-                for line in table.splitlines() if line.startswith("| ")][1:]
-        assert {row[0]: tuple(row[1:]) for row in rows} == {
+        assert {row[0]: tuple(row[1:]) for row in rows(table)} == {
             tag: (base.__name__.lstrip("_"),
                   rule.__name__.lstrip("_") if rule else "",
                   "yes" if rule else "no")

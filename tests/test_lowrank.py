@@ -333,6 +333,21 @@ class TestLowRankEstimate:
             lowrank_estimate(Y, cfg, bump_weight(3), seed=0)
         assert ei.value.objective_trace is not None
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be a whole number, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_seed(self, monkeypatch, seed, message):
+        # numpy raised TypeError for 1.5, and its own ValueError for -1
+        def no_ecf(Y, freqs):
+            raise AssertionError("ECF evaluated before the seed was checked")
+
+        monkeypatch.setattr(_kernels, "ecf", no_ecf)
+        Y = np.random.default_rng(1).standard_normal((100, 3))
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=256)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lowrank_estimate(Y, cfg, bump_weight(3), seed=seed)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LowRankConfig(U=0.5, lambda_nuc=0.1)
@@ -348,35 +363,33 @@ class TestLowRankEstimate:
 
 class TestLambdaThreshold:
     def test_noiseless_unit_radius_value(self):
-        cfg = LowRankConfig(U=1.0, lambda_nuc=0.1)
-        lam, ok = lambda_threshold(cfg, sigma_norm=0.0, T=0.0, beta=1.0,
+        lam, ok = lambda_threshold(1.0, sigma_norm=0.0, T=0.0, beta=1.0,
                                    gamma=1.5, n=10**4)
         assert lam == pytest.approx(1.5**2 / 100.0)
         assert ok is True
 
     def test_bias_term_scaling(self):
-        cfg = LowRankConfig(U=2.0, lambda_nuc=0.1)
         huge_n = 10**30
-        lam, _ = lambda_threshold(cfg, 0.0, T=0.5, beta=1.0, gamma=1.5, n=huge_n)
+        lam, _ = lambda_threshold(2.0, 0.0, T=0.5, beta=1.0, gamma=1.5, n=huge_n)
         assert lam == pytest.approx(0.5 * 2.0 ** (-1.0), rel=1e-9)
 
     def test_hypothesis_flag_false_for_tiny_n(self):
-        cfg = LowRankConfig(U=2.0, lambda_nuc=0.1)
-        _, ok = lambda_threshold(cfg, 0.0, T=1.0, beta=1.0, gamma=1.5, n=1)
+        _, ok = lambda_threshold(2.0, 0.0, T=1.0, beta=1.0, gamma=1.5, n=1)
         assert ok is False
 
     @pytest.mark.parametrize("args,message", [
-        ((math.nan, 1.0, 1.0, 1.5, 100), "sigma_norm must be a number"),
-        ((-1.0, 1.0, 1.0, 1.5, 100), "sigma_norm must be >= 0"),
-        ((1.0, math.inf, 1.0, 1.5, 100), "T must be a number"),
-        ((1.0, 1.0, 5.0, 1.5, 100), "beta must be in [0, 2)"),
-        ((1.0, 1.0, 1.0, 1.0, 100), "gamma must be > sqrt(2)"),
-        ((1.0, 1.0, 1.0, 1.5, 0), "n must be >= 1"),
+        ((1.0, math.nan, 1.0, 1.0, 1.5, 100), "sigma_norm must be a number"),
+        ((1.0, -1.0, 1.0, 1.0, 1.5, 100), "sigma_norm must be >= 0"),
+        ((1.0, 1.0, math.inf, 1.0, 1.5, 100), "T must be a number"),
+        ((1.0, 1.0, 1.0, 5.0, 1.5, 100), "beta must be in [0, 2)"),
+        ((1.0, 1.0, 1.0, 1.0, 1.0, 100), "gamma must be > sqrt(2)"),
+        ((1.0, 1.0, 1.0, 1.0, 1.5, 0), "n must be >= 1"),
+        # the radius that LowRankConfig takes
+        ((0.5, 0.0, 0.0, 1.0, 1.5, 100), "U must be >= 1, got 0.5"),
     ], ids=["sigma_norm_nan", "sigma_norm_negative", "T_inf", "beta_5",
-            "gamma_1", "n_0"])
+            "gamma_1", "n_0", "U_half"])
     def test_rejects_bad_constants(self, args, message):
         # NaN used to return (nan, False), beta = 5 and gamma = 1 a value,
         # and n = 0 to raise ZeroDivisionError
-        cfg = LowRankConfig(U=1.0, lambda_nuc=0.1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            lambda_threshold(cfg, *args)
+            lambda_threshold(*args)

@@ -382,7 +382,8 @@ class TestStableBuildingBlocks:
 
     def test_one_sided_rejects_alpha_out_of_range(self):
         rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=re.escape("alpha must be in (0, 1), got 1.2")):
             stable_one_sided(rng, 1.2, 10)
 
     def test_symmetric_cf(self):
@@ -430,21 +431,29 @@ class TestModelValidation:
             NoiseModel.stable(1.0, 1.0, norm="l1")
 
     @pytest.mark.parametrize("make,message", [
-        (lambda: NoiseModel.gaussian(math.nan), "rho must be nonnegative"),
-        (lambda: NoiseModel.gaussian(math.inf), "rho must be nonnegative"),
+        (lambda: NoiseModel.gaussian(math.nan), "rho must be a number, got nan"),
+        (lambda: NoiseModel.gaussian(math.inf), "rho must be a number, got inf"),
         (lambda: NoiseModel.gamma_elliptical(np.eye(3), math.inf),
-         "theta must be positive"),
+         "theta must be a number, got inf"),
         (lambda: NoiseModel.gamma_elliptical(np.eye(3), math.nan),
-         "theta must be positive"),
+         "theta must be a number, got nan"),
         (lambda: NoiseModel.gamma_elliptical([[1.0, math.nan], [0.0, 1.0]],
                                              1.0),
          "A must have finite entries"),
-        (lambda: NoiseModel.stable(1.0, math.inf), "sigma must be positive"),
-        (lambda: NoiseModel.stable(1.0, math.nan), "sigma must be positive"),
+        (lambda: NoiseModel.stable(1.0, math.inf),
+         "sigma must be a number, got inf"),
+        (lambda: NoiseModel.stable(1.0, math.nan),
+         "sigma must be a number, got nan"),
     ])
     def test_noise_parameters_must_be_finite(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
+
+    def test_noise_kind_must_be_known(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "kind must be one of none, gamma_elliptical, gaussian, "
+                "stable, got 'cauchy'")):
+            NoiseModel(kind="cauchy")
 
     @pytest.mark.parametrize("matrix,message", [
         ([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0]], "square matrix, got shape (2, 3)"),
