@@ -1,11 +1,11 @@
 """The one check of the values that configs and Python callers pass.
 
 A table maps each name that a config block or a function takes to a _Key:
-the kind of its value (NUMBER, WHOLE, NUMBERS or WHOLES, LIST, a tuple of
-the allowed names, or None for a value that a constructor checks), the
-range of a number or of each entry of a list, whether a block must set it
-and its default. Each module keeps the table of the values that its code
-takes, and harness.SCHEMA reads them.
+the kind of its value (NUMBER, WHOLE, NUMBERS or WHOLES, LIST, MATRIX, a
+tuple of the allowed names, or None for a value that a constructor
+checks), the range of a number or of each entry of a list, whether a block
+must set it and its default. Each module keeps the table of the values
+that its code takes, and harness.SCHEMA reads them.
 """
 
 import difflib
@@ -18,6 +18,9 @@ import numpy as np
 NUMBER, WHOLE = "number", "whole number"
 NUMBERS, WHOLES = "list of numbers", "list of whole numbers"
 LIST = "list"
+# the name identity, or a square list of lists of reals, whose finiteness
+# and size the constructor that takes it checks
+MATRIX = "identity or a square matrix of numbers"
 _Key = namedtuple("_Key", "kind range required default",
                   defaults=(None, None, False, None))
 
@@ -75,6 +78,9 @@ def _check(block, d, table):
                              f"{', '.join(k.kind)}, got {v!r}")
         if k.kind == LIST and not isinstance(v, list):
             raise ValueError(f"{at}{key} must be a list, got {v!r}")
+        if k.kind == MATRIX and not (v == "identity" if isinstance(v, str)
+                                     else _square(v)):
+            raise ValueError(f"{at}{key} must be {MATRIX}, got {v!r}")
         if k.kind not in (NUMBER, WHOLE, NUMBERS, WHOLES):
             continue
         many, whole = k.kind in (NUMBERS, WHOLES), k.kind in (WHOLE, WHOLES)
@@ -95,6 +101,17 @@ def _real(x, whole):
     return ((type(x) in (float, int) or not isinstance(x, bool)
              and isinstance(x, numbers.Real))
             and math.isfinite(x) and not (whole and x != int(x)))
+
+
+def _square(v):
+    """Whether ``v`` is a nonempty square list (or array) of lists of reals,
+    finite or not, none of them a bool."""
+    rows = v.tolist() if isinstance(v, np.ndarray) else v
+    return (isinstance(rows, (list, tuple)) and len(rows) > 0
+            and all(isinstance(row, (list, tuple)) and len(row) == len(rows)
+                    and all(isinstance(x, numbers.Real)
+                            and not isinstance(x, bool) for x in row)
+                    for row in rows))
 
 
 def _args(table, **args):

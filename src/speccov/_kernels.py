@@ -1,4 +1,5 @@
-"""Hot numeric kernels: batched empirical characteristic function evaluation.
+"""Hot numeric kernels: batched empirical characteristic function
+evaluation, and the thread pool that they and PD-soft's stacks run on.
 
 Both kernels split the rows of the data into blocks and sum real cosines
 and sines over each; no n-row or complex n-row array is ever built. A
@@ -14,6 +15,10 @@ identical for any worker count, and from run to run, at a fixed BLAS
 thread count. Working memory is one block's arrays, about 1 MB, per
 running worker, whatever the number of observations n. An input of one
 block, or a pool of one worker, runs inline and starts no thread.
+``shrinkage.pd_soft_threshold`` hands its stacks of problems to
+``_in_order`` the same way. The pool is plain ``threading`` threads that
+take blocks off a ``queue.SimpleQueue``: ``concurrent.futures`` would
+import ``logging`` too, about 0.6 MB and 6 ms on CPython 3.11.
 
 Cosines and sines come from one ``tan`` per element by the half-angle
 identity (``_cos_sin``). With numpy 2.4 on an AVX-512 x86-64 CPU, float64
@@ -25,6 +30,9 @@ and its result is within 4 eps of ``np.cos``/``np.sin``.
 """
 
 import os
+import queue
+import threading
+import weakref
 from collections import deque
 from itertools import islice
 
@@ -43,44 +51,86 @@ def _rows_per_block(width):
     return max(1, _BLOCK // max(width, 1))
 
 
-# Threads that run the row blocks: one per CPU of the affinity mask.
+# Threads that run the blocks: one per CPU of the affinity mask.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# ((pid, workers), the ThreadPoolExecutor), made on first use by _in_order
+# ((pid, workers), the _Pool), made on first use by _in_order
 _pool = None
+
+
+class _Pool:
+    """Threads that take blocks off the queue ``tasks`` and run them. They
+    end once the pool is collected: when ``_pool`` has been replaced and no
+    call of _in_order still holds it."""
+
+    def __init__(self, workers):
+        self.tasks = tasks = queue.SimpleQueue()
+        for _ in range(workers):
+            threading.Thread(target=_work, args=(tasks,), daemon=True).start()
+        weakref.finalize(self, lambda: [tasks.put(None)
+                                        for _ in range(workers)])
+
+
+def _work(tasks):
+    """Run the blocks of ``tasks`` until a None; no block's arguments are
+    held while waiting for the next."""
+    while True:
+        task = tasks.get()
+        if task is None:
+            return
+        _run(*task)
+        del task
+
+
+def _run(fn, arg, out, stopped):
+    """Put (fn(arg), None), or (None, the exception it raised), on the
+    block's queue ``out``; (None, None) without calling fn once the
+    caller's list ``stopped`` is nonempty."""
+    try:
+        out.put((None, None) if stopped else (fn(arg), None))
+    except BaseException as exc:
+        out.put((None, exc))
 
 
 def _in_order(fn, starts):
     """Yield ``fn(start)`` for each of ``starts``, in order, computed on the
-    pool with at most 2 * _WORKERS blocks submitted ahead. One block, or
+    pool with at most 2 * _WORKERS blocks handed out ahead. One block, or
     one worker, runs inline and never creates the pool. An exception of a
     block reaches the caller as it was raised."""
     global _pool
     if len(starts) <= 1 or _WORKERS == 1:
         yield from map(fn, starts)
         return
-    # imported here, so that a process whose every input is one block
-    # (simulate and cv at small n) does not pay for it: with its logging
-    # import, about 0.6 MB and 6 ms on CPython 3.11, x86-64 Linux
-    from concurrent.futures import ThreadPoolExecutor, wait
     key = (os.getpid(), _WORKERS)
     if _pool is None or _pool[0] != key:
-        # a forked child, or a changed worker count, gets a new pool; the
-        # pool replaced ends its threads when it is collected
-        _pool = key, ThreadPoolExecutor(_WORKERS)
-    pool = _pool[1]
+        # a forked child, or a changed worker count, gets a new pool
+        _pool = key, _Pool(_WORKERS)
+    pool = _pool[1]  # held, so that its threads run until this call ends
+    stopped = []
     rest = iter(starts)
-    ahead = deque(pool.submit(fn, s) for s in islice(rest, 2 * _WORKERS))
+    ahead = deque()  # the queues of the blocks handed out, in block order
+
+    def hand_out(start):
+        out = queue.SimpleQueue()
+        pool.tasks.put((fn, start, out, stopped))
+        ahead.append(out)
+
+    for s in islice(rest, 2 * _WORKERS):
+        hand_out(s)
     try:
         while ahead:
-            result = ahead.popleft().result()
-            ahead.extend(pool.submit(fn, s) for s in islice(rest, 1))
+            result, exc = ahead.popleft().get()
+            if exc is not None:
+                raise exc
+            for s in islice(rest, 1):
+                hand_out(s)
             yield result
     finally:
-        # after a raise, or a caller that stopped early, no block runs on
-        for f in ahead:
-            f.cancel()
-        wait(ahead)
+        # after a raise, or a caller that stopped early, no block runs on:
+        # the blocks not yet started are skipped, the others waited for
+        stopped.append(True)
+        for out in ahead:
+            out.get()
 
 
 def _cos_sin(x, cos):

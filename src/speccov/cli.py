@@ -78,8 +78,17 @@ def _cmd_simulate(args):
     return 0
 
 
+def _number(text):
+    """``text`` as a float, or as it is when it is not one, so that the
+    check of the value names the key it was given for."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _cmd_cv(args):
-    grid = ([float(x) for x in args.grid.split(",")] if args.grid
+    grid = ([_number(x) for x in args.grid.split(",")] if args.grid
             else shrinkage.DEFAULT_TAU_GRID)
     # a config's cv: block and the radius U, checked before the input is read
     cfg, _ = harness._cv_from_dict({"num_splits": args.splits,

@@ -24,7 +24,8 @@ import numpy as np
 import yaml
 
 from . import lowrank, shrinkage, simgen, spectral
-from ._checks import LIST, _COUNT, _Key, _block, _check, _fields, _given
+from ._checks import (LIST, MATRIX, _COUNT, _Key, _block, _check, _fields,
+                      _given)
 from .shrinkage import CvConfig, PdSoftConfig
 from .simgen import CovModel, NoiseModel, Scenario
 
@@ -135,7 +136,7 @@ SCHEMA = {
     "noise": {
         "none": {},
         "gamma_elliptical": {"theta": _NEEDS["theta"],
-                             "A": _Key(default="identity")},
+                             "A": _Key(MATRIX, default="identity")},
         "gaussian": {"rho": _NEEDS["rho"]},
         "stable": {"beta": _NEEDS["beta"], "sigma": _NEEDS["sigma"],
                    "norm": simgen._RANGES["norm"]}},
@@ -257,8 +258,9 @@ def _admissible_flag(tuning, n, p):
 
 # The replications that run_experiment samples and estimates together. An
 # estimator that takes tau hands its rule a block's bases in one call, which
-# PD-soft solves as stacks of _STACK // p**2 problems (4 at p=20), so a run
-# holds at most _BLOCK bases per estimator however many replications it has.
+# PD-soft solves as stacks of _STACK // p**2 problems (8 at p=20, so one
+# stack there), so a run holds at most _BLOCK bases per estimator however
+# many replications it has.
 _BLOCK = 8
 
 

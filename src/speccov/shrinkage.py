@@ -23,6 +23,8 @@ config, ``pd_soft_threshold`` solves them as stacks of problems that share
 each iteration's numpy calls (one stacked eigendecomposition among them)
 while each converges on its own and then leaves the stack; CV solves a
 split's whole tau grid this way, and ``simulate`` a block of replications.
+The stacks of one call run on the ECF kernels' thread pool, and their
+estimates are collected in stack order.
 """
 
 import math
@@ -31,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from ._checks import (NUMBERS, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _Key,
                       _check, _fields)
 from .spectral import CovEstimate, _as_data, spectral_estimate
@@ -73,13 +76,21 @@ _AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
 # The p x p elements of the problems of one stack: a problem holds about 45
 # p x p arrays at its peak (its state and image, Anderson's ten differences,
 # work arrays), so a stack of _STACK // p**2 problems peaks near
-# 360 * _STACK bytes (580 KB) however many problems the caller passes. At
-# p=20 that is 4 problems, the replications of one perfbench simulate call:
-# on 25 such calls' 200 solves, stacks of 3 + 1 took 0.93 of the time of
-# one-problem solves and stacks of 4 took 0.80. On the perfbench cv
-# workload, stacks of 3, 8 and 20 raised the peak RSS of a run by about
-# 0.8, 1.5 and 4.3 MB.
-_STACK = 1600
+# 360 * _STACK bytes (1.2 MB) however many problems the caller passes, and a
+# call holds one such stack per worker of the thread pool that solves its
+# stacks (_kernels._in_order). At p=20 a stack is 8 problems: a simulate
+# block of 8 replications is one stack and runs inline, and a CV split's
+# 40-point grid is 5 stacks, which run two at a time on 2 CPUs. A stack must
+# be that large for its eigendecompositions and elementwise loops to run
+# long without the GIL: over stacks of 4 at p=20 (1600 elements), the
+# threads gained nothing. Stacks of fewer but larger problems gain too:
+# timed in one process, pool against one worker, alternating calls, a
+# 40-point cv took 0.72-0.89 of the serial time at p = 25 to 60, where a
+# stack holds 5 problems down to 1 (1681 to 3600 elements). On the
+# perfbench cv workload (2 CPUs), over stacks of 4 solved one after another,
+# stacks of 10 on the pool raised the peak RSS of a run by 8-10% and stacks
+# of 8 by 5-8%.
+_STACK = 3200
 # The ranges of PdSoftConfig's and CvConfig's fields and of every tau.
 _RANGES = {"tau": _NONNEGATIVE, "lambda_barrier": _POSITIVE,
            "max_iter": _COUNT, "tol": _POSITIVE, "rho_admm": _POSITIVE,
@@ -444,7 +455,11 @@ def pd_soft_threshold(est, cfg):
     eigendecomposition call per iteration and each converge, count
     iterations and balance rho on their own. A problem leaves its stack as
     soon as it converges, so a stack's iterations cost less as its problems
-    finish, and a solve in a stack returns what it returns alone.
+    finish, and a solve in a stack returns what it returns alone. The
+    stacks run on the thread pool of ``_kernels._in_order``, one per
+    worker at a time, and a call of one stack runs inline. The stack
+    boundaries do not depend on the worker count, so neither does any
+    result.
 
     The solution is positive definite in exact arithmetic. In floating
     point the returned X has eigenvalues >= -p * eps * |X|_2: the barrier
@@ -490,9 +505,14 @@ def pd_soft_threshold(est, cfg):
     shats = [_matrix(e) for e in est]
     taus = [c.tau for c in cfgs]
     size = max(1, _STACK // shats[0].size) if shats else 1
-    return [solved for i in range(0, len(taus), size)
-            for solved in _pd_soft_stack(np.stack(shats[i:i + size]),
-                                         taus[i:i + size], cfgs[0])]
+
+    def stack(i):
+        return _pd_soft_stack(np.stack(shats[i:i + size]), taus[i:i + size],
+                              cfgs[0])
+
+    return [solved for out in _kernels._in_order(stack, range(0, len(taus),
+                                                              size))
+            for solved in out]
 
 
 def sample_covariance(Y) -> CovEstimate:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speccov import _kernels
+from speccov import _kernels, spectral
 from speccov.shrinkage import sample_covariance
 from speccov.spectral import EstimationError, probe_log_moduli, spectral_estimate
 
@@ -75,6 +75,28 @@ class TestSampleCheck:
         Y[row, 7] = np.inf
         with pytest.raises(ValueError, match=_NOT_FINITE):
             estimate(Y)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_entries_near_the_float_limit_pass(self, sign):
+        # their sum overflows; the check must look at each entry, not at it
+        Y = np.full((10_000, 20), sign * 1.7e308)
+        Y[5000, 3] = sign * np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral._as_data(Y) is Y
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+        [np.nan, 1e308, 1e308]])
+    def test_rejects_any_non_finite_entry_among_large_ones(self, bad):
+        # +inf and -inf sum to nan, and nan absorbs an overflow, so no
+        # sum of the sample stands in for the entrywise check
+        Y = np.full((10_000, 20), 1e307)
+        Y[9999, :len(bad)] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=_NOT_FINITE):
+                spectral._as_data(Y)
 
 
 class TestEmpiricalCf:

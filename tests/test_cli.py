@@ -432,6 +432,18 @@ class TestCv:
         assert json.loads(err[len("ERROR "):])["message"].startswith(
             "cv: tau_grid")
 
+    def test_grid_entry_that_is_not_a_number_names_cv_and_tau_grid(
+            self, tmp_path, capsys):
+        code = main(["cv", "--input", str(tmp_path / "missing.csv"),
+                     "--grid", "0.1,abc"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ERROR ")
+        assert json.loads(err[len("ERROR "):])["message"] == (
+            "cv: tau_grid must be a list of numbers, got [0.1, 'abc']")
+
 
 class TestRates:
     def test_table_shape_and_content(self, capsys):

@@ -841,6 +841,15 @@ class TestConfigLoading:
          "noise: A must have finite entries"),
         (("scenario", "noise", "A"), [[1.0, 0.0], [0.0, 1.0]],
          "scenario: noise mixing matrix A has wrong shape"),
+        (("scenario", "noise", "A"), "eye",
+         "noise: A must be identity or a square matrix of numbers, got "
+         "'eye'"),
+        (("scenario", "noise", "A"), [[1.0, 0.0]],
+         "noise: A must be identity or a square matrix of numbers, got "
+         "[[1.0, 0.0]]"),
+        (("scenario", "noise", "A"), [[1.0, "0"], [0.0, 1.0]],
+         "noise: A must be identity or a square matrix of numbers, got "
+         "[[1.0, '0'], [0.0, 1.0]]"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)

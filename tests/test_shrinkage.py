@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from speccov import shrinkage
+from speccov import _kernels, shrinkage
 from speccov.harness import estimate, load_spec
 from speccov.lowrank import LowRankConfig
 from speccov.shrinkage import (
@@ -463,9 +463,10 @@ class TestPdSoftPath:
         with pytest.raises(ValueError, match="differ only in tau"):
             pd_soft_threshold([base] * 2, cfgs)
 
-    def test_stack_memory_is_capped(self):
-        # the peak grows with the grid only by the estimates returned, not
-        # by a stack holding every grid point
+    def test_stack_memory_is_capped(self, monkeypatch):
+        # the peak grows with the grid only by the estimates returned and by
+        # one stack per further worker that may solve one at the same time,
+        # not by a stack holding every grid point
         p = 20
         base = _tridiagonal_gamma_base(p=p)
         per_stack = shrinkage._STACK // p**2
@@ -481,10 +482,11 @@ class TestPdSoftPath:
                 tracemalloc.stop()
 
         one_stack = peak(DEFAULT_TAU_GRID[:per_stack])
-        grid = peak(DEFAULT_TAU_GRID)
         # an estimate is a p x p matrix and its tuning record
         estimates = len(DEFAULT_TAU_GRID) * (8 * p * p + 2048)
-        assert grid <= one_stack + estimates
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            assert peak(DEFAULT_TAU_GRID) <= workers * one_stack + estimates
 
     def test_one_estimate_per_config_matches_one_problem_solves(self):
         # the replications of a simulation config as simulate solves them:
@@ -519,6 +521,61 @@ class TestPdSoftPath:
                     [base] * 3):
             with pytest.raises(ValueError, match="2 configs take a sequence"):
                 pd_soft_threshold(est, cfgs)
+
+
+class TestPooledStacks:
+    """The stacks of one call run on the kernels' thread pool, and their
+    estimates are collected in stack order."""
+
+    P = 20
+
+    def _per_stack(self):
+        return shrinkage._STACK // self.P**2
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_grid_bitwise_equal_at_any_worker_count(self, monkeypatch,
+                                                    workers):
+        base = _tridiagonal_gamma_base(p=self.P)
+        cfgs = [PdSoftConfig(tau=tau) for tau in DEFAULT_TAU_GRID]
+        assert len(cfgs) > 2 * self._per_stack()
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        serial = pd_soft_threshold([base] * len(cfgs), cfgs)
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        pooled = pd_soft_threshold([base] * len(cfgs), cfgs)
+        assert [est.tuning for est in pooled] == [
+            est.tuning for est in serial]
+        for est, want in zip(pooled, serial):
+            np.testing.assert_array_equal(est.matrix, want.matrix)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failure_in_the_second_stack_reaches_the_caller(
+            self, monkeypatch, workers):
+        # tau = 5 converges at the first iteration and 0.05 not within
+        # three, so of three stacks only the second fails
+        base = _tridiagonal_gamma_base(p=self.P)
+        k = self._per_stack()
+        taus = [5.0] * k + [5.0, 0.05] + [5.0] * (k - 2) + [5.0] * k
+        cfgs = [PdSoftConfig(tau=tau, max_iter=3) for tau in taus]
+        errors = []
+        for count in (1, workers):
+            monkeypatch.setattr(_kernels, "_WORKERS", count)
+            with pytest.raises(ConvergenceError) as ei:
+                pd_soft_threshold([base] * len(cfgs), cfgs)
+            errors.append(ei.value)
+        serial, pooled = errors
+        assert str(pooled) == str(serial)
+        assert "tau=0.05" in str(pooled)
+        assert (pooled.iterations, pooled.primal, pooled.dual, pooled.rho) \
+            == (serial.iterations, serial.primal, serial.dual, serial.rho)
+
+    def test_one_stack_runs_inline(self, monkeypatch):
+        # a call of one stack, as simulate's blocks at p=20, starts no pool
+        monkeypatch.setattr(_kernels, "_pool", None)
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        base = _tridiagonal_gamma_base(p=self.P)
+        cfgs = [PdSoftConfig(tau=0.2)] * self._per_stack()
+        pd_soft_threshold([base] * len(cfgs), cfgs)
+        assert _kernels._pool is None
 
 
 class TestAndersonAcceleration:
