@@ -258,9 +258,9 @@ def _admissible_flag(tuning, n, p):
 
 # The replications that run_experiment samples and estimates together. An
 # estimator that takes tau hands its rule a block's bases in one call, which
-# PD-soft solves as stacks of _STACK // p**2 problems (8 at p=20, so one
-# stack there), so a run holds at most _BLOCK bases per estimator however
-# many replications it has.
+# PD-soft solves as stacks of _STACK // p**2 problems (20 at p=20, so a
+# block is one stack there up to p=31, and runs inline), so a run holds at
+# most _BLOCK bases per estimator however many replications it has.
 _BLOCK = 8
 
 

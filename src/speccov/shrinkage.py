@@ -23,8 +23,10 @@ config, ``pd_soft_threshold`` solves them as stacks of problems that share
 each iteration's numpy calls (one stacked eigendecomposition among them)
 while each converges on its own and then leaves the stack; CV solves a
 split's whole tau grid this way, and ``simulate`` a block of replications.
-The stacks of one call run on the ECF kernels' thread pool, and their
-estimates are collected in stack order.
+A problem leaves in place: the problems still in the stack move to the
+front rows of its arrays, one array at a time, so the stack is never held
+twice. The stacks of one call run on the ECF kernels' thread pool, and
+their estimates are collected in stack order.
 """
 
 import math
@@ -73,24 +75,23 @@ _RELAX = 1.5
 _AA_MEMORY = 5
 _AA_REG = 1e-10
 _AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
-# The p x p elements of the problems of one stack: a problem holds about 45
-# p x p arrays at its peak (its state and image, Anderson's ten differences,
-# work arrays), so a stack of _STACK // p**2 problems peaks near
-# 360 * _STACK bytes (1.2 MB) however many problems the caller passes, and a
-# call holds one such stack per worker of the thread pool that solves its
-# stacks (_kernels._in_order). At p=20 a stack is 8 problems: a simulate
-# block of 8 replications is one stack and runs inline, and a CV split's
-# 40-point grid is 5 stacks, which run two at a time on 2 CPUs. A stack must
-# be that large for its eigendecompositions and elementwise loops to run
-# long without the GIL: over stacks of 4 at p=20 (1600 elements), the
-# threads gained nothing. Stacks of fewer but larger problems gain too:
-# timed in one process, pool against one worker, alternating calls, a
-# 40-point cv took 0.72-0.89 of the serial time at p = 25 to 60, where a
-# stack holds 5 problems down to 1 (1681 to 3600 elements). On the
-# perfbench cv workload (2 CPUs), over stacks of 4 solved one after another,
-# stacks of 10 on the pool raised the peak RSS of a run by 8-10% and stacks
-# of 8 by 5-8%.
-_STACK = 3200
+# The p x p elements of the problems of one stack. A problem holds about 33
+# p x p arrays (its state and image, Anderson's ten differences and last
+# point, Shat and the X-update's shift), and 38 at the stack's peak with the
+# Anderson step's temporaries and the estimates returned so far: a problem
+# that converges leaves every array in place (_compact), so a stack is never
+# copied. A stack of _STACK // p**2 problems so peaks near 300 * _STACK
+# bytes (2.4 MB) however many problems the caller passes, and a call holds
+# one such stack per worker of the thread pool that solves its stacks
+# (_kernels._in_order). At p=20 a stack is 20 problems: a CV split's 40-point
+# grid is two stacks, one per worker on 2 CPUs, and a simulate block of 8
+# replications is one stack and runs inline; at p <= 14 a 40-point grid is
+# one stack. A stack must be large for its eigendecompositions and
+# elementwise loops to run long without the GIL: over stacks of 4 at p=20
+# (1600 elements), the threads gained nothing. On the perfbench cv workload
+# (2 CPUs, 26 pairs of 25 s runs), stacks of 20 over stacks of 8 cut the
+# median call by 15-17% and raised the peak RSS of a run by 4.7-6.8%.
+_STACK = 8000
 # The ranges of PdSoftConfig's and CvConfig's fields and of every tau.
 _RANGES = {"tau": _NONNEGATIVE, "lambda_barrier": _POSITIVE,
            "max_iter": _COUNT, "tol": _POSITIVE, "rho_admm": _POSITIVE,
@@ -138,9 +139,11 @@ class CvConfig:
 
 
 def _matrix(est) -> np.ndarray:
+    """The matrix of a CovEstimate, or an array that passes its checks
+    (square, finite, exactly symmetric), as every threshold rule takes."""
     if isinstance(est, CovEstimate):
         return est.matrix
-    return np.asarray(est, dtype=float)
+    return CovEstimate(est).matrix
 
 
 def _soft(x, t, out=None):
@@ -194,6 +197,27 @@ def _barrier_prox(V, terms, out):
     np.matmul(Q * _pos_root(d, two_c, root)[:, None, :], Q.mT, out=out)
 
 
+def _compact(arrays, kept, chunk):
+    """Move the rows ``kept``, an ascending index into each of the
+    C-contiguous ``arrays``, to its front in place, and return the views of
+    them.
+
+    A row moves ``chunk`` elements at a time, so a move copies one chunk of
+    the rows that move, never a whole array: the stack's arrays shrink
+    without a second copy of the stack. The rows before the first one
+    that leaves stay where they are.
+    """
+    m = len(kept)
+    moved = (kept != np.arange(m)).nonzero()[0]
+    if len(moved):
+        first = moved[0]
+        for a in arrays:
+            flat = a.reshape(len(a), -1)
+            for i in range(0, flat.shape[1], chunk):
+                flat[first:m, i:i + chunk] = flat[kept[first:], i:i + chunk]
+    return [a[:m] for a in arrays]
+
+
 class _Anderson:
     """Type-II Anderson acceleration of the fixed-point maps s -> g(s) of a
     stack, one map per row of a (B, size) array (Walker & Ni 2011, SIAM J.
@@ -217,8 +241,9 @@ class _Anderson:
     every other step on a rejected point.
     """
 
-    _ROWS = ("dG", "dF", "gram", "g_prev", "f_prev", "limit", "has_prev",
-             "go_from")
+    # the per-row arrays of points and differences, and of scalars
+    _POINTS = ("dG", "dF", "g_prev", "f_prev")
+    _SCALARS = ("gram", "limit", "has_prev", "go_from")
 
     def __init__(self, rows, size):
         self.dG = np.zeros((rows, _AA_MEMORY, size))
@@ -256,11 +281,17 @@ class _Anderson:
         self.has_prev[rows] = False
         self.cleared = True  # some row has no last point
 
-    def keep(self, rows):
-        """Drop from the stack every row that the mask ``rows`` does not
-        select."""
-        for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[rows])
+    def keep(self, kept):
+        """Keep in the stack only the rows ``kept``, an ascending index
+        into it: in each array of points or differences they move to its
+        front in place, one ring slot at a time (see _compact), and it goes
+        on as a view of them."""
+        points = _compact([getattr(self, name) for name in self._POINTS],
+                          kept, self.dG.shape[-1])
+        for name, a in zip(self._POINTS, points):
+            setattr(self, name, a)
+        for name in self._SCALARS:
+            setattr(self, name, getattr(self, name)[kept])
         self.gram_diag = self.gram.reshape(len(self.gram), -1)[
             :, ::_AA_MEMORY + 1]
 
@@ -299,7 +330,8 @@ class _Anderson:
             gamma = np.linalg.solve(
                 self.gram + trace[:, None, None] * _AA_REG_EYE,
                 rhs[:, :, None])
-            np.subtract(g, (gamma.mT @ self.dG)[:, 0], out=s)
+            np.matmul(gamma.mT, self.dG, out=s[:, None])
+            np.subtract(g, s, out=s)
         else:
             s[:] = g
         if n_rejected:
@@ -307,9 +339,9 @@ class _Anderson:
             # stays the last point
             s[back] = self.g_prev[back]
             f[back] = self.f_prev[back]
-            g = g.copy()
-            g[back] = s[back]
         self.g_prev[:] = g
+        if n_rejected:
+            self.g_prev[back] = s[back]
         self.f_prev = f
         self.limit = f_sq if go is None else np.where(go, f_sq, np.inf)
         if self.cleared:
@@ -334,33 +366,36 @@ def _pd_soft_start(shat, tau, lam, rho):
 
 
 def _stack_views(s, work):
-    """Z, Dual, the six planes of ``work`` and the flat views of ``s``, of
+    """Z, Dual, the five planes of ``work`` and the flat views of ``s``, of
     its image and of ``work``, per problem; see _pd_soft_stack."""
     n = len(s)
     return (s[:, 0], s[:, 1], *work.transpose(1, 0, 2, 3), s.reshape(n, -1),
-            work[:, :2].reshape(n, -1), work.reshape(n, 6, -1))
+            work[:, :2].reshape(n, -1), work.reshape(n, 5, -1))
 
 
 def _pd_soft_stack(shat, taus, cfg):
     """PD-soft solves of each estimate of the (B, p, p) ``shat`` at its tau
     of ``taus`` and the other settings of ``cfg``, as one stack: a problem
     leaves the stack, with its estimate, at the iteration where it
-    converges, and the others go on without it."""
+    converges, and the others go on without it. The stack's arrays,
+    ``shat`` included, keep the problems still in it in their first rows
+    (see _compact)."""
     B, p, lam = len(taus), shat.shape[-1], cfg.lambda_barrier
     tau = np.array(taus)[:, None, None]
     rho = np.full((B, 1, 1), cfg.rho_admm, dtype=float)
     s = _pd_soft_start(shat, tau, lam, cfg.rho_admm)
     # per problem: the image g = F(s) of the ADMM state s = (Z, Dual) under
-    # one iteration, then X, zeros, X - Z_new and Z_new - Z, so that one
-    # call takes the norms of the residuals
-    work = np.zeros((B, 6, p, p))
-    Z, Dual, Z_new, Dual_new, X, _, gap, step, sv, gv, wv = _stack_views(
+    # one iteration, then X, X - Z_new and Z_new - Z, so that one call
+    # takes the norms of the residuals; X - Z_new holds the X-update's
+    # input before that
+    work = np.empty((B, 5, p, p))
+    Z, Dual, Z_new, Dual_new, X, gap, step, sv, gv, wv = _stack_views(
         s, work)
     # the factors that turn the norms of work into |Z_new|, rho |Dual_new|,
-    # |X|, 0, |X - Z_new|, rho |Z_new - Z|
-    norm_factors = np.ones((B, 6))
-    V = np.empty((B, p, p))
-    two_shat = 2.0 * shat
+    # |X|, |X - Z_new|, rho |Z_new - Z|
+    norm_factors = np.ones((B, 5))
+    # 2 Shat/(2 + rho), the X-update's shift (see _barrier_prox)
+    shift = np.empty_like(shat)
     two_tau = 2.0 * tau
     aa = _Anderson(B, 2 * p * p)
     rows = np.arange(B)  # the problem of each row of the stack
@@ -374,19 +409,21 @@ def _pd_soft_stack(shat, taus, cfg):
             # threshold and the norm factors
             scale = 2.0 + rho
             two_c = (2.0 * lam / scale)[:, 0]
-            prox_terms = (two_shat / scale, rho / scale, two_c,
-                          np.sqrt(2.0 * two_c))
+            np.divide(np.multiply(shat, 2.0, out=shift), scale, out=shift)
+            prox_terms = (shift, rho / scale, two_c, np.sqrt(2.0 * two_c))
             high = two_tau / rho
             low = -high
-            norm_factors[:, 1] = norm_factors[:, 5] = rho[:, 0, 0]
+            norm_factors[:, 1] = norm_factors[:, 4] = rho[:, 0, 0]
         if it > 1:
-            _barrier_prox(np.subtract(Z, Dual, out=V), prox_terms, X)
-        A = _RELAX * X + (1.0 - _RELAX) * Z + Dual
+            _barrier_prox(np.subtract(Z, Dual, out=gap), prox_terms, X)
+        # A = _RELAX X + (1 - _RELAX) Z + Dual, built in Z_new
+        A = np.multiply(X, _RELAX, out=Z_new)
+        A += (1.0 - _RELAX) * Z
+        A += Dual
         # the dual is A clipped to [low, high] and Z_new the soft threshold
         # of A, sign(A) (|A| - high)_+ = A - clip(A)
         np.minimum(np.maximum(A, low, out=Dual_new), high, out=Dual_new)
-        np.subtract(A, Dual_new, out=Z_new)
-        del A
+        A -= Dual_new
         np.subtract(X, Z_new, out=gap)
         np.subtract(Z_new, Z, out=step)
         norms = np.sqrt(np.vecdot(wv, wv)) * norm_factors
@@ -394,8 +431,9 @@ def _pd_soft_stack(shat, taus, cfg):
         # small-scale problems keep an absolute criterion: primal =
         # |X - Z_new| / max(1, |X|, |Z_new|), dual =
         # rho |Z_new - Z| / max(1, rho |Dual_new|)
-        res = norms[:, 4:] / np.maximum(
-            np.maximum(norms[:, :2], norms[:, 2:4]), 1.0)
+        floor = np.maximum(norms[:, :2], 1.0)
+        np.maximum(floor[:, 0], norms[:, 2], out=floor[:, 0])
+        res = norms[:, 3:] / floor
         primal, dual = res[:, 0], res[:, 1]
         done = np.maximum(primal, dual) < cfg.tol
         if np.count_nonzero(done):
@@ -406,15 +444,17 @@ def _pd_soft_stack(shat, taus, cfg):
                     "rho": float(rho[b, 0, 0])})
             if done.all():
                 return out
-            # the converged problems leave every per-problem array
-            keep = ~done
-            (rows, s, work, V, two_shat, two_tau, rho, high, low,
-             norm_factors, primal, dual) = (
-                a[keep] for a in (rows, s, work, V, two_shat, two_tau, rho,
-                                  high, low, norm_factors, primal, dual))
-            prox_terms = tuple(a[keep] for a in prox_terms)
-            aa.keep(keep)
-            Z, Dual, Z_new, Dual_new, X, _, gap, step, sv, gv, wv = \
+            # the converged problems leave every per-problem array: in the
+            # p x p ones, the others move to its first rows in place
+            kept = (~done).nonzero()[0]
+            s, work, shat, shift = _compact((s, work, shat, shift), kept,
+                                            2 * p * p)
+            rows, two_tau, rho, high, low, norm_factors, primal, dual = (
+                a[kept] for a in (rows, two_tau, rho, high, low,
+                                  norm_factors, primal, dual))
+            prox_terms = (shift, *(a[kept] for a in prox_terms[1:]))
+            aa.keep(kept)
+            Z, Dual, Z_new, Dual_new, X, gap, step, sv, gv, wv = \
                 _stack_views(s, work)
         if it == cfg.max_iter:
             # the first problem of the stack that is still in it

@@ -31,7 +31,7 @@ from speccov.simgen import (
     make_tridiagonal,
     sample_scenario,
 )
-from speccov.spectral import CovEstimate, spectral_estimate
+from speccov.spectral import CovEstimate, EstimationError, spectral_estimate
 
 
 def sym(m):
@@ -109,6 +109,11 @@ class TestHardThreshold:
         # NaN and inf used to return the zero matrix
         with pytest.raises(ValueError, match="^tau must be "):
             hard_threshold(np.array([[1.0, 0.3], [0.3, 1.0]]), tau)
+
+    def test_rejects_a_nan_entry(self):
+        # a NaN entry used to come back as 0
+        with pytest.raises(EstimationError, match="non-finite"):
+            hard_threshold(np.array([[1.0, np.nan], [np.nan, 1.0]]), 0.5)
 
 
 class TestSoftThreshold:
@@ -364,6 +369,25 @@ class TestPdSoftThreshold:
         b = pd_soft_threshold(base, PdSoftConfig(tau=0.25, max_iter=500.0))
         assert a.matrix.tobytes() == b.matrix.tobytes()
 
+    def test_rejects_a_non_symmetric_estimate(self):
+        # soft_threshold rejected it, and pd_soft_threshold solved it
+        shat = np.array([[2.0, 1.0], [0.5, 2.0]])
+        for rule in (lambda m: soft_threshold(m, 0.1),
+                     lambda m: pd_soft_threshold(m, PdSoftConfig(tau=0.1))):
+            with pytest.raises(ValueError, match="exactly symmetric"):
+                rule(shat)
+
+    @pytest.mark.parametrize("p", [2, 20])
+    def test_rejects_a_nan_estimate_before_solving(self, p):
+        # it used to raise numpy's LinAlgError (p = 20), or run all 10 000
+        # iterations into a ConvergenceError with primal = nan (p = 2)
+        shat = np.eye(p)
+        shat[0, 1] = shat[1, 0] = np.nan
+        with pytest.raises(EstimationError, match="non-finite"):
+            pd_soft_threshold(shat, PdSoftConfig(tau=0.1))
+        with pytest.raises(EstimationError, match="non-finite"):
+            pd_soft_threshold([np.eye(p), shat], [PdSoftConfig(tau=0.1)] * 2)
+
 
 def _tridiagonal_gamma_base(p=20, n=50, seed=0):
     s = Scenario(cov=CovModel.tridiagonal(p),
@@ -488,6 +512,27 @@ class TestPdSoftPath:
             monkeypatch.setattr(_kernels, "_WORKERS", workers)
             assert peak(DEFAULT_TAU_GRID) <= workers * one_stack + estimates
 
+    def test_a_draining_stack_is_not_copied(self, monkeypatch):
+        # a stack of 20 at p = 20 whose problems converge at iterations 1 to
+        # 10 and leave it one group at a time: its arrays keep their rows in
+        # place, so its peak holds about 38 p x p arrays per problem, the
+        # estimates returned included. Copying the stack's arrays as
+        # problems left read 51 (one float64 p x p array is 3200 bytes).
+        p, k = 20, 20
+        monkeypatch.setattr(shrinkage, "_STACK", k * p**2)
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        base = _tridiagonal_gamma_base(p=p)
+        cfgs = [PdSoftConfig(tau=tau)
+                for tau in np.geomspace(1e-3, 2.0, k).tolist()]
+        tracemalloc.start()
+        try:
+            path = pd_soft_threshold([base] * k, cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len({est.tuning["iterations"] for est in path}) >= 5
+        assert peak <= 42 * k * 8 * p * p
+
     def test_one_estimate_per_config_matches_one_problem_solves(self):
         # the replications of a simulation config as simulate solves them:
         # one Shat per problem, every setting shared, stacks that drain as
@@ -535,8 +580,12 @@ class TestPooledStacks:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_grid_bitwise_equal_at_any_worker_count(self, monkeypatch,
                                                     workers):
+        # three stacks on the default grid's range, so that some worker
+        # solves more than one
         base = _tridiagonal_gamma_base(p=self.P)
-        cfgs = [PdSoftConfig(tau=tau) for tau in DEFAULT_TAU_GRID]
+        taus = np.geomspace(DEFAULT_TAU_GRID[0], DEFAULT_TAU_GRID[-1],
+                            3 * self._per_stack()).tolist()
+        cfgs = [PdSoftConfig(tau=tau) for tau in taus]
         assert len(cfgs) > 2 * self._per_stack()
         monkeypatch.setattr(_kernels, "_WORKERS", 1)
         serial = pd_soft_threshold([base] * len(cfgs), cfgs)
