@@ -23,10 +23,10 @@ config, ``pd_soft_threshold`` solves them as stacks of problems that share
 each iteration's numpy calls (one stacked eigendecomposition among them)
 while each converges on its own and then leaves the stack; CV solves a
 split's whole tau grid this way, and ``simulate`` a block of replications.
-A problem leaves in place: the problems still in the stack move to the
-front rows of its arrays, one array at a time, so the stack is never held
-twice. The stacks of one call run on the ECF kernels' thread pool, and
-their estimates are collected in stack order.
+A problem leaves in place: in every per-problem array, the stack's last
+row moves into its row, so the stack is never held twice. The stacks of
+one call run on the ECF kernels' thread pool, and their estimates are
+collected in stack order.
 """
 
 import math
@@ -78,19 +78,20 @@ _AA_REG_EYE = _AA_REG * np.eye(_AA_MEMORY)
 # The p x p elements of the problems of one stack. A problem holds about 33
 # p x p arrays (its state and image, Anderson's ten differences and last
 # point, Shat and the X-update's shift), and 38 at the stack's peak with the
-# Anderson step's temporaries and the estimates returned so far: a problem
-# that converges leaves every array in place (_compact), so a stack is never
-# copied. A stack of _STACK // p**2 problems so peaks near 300 * _STACK
-# bytes (2.4 MB) however many problems the caller passes, and a call holds
-# one such stack per worker of the thread pool that solves its stacks
-# (_kernels._in_order). At p=20 a stack is 20 problems: a CV split's 40-point
-# grid is two stacks, one per worker on 2 CPUs, and a simulate block of 8
-# replications is one stack and runs inline; at p <= 14 a 40-point grid is
-# one stack. A stack must be large for its eigendecompositions and
-# elementwise loops to run long without the GIL: over stacks of 4 at p=20
-# (1600 elements), the threads gained nothing. On the perfbench cv workload
-# (2 CPUs, 26 pairs of 25 s runs), stacks of 20 over stacks of 8 cut the
-# median call by 15-17% and raised the peak RSS of a run by 4.7-6.8%.
+# Anderson step's temporaries and the estimates returned so far: the last
+# row of each array moves into the row of a problem that converges (_drop),
+# so a stack is never copied. A stack of _STACK // p**2 problems so peaks
+# near 300 * _STACK bytes (2.4 MB) however many problems the caller passes,
+# and a call holds one such stack per worker of the thread pool that solves
+# its stacks (_kernels._in_order). At p=20 a stack is 20 problems: a CV
+# split's 40-point grid is two stacks, one per worker on 2 CPUs, and a
+# simulate block of 8 replications is one stack and runs inline; at p <= 14
+# a 40-point grid is one stack. A stack must be large for its
+# eigendecompositions and elementwise loops to run long without the GIL:
+# over stacks of 4 at p=20 (1600 elements), the threads gained nothing. On
+# the perfbench cv workload (2 CPUs, 26 pairs of 25 s runs), stacks of 20
+# over stacks of 8 cut the median call by 15-17% and raised the peak RSS of
+# a run by 4.7-6.8%.
 _STACK = 8000
 # The ranges of PdSoftConfig's and CvConfig's fields and of every tau.
 _RANGES = {"tau": _NONNEGATIVE, "lambda_barrier": _POSITIVE,
@@ -197,24 +198,21 @@ def _barrier_prox(V, terms, out):
     np.matmul(Q * _pos_root(d, two_c, root)[:, None, :], Q.mT, out=out)
 
 
-def _compact(arrays, kept, chunk):
-    """Move the rows ``kept``, an ascending index into each of the
-    C-contiguous ``arrays``, to its front in place, and return the views of
-    them.
+def _drop(leaving, arrays):
+    """Drop the rows ``leaving``, an ascending index into a stack, from
+    each of its per-problem ``arrays`` in place, and return the views of
+    the rows kept.
 
-    A row moves ``chunk`` elements at a time, so a move copies one chunk of
-    the rows that move, never a whole array: the stack's arrays shrink
-    without a second copy of the stack. The rows before the first one
-    that leaves stay where they are.
+    For each row that leaves, from the last, the last row still in the
+    stack is copied into its place, so a stack's arrays shrink without a
+    second copy of the stack, and its rows change order.
     """
-    m = len(kept)
-    moved = (kept != np.arange(m)).nonzero()[0]
-    if len(moved):
-        first = moved[0]
-        for a in arrays:
-            flat = a.reshape(len(a), -1)
-            for i in range(0, flat.shape[1], chunk):
-                flat[first:m, i:i + chunk] = flat[kept[first:], i:i + chunk]
+    m = len(arrays[0])
+    for b in leaving[::-1]:
+        m -= 1
+        if b < m:
+            for a in arrays:
+                a[b] = a[m]
     return [a[:m] for a in arrays]
 
 
@@ -239,17 +237,17 @@ class _Anderson:
     then resumes only once the memory is full again, so that a map on which
     the secant model keeps failing runs nearly plain instead of spending
     every other step on a rejected point.
-    """
 
-    # the per-row arrays of points and differences, and of scalars
-    _POINTS = ("dG", "dF", "g_prev", "f_prev")
-    _SCALARS = ("gram", "limit", "has_prev", "go_from")
+    Every array of the instance is per row, and a row leaves with its
+    problem: the stack drops it from ``dG``, ``dF``, ``g_prev``,
+    ``f_prev``, ``gram``, ``limit``, ``has_prev`` and ``go_from`` with its
+    own arrays (see _drop).
+    """
 
     def __init__(self, rows, size):
         self.dG = np.zeros((rows, _AA_MEMORY, size))
         self.dF = np.zeros((rows, _AA_MEMORY, size))
         self.gram = np.zeros((rows, _AA_MEMORY, _AA_MEMORY))
-        self.gram_diag = self.gram.reshape(rows, -1)[:, ::_AA_MEMORY + 1]
         self.g_prev = np.zeros((rows, size))
         self.f_prev = np.zeros((rows, size))
         # |f|^2 at the last point if that point was accelerated, else inf
@@ -281,20 +279,6 @@ class _Anderson:
         self.has_prev[rows] = False
         self.cleared = True  # some row has no last point
 
-    def keep(self, kept):
-        """Keep in the stack only the rows ``kept``, an ascending index
-        into it: in each array of points or differences they move to its
-        front in place, one ring slot at a time (see _compact), and it goes
-        on as a view of them."""
-        points = _compact([getattr(self, name) for name in self._POINTS],
-                          kept, self.dG.shape[-1])
-        for name, a in zip(self._POINTS, points):
-            setattr(self, name, a)
-        for name in self._SCALARS:
-            setattr(self, name, getattr(self, name)[kept])
-        self.gram_diag = self.gram.reshape(len(self.gram), -1)[
-            :, ::_AA_MEMORY + 1]
-
     def step(self, s, g):
         """Overwrite the points s, whose images are g, by the next points."""
         self.steps += 1
@@ -316,7 +300,7 @@ class _Anderson:
         row = np.vecdot(self.dF, df[:, None, :])
         self.gram[:, j] = row
         self.gram[:, :, j] = row
-        trace = np.add.reduce(self.gram_diag, axis=1)
+        trace = self.gram.trace(axis1=1, axis2=2)
         if self.steps >= self.all_go_from and np.count_nonzero(trace) == n:
             go = None  # every row extrapolates
         else:
@@ -377,9 +361,10 @@ def _pd_soft_stack(shat, taus, cfg):
     """PD-soft solves of each estimate of the (B, p, p) ``shat`` at its tau
     of ``taus`` and the other settings of ``cfg``, as one stack: a problem
     leaves the stack, with its estimate, at the iteration where it
-    converges, and the others go on without it. The stack's arrays,
-    ``shat`` included, keep the problems still in it in their first rows
-    (see _compact)."""
+    converges, and the others go on without it. The rows that leave are
+    dropped from every per-problem array in place, ``shat`` included (see
+    _drop), and the terms that depend on rho and tau are then recomputed,
+    as after a change of rho."""
     B, p, lam = len(taus), shat.shape[-1], cfg.lambda_barrier
     tau = np.array(taus)[:, None, None]
     rho = np.full((B, 1, 1), cfg.rho_admm, dtype=float)
@@ -391,28 +376,28 @@ def _pd_soft_stack(shat, taus, cfg):
     work = np.empty((B, 5, p, p))
     Z, Dual, Z_new, Dual_new, X, gap, step, sv, gv, wv = _stack_views(
         s, work)
-    # the factors that turn the norms of work into |Z_new|, rho |Dual_new|,
-    # |X|, |X - Z_new|, rho |Z_new - Z|
-    norm_factors = np.ones((B, 5))
     # 2 Shat/(2 + rho), the X-update's shift (see _barrier_prox)
     shift = np.empty_like(shat)
-    two_tau = 2.0 * tau
     aa = _Anderson(B, 2 * p * p)
     rows = np.arange(B)  # the problem of each row of the stack
     out = [None] * B
-    new_rho = True
+    changed = True  # rho or the problems in the stack changed
     # the first X-update returns Z0 (see _pd_soft_start)
     X[:] = Z
     for it in range(1, cfg.max_iter + 1):
-        if new_rho:
-            # what changes with rho: the terms of the X-update, the soft
-            # threshold and the norm factors
+        if changed:
+            # what changes with rho and the problems: the terms of the
+            # X-update, the soft threshold and the factors that turn the
+            # norms of work into |Z_new|, rho |Dual_new|, |X|, |X - Z_new|,
+            # rho |Z_new - Z|
             scale = 2.0 + rho
             two_c = (2.0 * lam / scale)[:, 0]
-            np.divide(np.multiply(shat, 2.0, out=shift), scale, out=shift)
+            shift = np.multiply(shat, 2.0, out=shift[:len(shat)])
+            shift /= scale
             prox_terms = (shift, rho / scale, two_c, np.sqrt(2.0 * two_c))
-            high = two_tau / rho
+            high = 2.0 * tau[rows] / rho
             low = -high
+            norm_factors = np.ones((len(rows), 5))
             norm_factors[:, 1] = norm_factors[:, 4] = rho[:, 0, 0]
         if it > 1:
             _barrier_prox(np.subtract(Z, Dual, out=gap), prox_terms, X)
@@ -435,53 +420,50 @@ def _pd_soft_stack(shat, taus, cfg):
         np.maximum(floor[:, 0], norms[:, 2], out=floor[:, 0])
         res = norms[:, 3:] / floor
         primal, dual = res[:, 0], res[:, 1]
-        done = np.maximum(primal, dual) < cfg.tol
-        if np.count_nonzero(done):
-            for b in done.nonzero()[0]:
+        leaving = (np.maximum(primal, dual) < cfg.tol).nonzero()[0]
+        changed = len(leaving) > 0
+        if changed:
+            for b in leaving:
                 out[rows[b]] = CovEstimate(0.5 * (X[b] + X[b].T), {
                     "tau": taus[rows[b]], "lambda": lam, "iterations": it,
                     "primal": float(primal[b]), "dual": float(dual[b]),
                     "rho": float(rho[b, 0, 0])})
-            if done.all():
+            if len(leaving) == len(rows):
                 return out
-            # the converged problems leave every per-problem array: in the
-            # p x p ones, the others move to its first rows in place
-            kept = (~done).nonzero()[0]
-            s, work, shat, shift = _compact((s, work, shat, shift), kept,
-                                            2 * p * p)
-            rows, two_tau, rho, high, low, norm_factors, primal, dual = (
-                a[kept] for a in (rows, two_tau, rho, high, low,
-                                  norm_factors, primal, dual))
-            prox_terms = (shift, *(a[kept] for a in prox_terms[1:]))
-            aa.keep(kept)
+            # the converged problems leave every per-problem array
+            (s, work, shat, rows, rho, primal, dual, aa.dG, aa.dF, aa.g_prev,
+             aa.f_prev, aa.gram, aa.limit, aa.has_prev, aa.go_from) = _drop(
+                leaving, (s, work, shat, rows, rho, primal, dual, aa.dG,
+                          aa.dF, aa.g_prev, aa.f_prev, aa.gram, aa.limit,
+                          aa.has_prev, aa.go_from))
             Z, Dual, Z_new, Dual_new, X, gap, step, sv, gv, wv = \
                 _stack_views(s, work)
         if it == cfg.max_iter:
-            # the first problem of the stack that is still in it
+            # the first problem still in the stack, in the caller's order,
+            # which its rows no longer keep
+            b = rows.argmin()
             raise ConvergenceError(
                 f"ADMM did not converge in {it} iterations at "
-                f"tau={taus[rows[0]]:g} (primal={primal[0]:.3e}, "
-                f"dual={dual[0]:.3e}, rho={rho[0, 0, 0]:.3g})",
-                primal=float(primal[0]), dual=float(dual[0]),
-                iterations=it, rho=float(rho[0, 0, 0]))
+                f"tau={taus[rows[b]]:g} (primal={primal[b]:.3e}, "
+                f"dual={dual[b]:.3e}, rho={rho[b, 0, 0]:.3g})",
+                primal=float(primal[b]), dual=float(dual[b]),
+                iterations=it, rho=float(rho[b, 0, 0]))
         moved = ()
         if it % _BALANCE_EVERY == 0:
             # the scaled dual is the unscaled one over rho
             up = primal > _BALANCE_RATIO * dual
-            moved = (up | (dual > _BALANCE_RATIO * primal)).nonzero()[0]
-            for b in moved:
-                if up[b]:
-                    rho[b] *= _BALANCE_FACTOR
-                    Dual_new[b] /= _BALANCE_FACTOR
-                else:
-                    rho[b] /= _BALANCE_FACTOR
-                    Dual_new[b] *= _BALANCE_FACTOR
+            down = dual > _BALANCE_RATIO * primal
+            rho[up] *= _BALANCE_FACTOR
+            Dual_new[up] /= _BALANCE_FACTOR
+            rho[down] /= _BALANCE_FACTOR
+            Dual_new[down] *= _BALANCE_FACTOR
+            moved = (up | down).nonzero()[0]
         aa.step(sv, gv)
-        new_rho = len(moved) > 0
-        if new_rho:
+        if len(moved):
             # a new rho is a new map, which the old differences miss
             sv[moved] = gv[moved]
             aa.clear(moved)
+            changed = True
 
 
 def pd_soft_threshold(est, cfg):

@@ -64,17 +64,13 @@ def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
     if sum(sizes) != p:
         raise ValueError("block sizes must sum to p")
     rng = np.random.default_rng(seed)
-    blocks = []
+    full = np.zeros((p, p))
+    pos = 0
     for b in sizes:
         mags = rng.uniform(0.5, 1.5, size=(b, b))
         signs = rng.choice([-1.0, 1.0], size=(b, b))
         m = mags * signs
-        blocks.append(0.5 * (m + m.T))
-    full = np.zeros((p, p))
-    pos = 0
-    for blk in blocks:
-        b = blk.shape[0]
-        full[pos:pos + b, pos:pos + b] = blk
+        full[pos:pos + b, pos:pos + b] = 0.5 * (m + m.T)
         pos += b
     w = np.linalg.eigvalsh(full)
     lmin, lmax = w[0], w[-1]

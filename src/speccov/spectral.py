@@ -53,8 +53,9 @@ _RANGES = {
     "n": _COUNT, "p": _COUNT}
 
 
-class EstimationError(RuntimeError):
-    pass
+class EstimationError(ValueError):
+    """No estimate can be formed from the input; a ValueError, as every
+    other rejection of a bad input is."""
 
 
 class PreAsymptoticError(ValueError):

@@ -871,3 +871,24 @@ class TestThresholdRiskAudits:
         for est in reps:
             err_sq = float(np.sum((soft_threshold(est, tau).matrix - truth) ** 2))
             assert err_sq <= best + 1e-12
+
+
+def _nan_entry():
+    m = np.eye(3)
+    m[0, 1] = m[1, 0] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(_nan_entry(), id="nan"),
+    pytest.param(np.ones((2, 3)), id="non-square"),
+    pytest.param(np.array([[2.0, 1.0], [0.5, 2.0]]), id="non-symmetric")])
+@pytest.mark.parametrize("rule", [
+    pytest.param(lambda m: hard_threshold(m, 0.1), id="hard"),
+    pytest.param(lambda m: soft_threshold(m, 0.1), id="soft"),
+    pytest.param(lambda m: pd_soft_threshold(m, PdSoftConfig(tau=0.1)),
+                 id="pd_soft")])
+def test_every_threshold_rule_rejects_a_bad_estimate_as_a_value_error(
+        rule, bad):
+    with pytest.raises(ValueError):
+        rule(bad)
