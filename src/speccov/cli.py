@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import harness, shrinkage, spectral
-from ._checks import _check
 
 
 def _load_matrix(path):
@@ -33,24 +32,29 @@ def _write_matrix(mat, path):
     np.savetxt(sys.stdout if path in (None, "-") else path, mat, delimiter=",")
 
 
-# estimate's tuning flags and the keys of a tuning that they set
+# the tuning flags of estimate and cv and the keys of a tuning that they set
 _TUNING_FLAGS = {"tau": "tau", "u": "U", "barrier": "lambda"}
 
 
-def _cmd_estimate(args):
-    # a flag that is not given passes nothing on, so that the estimator
-    # takes its own default; a flag that the tag does not take fails, and
-    # harness.estimate holds the values to a config's estimator ranges
-    block = f"estimator {args.estimator!r}"
-    table = harness.SCHEMA["estimator"][args.estimator]
+def _tuning(args, tag):
+    """The tuning that the flags of ``args`` set for ``tag``: a flag that is
+    not given passes nothing on, so that the estimator takes its own
+    default, and a flag that the tag does not take fails; harness holds
+    the values to a config's estimator ranges."""
+    table = harness.SCHEMA["estimator"][tag]
     tuning = {}
     for flag, key in _TUNING_FLAGS.items():
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is None:
             continue
         if key not in table:
-            raise ValueError(f"--{flag}: {block} takes no {key}")
+            raise ValueError(f"--{flag}: estimator {tag!r} takes no {key}")
         tuning[key] = value
+    return tuning
+
+
+def _cmd_estimate(args):
+    tuning = _tuning(args, args.estimator)
     if args.estimator in harness.THRESHOLD_TAGS:
         tuning.setdefault("tau", 0.25)
     Y = _load_matrix(args.input)
@@ -90,16 +94,14 @@ def _number(text):
 def _cmd_cv(args):
     grid = ([_number(x) for x in args.grid.split(",")] if args.grid
             else shrinkage.DEFAULT_TAU_GRID)
-    # a config's cv: block and the radius U, checked before the input is read
+    # the cv: block and the rule's tuning, checked before the input is read
     cfg, _ = harness._cv_from_dict({"num_splits": args.splits,
                                     "tau_grid": grid, "seed": args.seed,
                                     "rule": args.rule})
-    _check("cv", {"U": args.u}, harness.SCHEMA["estimator"]["sps"])
+    base, rule = harness.cv_fit(args.rule, _tuning(args, args.rule))
     Y = _load_matrix(args.input)
-    # U sets the validation target's radius, and the rule's if it takes one
-    takes_u = "U" in harness.SCHEMA["estimator"][args.rule]
-    fit = harness.cv_fit(args.rule, {"U": args.u} if takes_u else {})
-    tau_hat, Q = shrinkage.cross_validate_tau(Y, args.u, cfg, fit)
+    # cfg by keyword: perfbench's tracer reads the split count there
+    tau_hat, Q = shrinkage.cross_validate_tau(Y, cfg=cfg, base=base, rule=rule)
     print(f"tau_hat,{tau_hat}")
     for t, q in zip(grid, Q):
         print(f"{t},{q}")
@@ -165,7 +167,7 @@ def build_parser():
 
     cv = sub.add_parser("cv", help="cross-validate tau on a data file")
     cv.add_argument("--input", required=True)
-    cv.add_argument("--u", type=float, default=U)
+    cv.add_argument("--u", type=float, help=f"probe radius U (default {U})")
     cv.add_argument("--grid", default=None, help="comma-separated tau grid")
     cv.add_argument("--splits", type=int, default=splits)
     cv.add_argument("--seed", type=int, default=shrinkage.CvConfig.seed)

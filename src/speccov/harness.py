@@ -237,16 +237,15 @@ def estimate(tag, Y, tuning):
 
 
 def cv_fit(tag, tuning):
-    """The ``fit(train, taus)`` of cross_validate_tau for a tag with a
-    rule: the rule at every tau, applied to one base estimate of train.
-    The tuning is checked as a config's estimator block is."""
+    """The ``(base, rule)`` of cross_validate_tau for a tag with a rule; the
+    tuning is checked as a config's estimator block is."""
     _check_tuning(tag, tuning)
     base, rule = ESTIMATORS[tag]
     if rule is None:
         raise ValueError(f"estimator {tag!r} takes no tau, so cross-"
                          f"validation has no rule of it to tune")
-    return lambda train, taus: rule([base(train, tuning)] * len(taus),
-                                    tuning, taus)
+    return (lambda part: base(part, tuning),
+            lambda est, taus: rule([est] * len(taus), tuning, taus))
 
 
 def _admissible_flag(tuning, n, p):
@@ -279,24 +278,20 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
     truth = spec.scenario.cov.matrix()
     n, p = spec.scenario.n, truth.shape[0]
     tau_cv = cv_error = None
-    if spec.cv is not None:
+    if spec.cv is not None and any(tag in THRESHOLD_TAGS
+                                   for tag, _ in spec.estimators):
         # select tau once on an independent sample drawn past the
-        # replication seed range
+        # replication seed range, with the rule's own tuning less its tau
+        # when the list has its tag
         cv_sample = _sample(spec.scenario, spec.replications)
-        # the radius of the first estimator with a spectral base and a rule
-        U_cv = _given(next((t for tag, t in spec.estimators
-                            if ESTIMATORS[tag].base is _spectral
-                            and tag in THRESHOLD_TAGS), {}), _U)["U"]
-        # the rule's own tuning and U_cv, of the keys that its tag takes;
-        # CV selects tau
-        rule_tuning = next((t for tag, t in spec.estimators
-                            if tag == spec.cv_rule), {})
-        table = SCHEMA["estimator"][spec.cv_rule]
-        fit = cv_fit(spec.cv_rule, {
-            k: v for k, v in {**rule_tuning, "U": U_cv}.items()
-            if k in table and k != "tau"})
+        tuning = next((t for tag, t in spec.estimators
+                       if tag == spec.cv_rule), {})
+        base, rule = cv_fit(spec.cv_rule,
+                            {k: v for k, v in tuning.items() if k != "tau"})
         try:
-            tau_cv, _ = shrinkage.cross_validate_tau(cv_sample, U_cv, spec.cv, fit)
+            # cfg by keyword: perfbench's tracer reads the split count there
+            tau_cv, _ = shrinkage.cross_validate_tau(
+                cv_sample, cfg=spec.cv, base=base, rule=rule)
         except Exception as exc:  # fails the tuned records only, below
             cv_error = f"cross-validation failed: {type(exc).__name__}: {exc}"
     tunings = [{**tuning, "tau": tau_cv}
@@ -410,8 +405,8 @@ def _fmt(x):
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, float):  # np.float64 too, whose repr names its type
+        return repr(float(x))
     return str(x)
 
 

@@ -32,11 +32,14 @@ __all__ = [
 
 ANNULUS = (0.25, 0.5)
 
-# The ranges of LowRankConfig's fields, lowrank_estimate's seed and
-# lambda_threshold's norm of Sigma and noise level, 0 without noise.
+# The ranges of LowRankConfig's and WeightFunction's fields,
+# lowrank_estimate's seed and lambda_threshold's norm of Sigma and noise
+# level, 0 without noise.
 _RANGES = {"U": _Key(NUMBER, _at_least(1)), "lambda_nuc": _POSITIVE,
            "mc_samples": _COUNT, "max_iter": _COUNT, "tol": _POSITIVE,
-           "seed": _SEED, "sigma_norm": _NONNEGATIVE, "T": _NONNEGATIVE}
+           "seed": _SEED, "sigma_norm": _NONNEGATIVE, "T": _NONNEGATIVE,
+           "p": _COUNT, "mass": _POSITIVE,
+           "kappa_lower": _Key(NUMBER, ((lambda v: 0 < v <= 1), "in (0, 1]"))}
 
 
 class SolverError(RuntimeError):
@@ -59,8 +62,8 @@ class WeightFunction:
     kappa_lower: float
 
     def __post_init__(self):
-        if self.mass <= 0 or not (0 < self.kappa_lower <= self.l1_mass):
-            raise ValueError("need mass > 0 and 0 < kappa_lower <= 1")
+        # kappa_lower is at most l1_mass, which is 1
+        _fields(self, _RANGES)
 
     @property
     def l1_mass(self) -> float:

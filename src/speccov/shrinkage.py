@@ -38,6 +38,7 @@ import numpy as np
 from . import _kernels
 from ._checks import (NUMBERS, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _Key,
                       _check, _fields)
+# spectral_estimate is unused here but kept: perfbench's tracer rebinds it
 from .spectral import CovEstimate, _as_data, spectral_estimate
 
 __all__ = [
@@ -546,16 +547,16 @@ def sample_covariance(Y) -> CovEstimate:
     return CovEstimate(m)
 
 
-def cross_validate_tau(Y, U, cfg: CvConfig, fit):
-    """Split-based selection of the threshold tau.
+def cross_validate_tau(Y, cfg: CvConfig, base, rule):
+    """Split-based selection of the threshold tau (Bickel & Levina 2008).
 
     The data is split num_splits times into a training part of size
     n1 = n - n2 and a validation part of size n2 = floor(n / log n).
-    ``fit(train, taus)`` returns the rule estimate on the training part for
-    each tau of the ascending grid, in grid order; each is compared
-    (squared Frobenius) to the plain spectral estimate at radius U on the
-    validation part. The returned tau minimizes the summed score, ties
-    broken toward the smaller tau.
+    ``base(part)`` is the base estimate of a part, and ``rule(est, taus)``
+    the rule's estimate from ``est`` at each tau of the ascending grid, in
+    grid order. Each split scores rule(base(train), taus) against
+    base(val) (squared Frobenius). The returned tau minimizes the summed
+    score, ties broken toward the smaller tau.
 
     Returns (tau_hat, Q) with Q the score for each grid point.
     """
@@ -572,10 +573,10 @@ def cross_validate_tau(Y, U, cfg: CvConfig, fit):
         rng = np.random.default_rng([cfg.seed, m])
         perm = rng.permutation(n)
         train, val = data[perm[:n1]], data[perm[n1:]]
-        val_est = spectral_estimate(val, U).matrix
-        ests = fit(train, grid.tolist())
+        val_est = base(val).matrix
+        ests = rule(base(train), grid.tolist())
         if len(ests) != len(grid):
-            raise ValueError(f"fit returned {len(ests)} estimates for "
+            raise ValueError(f"rule returned {len(ests)} estimates for "
                              f"{len(grid)} grid points")
         Q += [float(np.sum((est.matrix - val_est) ** 2)) for est in ests]
     # argmin returns the first (= smallest) tau on ties; grid is ascending

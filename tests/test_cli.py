@@ -421,7 +421,19 @@ class TestCv:
         err = captured.err.strip()
         assert err.startswith("ERROR ")
         message = json.loads(err[len("ERROR "):])["message"]
-        assert message.startswith(f"cv: {key} ")
+        # --u is the tuning of the rule, sps by default
+        block = "estimator 'sps'" if flag == "--u" else "cv"
+        assert message.startswith(f"{block}: {key} ")
+
+    def test_flag_that_the_rule_does_not_take_exits_nonzero(self, data_file,
+                                                            capsys):
+        code = main(["cv", "--input", str(data_file), "--rule", "pds",
+                     "--u", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().removeprefix("ERROR "))[
+            "message"] == "--u: estimator 'pds' takes no U"
 
     def test_grid_is_checked_before_the_input_is_read(self, tmp_path, capsys):
         code = main(["cv", "--input", str(tmp_path / "missing.csv"),

@@ -151,7 +151,7 @@ class TestRunExperiment:
                 shrinkage.sample_covariance(Y), truth)
         seen = []
 
-        def recording(Y, U, cfg, fit):
+        def recording(Y, cfg, base, rule):
             seen.append(Y)
             return 0.1, None
 
@@ -206,22 +206,37 @@ class TestRunExperiment:
         records = run_experiment(spec)
         assert records[0].tuning_used["tau"] in (0.25, 0.8)
 
-    def test_cv_radius_is_that_of_the_first_thresholded_spectral_tag(
-            self, monkeypatch):
-        # elliptical comes first and has a spectral base, but no rule
-        seen = []
+    def test_cv_scores_with_the_rule_s_own_radius(self, monkeypatch):
+        # elliptical and soft come first with other radii; CV's base
+        # estimates of both parts, of 46 and 14 rows, take the radius of sps
+        seen = set()
+        real = spectral.spectral_estimate
 
-        def recording(Y, U, cfg, fit):
-            seen.append(U)
-            return 0.2, [0.0]
+        def recording(Y, U, **kwargs):
+            seen.add((len(Y), U))
+            return real(Y, U, **kwargs)
 
-        monkeypatch.setattr(shrinkage, "cross_validate_tau", recording)
-        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.2], seed=0)
-        spec = small_spec([("elliptical", {"U": 2.0}), ("sps", {"U": 1.0})],
-                          replications=1, cv=cv, cv_rule="sps")
+        monkeypatch.setattr(spectral, "spectral_estimate", recording)
+        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
+        spec = small_spec([("elliptical", {"U": 4.0}), ("soft", {"U": 2.0}),
+                           ("sps", {"U": 3.0})],
+                          replications=1, n=60, cv=cv, cv_rule="sps")
         records = run_experiment(spec)
-        assert seen == [1.0]
         assert all(r.error is None for r in records), [r.error for r in records]
+        assert {(rows, U) for rows, U in seen if rows != 60} == \
+            {(46, 3.0), (14, 3.0)}
+
+    def test_cv_runs_only_when_an_estimator_takes_tau(self, monkeypatch):
+        # run_experiment records a CV failure instead of raising it, so the
+        # calls are counted
+        calls = []
+        monkeypatch.setattr(shrinkage, "cross_validate_tau",
+                            lambda *args, **kwargs: calls.append(1))
+        cv = shrinkage.CvConfig(num_splits=100, tau_grid=[0.1], seed=0)
+        records = run_experiment(small_spec([("cov", {})], replications=2,
+                                            cv=cv, cv_rule="sps"))
+        assert calls == []
+        assert [r.error for r in records] == [None, None]
 
     def test_cv_fits_use_rule_estimator_tuning(self, monkeypatch):
         seen = []
@@ -373,8 +388,8 @@ class TestCvFit:
             cov=CovModel.tridiagonal(5),
             noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0), n=60, seed=1))
         cfg = shrinkage.CvConfig(num_splits=3, tau_grid=[0.05, 0.1, 0.2, 0.4])
-        shrinkage.cross_validate_tau(Y, 1.0, cfg, harness.cv_fit("sps", {}))
-        # the validation estimate and the one training base, per split
+        shrinkage.cross_validate_tau(Y, cfg, *harness.cv_fit("sps", {}))
+        # the validation part's base and the one training base, per split
         assert len(calls) == 2 * 3
 
     @pytest.mark.parametrize("tag", harness.THRESHOLD_TAGS)
@@ -387,10 +402,29 @@ class TestCvFit:
         tuning = {k: v for k, v in {"U": 1.0, "tol": 1e-8}.items()
                   if k in harness.SCHEMA["estimator"][tag]}
         taus = [0.02, 0.1, 0.3]
-        path = harness.cv_fit(tag, tuning)(Y, taus)
+        base, rule = harness.cv_fit(tag, tuning)
+        path = rule(base(Y), taus)
         for tau, est in zip(taus, path):
             one = harness.estimate(tag, Y, {**tuning, "tau": tau})
             np.testing.assert_allclose(est.matrix, one.matrix, rtol=0, atol=1e-5)
+
+    def test_pds_scores_against_the_validation_sample_covariance(self):
+        Y = simgen.sample_scenario(Scenario(
+            cov=CovModel.tridiagonal(5),
+            noise=NoiseModel.gamma_elliptical(np.eye(5), 1.0), n=60, seed=4))
+        cfg = shrinkage.CvConfig(num_splits=3, tau_grid=[0.05, 0.2, 0.6],
+                                 seed=5)
+        _, Q = shrinkage.cross_validate_tau(Y, cfg, *harness.cv_fit("pds", {}))
+        # n2 = floor(60 / log 60) = 14 rows validate, as cross_validate_tau
+        # draws them
+        want = np.zeros(3)
+        for m in range(cfg.num_splits):
+            perm = np.random.default_rng([cfg.seed, m]).permutation(60)
+            train, val = Y[perm[:46]], Y[perm[46:]]
+            target = shrinkage.sample_covariance(val).matrix
+            want += [np.sum((harness.estimate("pds", train, {"tau": tau})
+                             .matrix - target) ** 2) for tau in cfg.tau_grid]
+        np.testing.assert_array_equal(Q, want)
 
 
 class TestInputValidation:
@@ -399,8 +433,8 @@ class TestInputValidation:
         lambda Y: harness.estimate("pds", Y, {"tau": 0.1}),
         lambda Y: harness.estimate("lowrank", Y, {"mc_samples": 64}),
         lambda Y: shrinkage.cross_validate_tau(
-            Y, 1.0, shrinkage.CvConfig(num_splits=1, tau_grid=[0.1]),
-            harness.cv_fit("hard", {})),
+            Y, shrinkage.CvConfig(num_splits=1, tau_grid=[0.1]),
+            *harness.cv_fit("hard", {})),
     ], ids=["cov", "pds", "lowrank", "cv"])
     def test_nan_sample_rejected(self, run):
         Y = np.random.default_rng(0).standard_normal((40, 3))
@@ -569,6 +603,14 @@ class TestCsv:
                     "cross-validation failed: ConvergenceError: no convergence")
             else:
                 assert row["error"] == ""
+
+    def test_numpy_scalars_written_as_floats(self):
+        scenario = Scenario(CovModel.tridiagonal(3), NoiseModel.none(), n=20,
+                            seed=0)
+        spec = ExperimentSpec(scenario, [("soft", {"tau": np.float64(0.3),
+                                                   "U": np.float64(1.0)})], 1)
+        row = records_to_csv(run_experiment(spec)).splitlines()[1].split(",")
+        assert row[4:6] == ["0.3", "1.0"]
 
 
 class TestConfigLoading:

@@ -212,6 +212,15 @@ class TestQuadrature:
             WeightFunction(p=2, mass=1.0, kappa_lower=2.0)
         with pytest.raises(ValueError):
             WeightFunction(p=2, mass=0.0, kappa_lower=0.1)
+        # a weight that lowrank_estimate would turn into the zero matrix
+        for args, message in (
+                ({"mass": math.nan}, "mass must be a number, got nan"),
+                ({"mass": math.inf}, "mass must be a number, got inf"),
+                ({"p": 0}, "p must be >= 1, got 0"),
+                ({"kappa_lower": 0.0}, "kappa_lower must be in (0, 1]")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                WeightFunction(**{"p": 2, "mass": 1.0, "kappa_lower": 0.1,
+                                  **args})
 
 
 class TestLightPoints:

@@ -753,13 +753,11 @@ class TestPdsBaseline:
             assert pd_soft_kkt_residual(got + 1e-4 * E, shat, tau, lam) > 1e-6
 
 
-def spectral_fit(rule, U):
-    """CV fit applying ``rule(estimate, tau)`` at each grid tau to one
-    spectral estimate of the training part."""
-    def fit(train, taus):
-        est = spectral_estimate(train, U)
-        return [rule(est, tau) for tau in taus]
-    return fit
+def spectral_cv(rule, U):
+    """CV's (base, rule): the spectral estimate at radius U of a part, and
+    ``rule(estimate, tau)`` applied to one estimate at each grid tau."""
+    return (lambda part: spectral_estimate(part, U),
+            lambda est, taus: [rule(est, tau) for tau in taus])
 
 
 class TestCrossValidateTau:
@@ -767,7 +765,7 @@ class TestCrossValidateTau:
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((40, 3))
         cfg = CvConfig(num_splits=3, tau_grid=[0.2], seed=0)
-        tau_hat, Q = cross_validate_tau(Y, 1.0, cfg, spectral_fit(soft_threshold, 1.0))
+        tau_hat, Q = cross_validate_tau(Y, cfg, *spectral_cv(soft_threshold, 1.0))
         assert tau_hat == 0.2 and len(Q) == 1
 
     def test_tie_breaks_toward_smaller_tau(self):
@@ -777,21 +775,22 @@ class TestCrossValidateTau:
         rng = np.random.default_rng(10)
         Y = 0.05 * rng.standard_normal((60, 3))
         cfg = CvConfig(num_splits=4, tau_grid=[0.9, 1.0], seed=1)
-        tau_hat, Q = cross_validate_tau(Y, 1.0, cfg, spectral_fit(hard_threshold, 1.0))
+        tau_hat, Q = cross_validate_tau(Y, cfg, *spectral_cv(hard_threshold, 1.0))
         assert Q[0] == Q[1]
         assert tau_hat == 0.9
 
     def test_split_sizes(self):
         with pytest.raises(ValueError):
-            cross_validate_tau(np.ones((3, 2)), 1.0,
+            cross_validate_tau(np.ones((3, 2)),
                                CvConfig(num_splits=1, tau_grid=[0.1]),
-                               spectral_fit(soft_threshold, 1.0))
+                               *spectral_cv(soft_threshold, 1.0))
 
     def test_fit_must_return_one_estimate_per_tau(self):
         Y = np.random.default_rng(9).standard_normal((40, 3))
         cfg = CvConfig(num_splits=1, tau_grid=[0.1, 0.2], seed=0)
         with pytest.raises(ValueError, match="2 grid points"):
-            cross_validate_tau(Y, 1.0, cfg, lambda train, taus: [np.eye(3)])
+            cross_validate_tau(Y, cfg, sample_covariance,
+                               lambda est, taus: [est])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -808,9 +807,9 @@ class TestCrossValidateTau:
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((50, 3))
         cfg = CvConfig(num_splits=5, tau_grid=[0.1, 0.3, 0.6], seed=42)
-        fit = spectral_fit(soft_threshold, 1.0)
-        a = cross_validate_tau(Y, 1.0, cfg, fit)
-        b = cross_validate_tau(Y, 1.0, cfg, fit)
+        base, rule = spectral_cv(soft_threshold, 1.0)
+        a = cross_validate_tau(Y, cfg, base, rule)
+        b = cross_validate_tau(Y, cfg, base, rule)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -825,7 +824,7 @@ class TestCrossValidateTau:
         cfg = CvConfig(num_splits=20, tau_grid=grid, seed=0)
         pd_soft = lambda est, tau: pd_soft_threshold(
             est, PdSoftConfig(tau=tau, rho_admm=20.0, tol=1e-6))
-        tau_hat, Q = cross_validate_tau(Y, 3.0, cfg, spectral_fit(pd_soft, 3.0))
+        tau_hat, Q = cross_validate_tau(Y, cfg, *spectral_cv(pd_soft, 3.0))
         k = int(np.argmin(Q))
         assert 0 < k < len(grid) - 1
         assert 0.05 <= tau_hat <= 0.8
