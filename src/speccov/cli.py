@@ -24,6 +24,10 @@ from . import harness, shrinkage, spectral
 def _load_matrix(path):
     with open(path) as fh:
         head = fh.read(4096)
+        fh.seek(0)
+        # numpy only warns of a file whose lines are all blank or comments
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise ValueError(f"{path}: no data rows")
     delim = "," if "," in head else None
     return np.loadtxt(path, delimiter=delim, ndmin=2)
 
@@ -95,9 +99,8 @@ def _cmd_cv(args):
     grid = ([_number(x) for x in args.grid.split(",")] if args.grid
             else shrinkage.DEFAULT_TAU_GRID)
     # the cv: block and the rule's tuning, checked before the input is read
-    cfg, _ = harness._cv_from_dict({"num_splits": args.splits,
-                                    "tau_grid": grid, "seed": args.seed,
-                                    "rule": args.rule})
+    cfg = harness._cv_from_dict({"num_splits": args.splits,
+                                 "tau_grid": grid, "seed": args.seed})
     base, rule = harness.cv_fit(args.rule, _tuning(args, args.rule))
     Y = _load_matrix(args.input)
     # cfg by keyword: perfbench's tracer reads the split count there
@@ -171,8 +174,7 @@ def build_parser():
     cv.add_argument("--grid", default=None, help="comma-separated tau grid")
     cv.add_argument("--splits", type=int, default=splits)
     cv.add_argument("--seed", type=int, default=shrinkage.CvConfig.seed)
-    cv.add_argument("--rule", default=harness.SCHEMA["cv"]["rule"].default,
-                    choices=harness.THRESHOLD_TAGS)
+    cv.add_argument("--rule", default="sps", choices=harness.THRESHOLD_TAGS)
     cv.set_defaults(func=_cmd_cv)
 
     rates = sub.add_parser("rates", help="print theory tables")

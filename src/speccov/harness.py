@@ -104,7 +104,8 @@ def _hard(bases, tuning, taus):
 
 
 # tag -> its base and its rule, or None for an estimator that takes no tau.
-# The tags with a rule take tau, which a cv: block may select by one of them.
+# The tags with a rule take tau, which a cv: block selects for each that
+# sets none.
 _Estimator = namedtuple("_Estimator", "base rule")
 ESTIMATORS = {
     "cov": _Estimator(_sample_covariance, None),
@@ -143,7 +144,7 @@ SCHEMA = {
     "cv": {"num_splits": shrinkage._RANGES["num_splits"]._replace(default=100),
            "tau_grid": shrinkage._RANGES["tau_grid"]._replace(
                default=shrinkage.DEFAULT_TAU_GRID),
-           **_SEED, "rule": _Key(THRESHOLD_TAGS, default="sps")},
+           **_SEED},
     "estimator": {
         "cov": {},
         "pds": {**_TAU, **_PD_SOLVER},
@@ -168,7 +169,6 @@ class ExperimentSpec:
     estimators: List[tuple]  # (tag, tuning dict)
     replications: int
     cv: Optional[CvConfig] = None
-    cv_rule: str = SCHEMA["cv"]["rule"].default
     output: Optional[str] = None
 
     def __post_init__(self):
@@ -182,8 +182,6 @@ class ExperimentSpec:
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
-        if self.cv is not None:
-            _check("cv", {"rule": self.cv_rule}, SCHEMA["cv"])
 
 
 @dataclass(frozen=True)
@@ -272,37 +270,34 @@ def _sample(scenario, k):
 def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
     """Run all replications; estimator failures are recorded, not raised.
 
-    The replications run in blocks of ``_BLOCK`` (see _run_block), and the
-    records come in (replication, estimator) order.
+    Each estimator with a rule that sets no tau takes the one that
+    cross_validate_tau selects by its own base and rule (see cv_fit) on one
+    sample drawn past the replication seed range; a tau that the spec sets
+    is kept. The replications run in blocks of ``_BLOCK`` (see _run_block),
+    and the records come in (replication, estimator) order.
     """
     truth = spec.scenario.cov.matrix()
     n, p = spec.scenario.n, truth.shape[0]
-    tau_cv = cv_error = None
-    if spec.cv is not None and any(tag in THRESHOLD_TAGS
-                                   for tag, _ in spec.estimators):
-        # select tau once on an independent sample drawn past the
-        # replication seed range, with the rule's own tuning less its tau
-        # when the list has its tag
-        cv_sample = _sample(spec.scenario, spec.replications)
-        tuning = next((t for tag, t in spec.estimators
-                       if tag == spec.cv_rule), {})
-        base, rule = cv_fit(spec.cv_rule,
-                            {k: v for k, v in tuning.items() if k != "tau"})
+    tunings = [dict(tuning) for _, tuning in spec.estimators]
+    untuned = [i for i, (tag, tuning) in enumerate(spec.estimators)
+               if tag in THRESHOLD_TAGS and tuning.get("tau") is None]
+    cv_sample = _sample(spec.scenario, spec.replications) if untuned else None
+    cv_errors = {}  # estimator index -> the error text of its failed CV
+    for i in untuned:
+        base, rule = cv_fit(spec.estimators[i][0], {
+            k: v for k, v in tunings[i].items() if k != "tau"})
         try:
             # cfg by keyword: perfbench's tracer reads the split count there
-            tau_cv, _ = shrinkage.cross_validate_tau(
+            tunings[i]["tau"], _ = shrinkage.cross_validate_tau(
                 cv_sample, cfg=spec.cv, base=base, rule=rule)
-        except Exception as exc:  # fails the tuned records only, below
-            cv_error = f"cross-validation failed: {type(exc).__name__}: {exc}"
-    tunings = [{**tuning, "tau": tau_cv}
-               if spec.cv is not None and tag in THRESHOLD_TAGS
-               else dict(tuning) for tag, tuning in spec.estimators]
+        except Exception as exc:  # fails this estimator's records only
+            cv_errors[i] = f"cross-validation failed: {type(exc).__name__}: {exc}"
     flags = [_admissible_flag(tuning, n, p) for tuning in tunings]
     records = []
     for first in range(0, spec.replications, _BLOCK):
         block = _run_block(
             spec, range(first, min(first + _BLOCK, spec.replications)),
-            tunings, truth, cv_error)
+            tunings, truth, cv_errors)
         records += [ResultRecord(rep, spec.estimators[i][0], frob, wall,
                                  dict(tunings[i]), flags[i], err_msg)
                     for (rep, i), (frob, wall, err_msg) in sorted(block.items())]
@@ -310,9 +305,10 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRecord]:
     return records
 
 
-def _run_block(spec, reps, tunings, truth, cv_error):
+def _run_block(spec, reps, tunings, truth, cv_errors):
     """{(replication, estimator index): (frob_error, wall time, error text
-    or None)} for the replications ``reps``.
+    or None)} for the replications ``reps``; an estimator in ``cv_errors``
+    fails each record with its text there.
 
     The samples are drawn and estimated in turn, one held at a time. An
     estimator that takes tau computes only its base estimate of each
@@ -326,10 +322,10 @@ def _run_block(spec, reps, tunings, truth, cv_error):
     for rep in reps:
         data = _sample(spec.scenario, rep)
         for i, (tag, _) in enumerate(spec.estimators):
-            base, rule = ESTIMATORS[tag]
-            if rule and cv_error is not None:
-                out[rep, i] = (math.nan, 0.0, cv_error)
+            if i in cv_errors:
+                out[rep, i] = (math.nan, 0.0, cv_errors[i])
                 continue
+            base, rule = ESTIMATORS[tag]
             t0 = time.perf_counter()
             est, err_msg = _attempt(base, data, tunings[i])
             if est is not None and rule:
@@ -456,10 +452,9 @@ def _model(block, d, models, p=None):
 
 
 def _cv_from_dict(d):
-    """(CvConfig, rule) of the cv block ``d``, checked against SCHEMA."""
-    args = _given(_check("cv", d, SCHEMA["cv"]), SCHEMA["cv"])
-    rule = args.pop("rule")
-    return _build("cv", CvConfig, **args), rule
+    """The CvConfig of the cv block ``d``, checked against SCHEMA."""
+    return _build("cv", CvConfig,
+                  **_given(_check("cv", d, SCHEMA["cv"]), SCHEMA["cv"]))
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
@@ -479,12 +474,12 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
         e = dict(_block(f"estimator {i}", e, "tag"))
         estimators.append((e.pop("tag"), e))
     # only a bare "cv:" key is an empty block: every CV default
-    cv, rule = (None, SCHEMA["cv"]["rule"].default) if "cv" not in doc \
+    cv = None if "cv" not in doc \
         else _cv_from_dict({} if doc["cv"] is None else doc["cv"])
     return ExperimentSpec(
         _build("scenario", Scenario, cov=cov, noise=noise,
                **_given(sc, _SAMPLE)),
-        estimators, doc["replications"], cv, rule, doc.get("output"))
+        estimators, doc["replications"], cv, doc.get("output"))
 
 
 class _SpecLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

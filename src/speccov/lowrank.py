@@ -133,10 +133,9 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     which sum to about 1. It keeps the points with omega > eps * mean(omega):
     the others sum to at most eps * sum(omega), below one rounding of the
     total, so the ECF is evaluated at the kept points only. Returns
-    (D, omega, g, keep) over the kept points: unit directions D (one row
-    each), their weights omega, and regression targets
-    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)),
-    with keep the indicator.
+    (D, omega, g) over the kept points: unit directions D (one row each),
+    their weights omega, and regression targets
+    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)).
     The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
     """
     n, p = Y.shape
@@ -151,7 +150,7 @@ def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
-    return D, omega, g, keep
+    return D, omega, g
 
 
 def _design(D, omega):
@@ -190,7 +189,7 @@ def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEst
     p = data.shape[1]
     if w.p != p:
         raise ValueError(f"weight is for dimension {w.p}, data have {p}")
-    D, omega, g, _ = _surrogate(data, cfg, w, seed)
+    D, omega, g = _surrogate(data, cfg, w, seed)
     A = _design(D, omega)
     target = np.sqrt(omega) * g
     G = A.T @ A

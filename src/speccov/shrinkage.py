@@ -137,7 +137,8 @@ class CvConfig:
         if grid.size == 0 or np.any(np.diff(grid) <= 0):
             raise ValueError("tau_grid must be nonempty and strictly "
                              f"ascending, got {self.tau_grid!r}")
-        object.__setattr__(self, "tau_grid", grid)
+        # a tuple, so that configs compare and hash by value
+        object.__setattr__(self, "tau_grid", tuple(grid.tolist()))
 
 
 def _matrix(est) -> np.ndarray:

@@ -204,6 +204,8 @@ output: "1e3"
         doc = yaml.safe_load((CONFIGS / "tridiagonal_gamma.yaml").read_text())
         doc["cv"] = {"num_splits": 5}
         doc.pop("output")
+        for e in doc["estimators"]:  # pds and sps: each is cross-validated
+            e.pop("tau", None)
         cfg = tmp_path / "cv.yaml"
         cfg.write_text(yaml.safe_dump(doc))
         out = tmp_path / "r.csv"
@@ -455,6 +457,23 @@ class TestCv:
         assert err.startswith("ERROR ")
         assert json.loads(err[len("ERROR "):])["message"] == (
             "cv: tau_grid must be a list of numbers, got [0.1, 'abc']")
+
+    @pytest.mark.parametrize("command", ["estimate", "cv"])
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n"],
+                             ids=["empty", "comments-only"])
+    def test_input_without_data_rows_exits_with_one_error_line(
+            self, tmp_path, capsys, command, text):
+        # numpy warns of such a file; the warnings are errors here, as they
+        # are in CI, so a leaked warning would be the reported type
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR ")
+        assert json.loads(lines[0][len("ERROR "):]) == {
+            "type": "ValueError", "message": f"{path}: no data rows"}
 
 
 class TestRates:

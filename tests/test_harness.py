@@ -44,16 +44,16 @@ def small_spec(estimators, replications=2, n=40, seed=5, **kw):
 
 
 def cv_failed_records(monkeypatch):
-    """Records of a run whose CV fails: sps and hard are tuned by it."""
+    """Records of a run whose CV of sps fails: hard sets its tau, and no
+    other estimator takes one."""
     def diverging(est, cfg):
         raise shrinkage.ConvergenceError("no convergence", iterations=7)
 
     monkeypatch.setattr(shrinkage, "pd_soft_threshold", diverging)
     cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
     spec = small_spec([("cov", {}), ("hard", {"tau": 0.2, "U": 1.0}),
-                       ("sps", {"tau": 0.2, "U": 1.0}),
-                       ("elliptical", {"U": 1.0})],
-                      replications=2, cv=cv, cv_rule="sps")
+                       ("sps", {"U": 1.0}), ("elliptical", {"U": 1.0})],
+                      replications=2, cv=cv)
     return run_experiment(spec)
 
 
@@ -77,18 +77,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec([("covv", {})])
 
-    def test_rejects_cv_rule_without_tau(self):
-        cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
-        with pytest.raises(ValueError):
-            small_spec([("cov", {})], cv=cv, cv_rule="cov")
-
     @pytest.mark.parametrize("tag", ["sps", "pds", "hard", "soft"])
     def test_rejects_threshold_tag_without_tau_or_cv(self, tag):
         with pytest.raises(ValueError, match=f"'{tag}' needs a tau"):
             small_spec([("cov", {}), (tag, {})])
         # a cv: block supplies the tau
         cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.2])
-        small_spec([(tag, {})], cv=cv, cv_rule=tag)
+        small_spec([(tag, {})], cv=cv)
 
     @pytest.mark.parametrize("key", ["tau", "U", "lambda",
                                      "tol", "max_iter", "mc_samples",
@@ -157,7 +152,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(shrinkage, "cross_validate_tau", recording)
         cv = shrinkage.CvConfig(num_splits=1, tau_grid=[0.1])
-        run_experiment(ExperimentSpec(scenario, [("hard", {})], 3, cv, "hard"))
+        run_experiment(ExperimentSpec(scenario, [("hard", {})], 3, cv))
         want = simgen.sample_scenario(
             dataclasses.replace(scenario, seed=[1, 2, 3]))
         assert seen[0].tobytes() == want.tobytes()
@@ -199,16 +194,10 @@ class TestRunExperiment:
             return rows
         assert strip_time(a) == strip_time(b)
 
-    def test_cv_overrides_tau_for_threshold_estimators(self):
-        cv = shrinkage.CvConfig(num_splits=3, tau_grid=[0.25, 0.8], seed=2)
-        spec = small_spec([("hard", {"U": 1.0})], replications=1, n=60,
-                          cv=cv, cv_rule="hard")
-        records = run_experiment(spec)
-        assert records[0].tuning_used["tau"] in (0.25, 0.8)
-
     def test_cv_scores_with_the_rule_s_own_radius(self, monkeypatch):
-        # elliptical and soft come first with other radii; CV's base
-        # estimates of both parts, of 46 and 14 rows, take the radius of sps
+        # elliptical and soft, which sets its tau, come first with other
+        # radii; CV's base estimates of both parts, of 46 and 14 rows, take
+        # the radius of sps
         seen = set()
         real = spectral.spectral_estimate
 
@@ -218,9 +207,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(spectral, "spectral_estimate", recording)
         cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
-        spec = small_spec([("elliptical", {"U": 4.0}), ("soft", {"U": 2.0}),
+        spec = small_spec([("elliptical", {"U": 4.0}),
+                           ("soft", {"tau": 0.2, "U": 2.0}),
                            ("sps", {"U": 3.0})],
-                          replications=1, n=60, cv=cv, cv_rule="sps")
+                          replications=1, n=60, cv=cv)
         records = run_experiment(spec)
         assert all(r.error is None for r in records), [r.error for r in records]
         assert {(rows, U) for rows, U in seen if rows != 60} == \
@@ -234,7 +224,7 @@ class TestRunExperiment:
                             lambda *args, **kwargs: calls.append(1))
         cv = shrinkage.CvConfig(num_splits=100, tau_grid=[0.1], seed=0)
         records = run_experiment(small_spec([("cov", {})], replications=2,
-                                            cv=cv, cv_rule="sps"))
+                                            cv=cv))
         assert calls == []
         assert [r.error for r in records] == [None, None]
 
@@ -248,9 +238,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(shrinkage, "pd_soft_threshold", recording)
         cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3, 0.6], seed=0)
-        spec = small_spec([("sps", {"tau": 0.3, "U": 1.0, "tol": 1e-8,
-                                    "lambda": 1.0e-3})],
-                          replications=1, n=60, cv=cv, cv_rule="sps")
+        spec = small_spec([("sps", {"U": 1.0, "tol": 1e-8, "lambda": 1.0e-3})],
+                          replications=1, n=60, cv=cv)
         records = run_experiment(spec)
         assert records[0].error is None
         # one stacked call per split, each with the 3 grid points, then one
@@ -267,13 +256,15 @@ class TestRunExperiment:
         records = cv_failed_records(monkeypatch)
         assert len(records) == 8
         for r in records:
-            if r.estimator in ("hard", "sps"):
+            if r.estimator == "sps":
                 assert math.isnan(r.frob_error)
                 assert r.error.startswith("cross-validation failed: "
                                           "ConvergenceError")
-                assert r.tuning_used["tau"] is None
+                assert r.tuning_used.get("tau") is None
             else:
                 assert r.error is None and not math.isnan(r.frob_error)
+        assert {r.tuning_used["tau"] for r in records
+                if r.estimator == "hard"} == {0.2}
 
     def test_every_table_tag_runs_through_the_harness(self):
         spec = ExperimentSpec(
@@ -283,14 +274,13 @@ class TestRunExperiment:
                 ("cov", {}),
                 ("pds", {"tau": 0.2}),
                 ("sps", {"tau": 0.2, "U": 1.0}),
-                ("hard", {"tau": 0.2, "U": 1.0}),
+                ("hard", {"U": 1.0}),  # tuned by the cv: block
                 ("soft", {"tau": 0.2, "U": 1.0}),
                 ("elliptical", {"U": 1.0, "generator": "stable", "alpha": 1.5}),
                 ("lowrank", {"U": 1.0, "mc_samples": 256}),
             ],
             replications=1,
             cv=shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0),
-            cv_rule="hard",
         )
         records = run_experiment(spec)
         assert sorted(r.estimator for r in records) == sorted(harness.ESTIMATORS)
@@ -374,6 +364,72 @@ class TestRunExperiment:
         # and a 20 x 20 base held for each would add over 3 KB
         records = 3 * 3 * block * 1024
         assert peak(4 * block) <= one_block + records
+
+    def test_each_untuned_estimator_takes_its_own_cv_tau(self):
+        # pds and sps select different taus on this sample: each by its own
+        # base and rule, on the one CV sample at [seed, replications]
+        scenario = Scenario(CovModel.tridiagonal(4),
+                            NoiseModel.gamma_elliptical(np.eye(4), 1.0),
+                            n=60, seed=1)
+        cv = shrinkage.CvConfig(num_splits=3,
+                                tau_grid=[0.05, 0.1, 0.2, 0.4, 0.8], seed=1)
+        estimators = [("pds", {}), ("cov", {}), ("sps", {"U": 1.0})]
+        records = run_experiment(ExperimentSpec(scenario, estimators, 2, cv))
+        Y = simgen.sample_scenario(dataclasses.replace(scenario, seed=[1, 2]))
+        want = {tag: shrinkage.cross_validate_tau(
+                    Y, cv, *harness.cv_fit(tag, tuning))[0]
+                for tag, tuning in estimators if tag != "cov"}
+        assert want == {"pds": 0.05, "sps": 0.2}
+        assert all(r.error is None for r in records), [r.error for r in records]
+        for r in records:
+            assert r.tuning_used.get("tau") == want.get(r.estimator)
+
+    def test_a_set_tau_survives_a_cv_block(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(shrinkage, "cross_validate_tau",
+                            lambda *args, **kwargs: calls.append(1))
+        estimators = [("pds", {"tau": 0.3}), ("sps", {"tau": 0.25, "U": 1.0}),
+                      ("soft", {"tau": 0.2, "U": 1.0}),
+                      ("hard", {"tau": 0.4, "U": 1.0})]
+        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.5], seed=0)
+        records = run_experiment(small_spec(estimators, cv=cv))
+        assert calls == []
+        taus = {tag: tuning["tau"] for tag, tuning in estimators}
+        assert all(r.error is None and r.tuning_used["tau"] == taus[r.estimator]
+                   for r in records)
+        # the same records as without the block
+        without = run_experiment(small_spec(estimators))
+        assert [r.frob_error for r in records] == \
+            [r.frob_error for r in without]
+
+    def test_cv_failure_of_one_estimator_fails_only_its_records(
+            self, monkeypatch):
+        # pds's rule fails in CV; sps, with the same rule, selects its tau
+        real = harness.cv_fit
+
+        def failing_for_pds(tag, tuning):
+            base, rule = real(tag, tuning)
+            if tag != "pds":
+                return base, rule
+
+            def failing(est, taus):
+                raise shrinkage.ConvergenceError("no convergence")
+            return base, failing
+
+        monkeypatch.setattr(harness, "cv_fit", failing_for_pds)
+        cv = shrinkage.CvConfig(num_splits=2, tau_grid=[0.1, 0.3], seed=0)
+        records = run_experiment(small_spec(
+            [("pds", {}), ("sps", {"U": 1.0}), ("cov", {})], cv=cv))
+        assert len(records) == 6
+        for r in records:
+            if r.estimator == "pds":
+                assert math.isnan(r.frob_error)
+                assert r.error == ("cross-validation failed: "
+                                   "ConvergenceError: no convergence")
+            else:
+                assert r.error is None and not math.isnan(r.frob_error)
+                assert (r.tuning_used.get("tau") in (0.1, 0.3)) == \
+                    (r.estimator == "sps")
 
 
 class TestCvFit:
@@ -553,10 +609,10 @@ class TestSummarize:
     def test_failed_records_counted_and_kept(self, monkeypatch):
         summary = summarize(cv_failed_records(monkeypatch))
         assert sorted(summary) == ["cov", "elliptical", "hard", "sps"]
-        assert (summary["cov"].n, summary["cov"].n_failed) == (2, 0)
-        assert summary["cov"].median is not None
-        for tag in ("hard", "sps"):
-            assert summary[tag] == SummaryStats(n=2, n_failed=2)
+        for tag in ("cov", "hard"):
+            assert (summary[tag].n, summary[tag].n_failed) == (2, 0)
+            assert summary[tag].median is not None
+        assert summary["sps"] == SummaryStats(n=2, n_failed=2)
         doc = json.loads(summary_to_json(summary))
         assert doc["sps"] == {"n": 2, "n_failed": 2, "min": None,
                               "q25": None, "median": None, "q75": None,
@@ -597,7 +653,7 @@ class TestCsv:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 8
         for row in rows:
-            if row["estimator"] in ("hard", "sps"):
+            if row["estimator"] == "sps":
                 assert row["frob_error"] == "nan"
                 assert row["error"].startswith(
                     "cross-validation failed: ConvergenceError: no convergence")
@@ -649,9 +705,7 @@ class TestConfigLoading:
     def test_bare_cv_key_takes_every_default(self):
         spec = spec_from_dict({**self.DOC, "cv": None})
         assert spec.cv.num_splits == 100 and spec.cv.seed == 0
-        np.testing.assert_array_equal(spec.cv.tau_grid,
-                                      shrinkage.DEFAULT_TAU_GRID)
-        assert spec.cv_rule == "sps"
+        assert spec.cv.tau_grid == shrinkage.DEFAULT_TAU_GRID
 
     def test_bare_noise_key_is_no_noise(self):
         doc = copy.deepcopy(self.DOC)
@@ -847,8 +901,9 @@ class TestConfigLoading:
         (("scenario", "noise"),
          {"kind": "stable", "beta": 1.5, "sigma": 0.7, "norm": "l3"},
          "noise: norm must be one of lbeta, l2, got 'l3'"),
-        (("cv",), {"rule": "cov"},
-         "cv: rule must be one of sps, soft, hard, pds, got 'cov'"),
+        # each estimator that sets no tau is cross-validated by its own rule
+        (("cv",), {"rule": "sps"},
+         "cv: unknown key 'rule'; allowed keys: num_splits, tau_grid, seed"),
         # the ADMM starts at the solver's own penalty, which residual
         # balancing adapts; only a PdSoftConfig built in Python sets it
         (("estimators",), [{"tag": "pds", "tau": 0.2, "rho_admm": 20.0}],
@@ -1036,8 +1091,7 @@ def _spec_values(spec):
     noise = {k: v.tolist() if isinstance(v, np.ndarray) else v
              for k, v in vars(sc.noise).items()}
     return repr((spec.estimators, spec.replications, spec.output,
-                 spec.cv_rule, cv and (cv.num_splits, cv.tau_grid.tolist(),
-                                       cv.seed),
+                 cv and (cv.num_splits, cv.tau_grid, cv.seed),
                  sc.n, sc.seed, sc.cov.matrix().tolist(), noise))
 
 

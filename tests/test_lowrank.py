@@ -57,7 +57,7 @@ def _full_surrogate(Y, cfg, w, seed):
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
-    return D, omega, g, keep
+    return D, omega, g
 
 
 def _unit_rows(m, p, seed):
@@ -76,7 +76,7 @@ def _mc_stderr(vals, m):
 def _normal_equations(Y, cfg, w, seed):
     """(G, b, L) of the frozen quadrature: the data fit's gradient at M is
     2 (G vec(M) + b), and L = 2 lambda_max(G) its Lipschitz constant."""
-    D, omega, g, _ = _surrogate(Y, cfg, w, seed)
+    D, omega, g = _surrogate(Y, cfg, w, seed)
     A = _design(D, omega)
     G = A.T @ A
     return G, A.T @ (np.sqrt(omega) * g), 2.0 * np.linalg.eigvalsh(G)[-1]
@@ -175,7 +175,7 @@ class TestQuadrature:
         p, U, m = 3, 2.0, 40000
         w = bump_weight(p)
         cfg = LowRankConfig(U=U, lambda_nuc=0.1, mc_samples=m)
-        D, omega, _, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=5)
+        D, omega, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=5)
         for vals, want in ((omega, w.l1_mass),
                            (omega * D[:, 0] ** 4, w.kappa_lower)):
             assert abs(float(np.sum(vals)) - want) < 3 * _mc_stderr(vals, m)
@@ -193,7 +193,7 @@ class TestQuadrature:
         p, U, m = 3, 1.0, 60000
         w = bump_weight(p)
         cfg = LowRankConfig(U=U, lambda_nuc=0.1, mc_samples=m)
-        D, omega, _, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=6)
+        D, omega, _ = _surrogate(np.zeros((1, p)), cfg, w, seed=6)
         rng = np.random.default_rng(6)
         A_ = rng.standard_normal((p, p))
         A = A_ @ A_.T
@@ -231,15 +231,14 @@ class TestLightPoints:
     @pytest.mark.parametrize("p", [5, 8])
     def test_kept_rows_are_the_full_rows(self, p):
         Y, cfg, w = _rank_one_problem(p)
-        D, omega, g, keep = _full_surrogate(Y, cfg, w, seed=0)
+        D, omega, g = _full_surrogate(Y, cfg, w, seed=0)
         heavy = omega > np.finfo(float).eps * omega.mean()
         assert 0 < heavy.sum() < cfg.mc_samples
-        D_k, omega_k, g_k, keep_k = _surrogate(Y, cfg, w, seed=0)
+        D_k, omega_k, g_k = _surrogate(Y, cfg, w, seed=0)
         np.testing.assert_array_equal(D_k, D[heavy])
         np.testing.assert_array_equal(omega_k, omega[heavy])
-        np.testing.assert_array_equal(keep_k, keep[heavy])
         # the ECF sums its rows in blocks sized by the number of points, so
-        # g may differ in the last bits
+        # g may differ in the last bits; a truncated point's g is 0 in both
         np.testing.assert_allclose(g_k, g[heavy], rtol=1e-12, atol=0)
         assert float(np.sum(omega[~heavy])) <= (
             np.finfo(float).eps * float(np.sum(omega)))
@@ -267,10 +266,10 @@ class TestObjective:
         s = Scenario(cov=CovModel.explicit(0.1 * np.eye(3)),
                      noise=NoiseModel.none(), n=n, seed=9)
         Y = sample_scenario(s)
-        # the truncation cutoff is 1/(2 sqrt n)
+        # the truncation cutoff is 1/(2 sqrt n); a truncated point's g is 0
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=4000)
-        _, _, _, keep = _surrogate(Y, cfg, bump_weight(3), seed=10)
-        assert keep.mean() >= 0.99
+        _, _, g = _surrogate(Y, cfg, bump_weight(3), seed=10)
+        assert (g != 0).mean() >= 0.99
 
 
 class TestLowRankEstimate:
@@ -316,7 +315,7 @@ class TestLowRankEstimate:
         Y = np.random.default_rng(0).standard_normal((100, 5))
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=1)
         w = bump_weight(5)
-        _, omega, _, _ = _surrogate(Y, cfg, w, seed=13)
+        _, omega, _ = _surrogate(Y, cfg, w, seed=13)
         assert np.all(omega == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

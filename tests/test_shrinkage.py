@@ -829,6 +829,14 @@ class TestCrossValidateTau:
         assert 0 < k < len(grid) - 1
         assert 0.05 <= tau_hat <= 0.8
 
+    def test_equal_configs_compare_equal_and_hash(self):
+        # the grid is kept as a tuple of floats, whatever sequence gave it
+        a = CvConfig(2, [0.1, 0.2])
+        b = CvConfig(2, np.array([0.1, 0.2]))
+        assert a == b and hash(a) == hash(b)
+        assert a.tau_grid == (0.1, 0.2)
+        assert a != CvConfig(2, [0.1, 0.3])
+
 
 class TestThresholdRiskAudits:
     """Closed-form risk bounds checked on replications where the max-entry
