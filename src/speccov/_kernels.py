@@ -9,24 +9,26 @@ array (at least one row).
 The blocks run on a pool of ``_WORKERS`` threads, one per CPU that the
 process may run on (its affinity mask, so ``taskset -c 0`` makes it one).
 Each block allocates its own working arrays and returns its partial sums,
-which the caller adds into the totals in block order (``_in_order``). The
-block boundaries and that order fix every sum, so the results are bitwise
-identical for any worker count, and from run to run, at a fixed BLAS
-thread count. Working memory is one block's arrays, about 1 MB, per
-running worker, whatever the number of observations n. An input of one
-block, or a pool of one worker, runs inline and starts no thread.
-``shrinkage.pd_soft_threshold`` hands its stacks of problems to
-``_in_order`` the same way. The pool is plain ``threading`` threads that
+and one loop, ``_sums``, adds them into the first block's arrays in block
+order (``_in_order``). The block boundaries and that order fix every sum,
+so the results are bitwise identical for any worker count, and from run
+to run, at a fixed BLAS thread count. Working memory is one block's
+arrays, about 1 MB, per running worker, whatever the number of
+observations n. An input of one block, or a pool of one worker, runs
+inline and starts no thread. ``shrinkage.pd_soft_threshold`` hands its
+stacks of problems to ``_in_order`` the same way. The pool is plain ``threading`` threads that
 take blocks off a ``queue.SimpleQueue``: ``concurrent.futures`` would
 import ``logging`` too, about 0.6 MB and 6 ms on CPython 3.11.
 
 Cosines and sines come from one ``tan`` per element by the half-angle
-identity (``_cos_sin``). With numpy 2.4 on an AVX-512 x86-64 CPU, float64
-``tan`` is SIMD-dispatched (about 2.5 ns per element) while ``cos`` and
-``sin`` call libm one element at a time (about 20 ns each); where ``tan``
-falls back to libm too, one call still replaces two. The identity works
-in the arrays the kernels already hold, so working memory is unchanged,
-and its result is within 4 eps of ``np.cos``/``np.sin``.
+identity (``_cos_sin``), which takes the half-angles: each kernel folds
+the 1/2, an exact scaling, into the scale that it applies anyway. With
+numpy 2.4 on an AVX-512 x86-64 CPU, float64 ``tan`` is SIMD-dispatched
+(about 2.5 ns per element) while ``cos`` and ``sin`` call libm one
+element at a time (about 20 ns each); where ``tan`` falls back to libm
+too, one call still replaces two. The identity works in the arrays the
+kernels already hold, so working memory is unchanged, and its result is
+within 4 eps of ``np.cos``/``np.sin``.
 """
 
 import os
@@ -133,21 +135,33 @@ def _in_order(fn, starts):
             out.get()
 
 
-def _cos_sin(x, cos):
-    """Overwrite ``x`` with sin x and fill ``cos`` with cos x.
+def _sums(block, n, rows):
+    """The sums over the row blocks ``range(0, n, rows)`` (n >= 1) of the
+    arrays that ``block(start)`` returns, added into the first block's
+    arrays in block order."""
+    blocks = _in_order(block, range(0, n, rows))
+    totals = next(blocks)
+    for sums in blocks:
+        for total, part in zip(totals, sums):
+            total += part
+    return totals
 
-    With t = tan(x/2), cos x = 2/(1+t^2) - 1 and sin x = t * 2/(1+t^2):
+
+def _cos_sin(h, cos):
+    """Overwrite the half-angles ``h`` with sin 2h and fill ``cos`` with
+    cos 2h.
+
+    With t = tan h, cos 2h = 2/(1+t^2) - 1 and sin 2h = t * 2/(1+t^2):
     one ``tan`` per element in place of a ``cos`` and a ``sin``. t^2 never
     overflows: the float64 nearest an odd multiple of pi/2,
     6381956970095103 * 2**797, is 4.7e-19 away from it, so |t| < 2.2e18.
-    x = 0 gives exactly cos = 1 and sin = 0.
+    h = 0 gives exactly cos = 1 and sin = 0.
     """
-    np.multiply(x, 0.5, out=x)
-    np.tan(x, out=x)
-    np.multiply(x, x, out=cos)
+    np.tan(h, out=h)
+    np.multiply(h, h, out=cos)
     cos += 1.0
     np.divide(2.0, cos, out=cos)
-    x *= cos
+    h *= cos
     cos -= 1.0
 
 
@@ -173,20 +187,14 @@ def probe_cf(Y, U):
         w = np.empty((2 * p, blk.shape[1]))
         C, S = w[:p], w[p:]
         # the diagonal probes use both halves as scratch first
-        np.multiply(blk, U, out=C)
+        np.multiply(blk, 0.5 * U, out=C)
         _cos_sin(C, S)
         re, im = S.sum(axis=1), C.sum(axis=1)
-        np.multiply(blk, a, out=S)
+        np.multiply(blk, 0.5 * a, out=S)
         _cos_sin(S, C)
         return re, im, w @ w.T
 
-    diag_re = np.zeros(p)
-    diag_im = np.zeros(p)
-    gram = np.zeros((2 * p, 2 * p))
-    for re, im, g in _in_order(block, range(0, n, rows)):
-        diag_re += re
-        diag_im += im
-        gram += g
+    diag_re, diag_im, gram = _sums(block, n, rows)
     # a no-op when BLAS returns W W^T exactly symmetric; makes sure otherwise
     gram = 0.5 * (gram + gram.T)
     cf = np.empty((p, p), dtype=complex)
@@ -202,19 +210,15 @@ def probe_cf(Y, U):
 def ecf(Y, freqs):
     """ECF at each row of ``freqs``: the mean over k of exp(i<f, Y_k>)."""
     n = Y.shape[0]
-    m = freqs.shape[0]
-    rows = _rows_per_block(m)
+    half = (0.5 * freqs).T
+    rows = _rows_per_block(freqs.shape[0])
 
     def block(start):
         """The block's sums of cos and sin of <f, y> over its rows."""
-        t = Y[start:start + rows] @ freqs.T
+        t = Y[start:start + rows] @ half
         v = np.empty_like(t)
         _cos_sin(t, v)
         return v.sum(axis=0), t.sum(axis=0)
 
-    re = np.zeros(m)
-    im = np.zeros(m)
-    for cos, sin in _in_order(block, range(0, n, rows)):
-        re += cos
-        im += sin
+    re, im = _sums(block, n, rows)
     return (re + 1j * im) / n

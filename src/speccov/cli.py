@@ -22,14 +22,15 @@ from . import harness, shrinkage, spectral
 
 
 def _load_matrix(path):
+    """The matrix of a file whose rows are split at commas if its first
+    data row has one, else at whitespace; ``#`` starts a comment."""
     with open(path) as fh:
-        head = fh.read(4096)
-        fh.seek(0)
-        # numpy only warns of a file whose lines are all blank or comments
-        if not any(line.split("#", 1)[0].strip() for line in fh):
-            raise ValueError(f"{path}: no data rows")
-    delim = "," if "," in head else None
-    return np.loadtxt(path, delimiter=delim, ndmin=2)
+        row = next((text for line in fh
+                    if (text := line.split("#", 1)[0].strip())), None)
+    # numpy only warns of a file whose lines are all blank or comments
+    if row is None:
+        raise ValueError(f"{path}: no data rows")
+    return np.loadtxt(path, delimiter="," if "," in row else None, ndmin=2)
 
 
 def _write_matrix(mat, path):
@@ -96,8 +97,8 @@ def _number(text):
 
 
 def _cmd_cv(args):
-    grid = ([_number(x) for x in args.grid.split(",")] if args.grid
-            else shrinkage.DEFAULT_TAU_GRID)
+    grid = ([_number(x) for x in args.grid.split(",")]
+            if args.grid is not None else shrinkage.DEFAULT_TAU_GRID)
     # the cv: block and the rule's tuning, checked before the input is read
     cfg = harness._cv_from_dict({"num_splits": args.splits,
                                  "tau_grid": grid, "seed": args.seed})

@@ -175,13 +175,18 @@ class ExperimentSpec:
         _fields(self, {"replications": _COUNT})
         if not self.estimators:
             raise ValueError("at least one estimator is required")
-        for tag, tuning in self.estimators:
+        first = {}  # tag: the index of its entry
+        for i, (tag, tuning) in enumerate(self.estimators):
             # a None tau is left to be chosen by cross-validation
             _check_tuning(tag, {k: v for k, v in tuning.items()
                                 if not (k == "tau" and v is None)})
             if (tag in THRESHOLD_TAGS and self.cv is None
                     and tuning.get("tau") is None):
                 raise ValueError(f"estimator {tag!r} needs a tau or a cv: block")
+            # records and summaries are keyed by tag
+            if first.setdefault(tag, i) != i:
+                raise ValueError(f"estimator {i}: tag {tag!r} is already "
+                                 f"estimator {first[tag]}")
 
 
 @dataclass(frozen=True)

@@ -318,7 +318,7 @@ class TestHalfAngleCosSin:
 
     @staticmethod
     def cos_sin(x):
-        s = np.array(x, dtype=float)
+        s = 0.5 * np.array(x, dtype=float)
         c = np.empty_like(s)
         _kernels._cos_sin(s, c)
         return c, s

@@ -458,6 +458,41 @@ class TestCv:
         assert json.loads(err[len("ERROR "):])["message"] == (
             "cv: tau_grid must be a list of numbers, got [0.1, 'abc']")
 
+    def test_empty_grid_exits_nonzero_naming_cv_and_tau_grid(
+            self, tmp_path, capsys):
+        code = main(["cv", "--input", str(tmp_path / "missing.csv"),
+                     "--grid", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("ERROR ")
+        assert json.loads(err[len("ERROR "):])["message"] == (
+            "cv: tau_grid must be a list of numbers, got ['']")
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--estimator", "cov"],
+        ["cv", "--splits", "2", "--grid", "0.1,0.2", "--rule", "soft"]],
+        ids=["estimate", "cv"])
+    @pytest.mark.parametrize("header,delimiter", [
+        # a comma in a comment does not make a whitespace file a comma one
+        ("# a, b, c\n", " "),
+        # nor does a comment longer than 4096 bytes hide a comma file's
+        ("".join("# " + "x" * 60 + "\n" for _ in range(70)), ","),
+    ], ids=["whitespace-comma-header", "comma-long-header"])
+    def test_delimiter_is_that_of_the_first_data_row(
+            self, tmp_path, capsys, command, header, delimiter):
+        Y = np.random.default_rng(1).standard_normal((20, 3))
+        plain = tmp_path / "plain.csv"
+        np.savetxt(plain, Y, delimiter=",", fmt="%.17g")
+        path = tmp_path / "data.txt"
+        path.write_text(header + "".join(
+            delimiter.join(map(repr, row)) + "\n" for row in Y.tolist()))
+        assert main([command[0], "--input", str(plain), *command[1:]]) == 0
+        want = capsys.readouterr().out
+        assert main([command[0], "--input", str(path), *command[1:]]) == 0
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("command", ["estimate", "cv"])
     @pytest.mark.parametrize("text", ["", "# a comment\n\n"],
                              ids=["empty", "comments-only"])

@@ -77,6 +77,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec([("covv", {})])
 
+    def test_rejects_a_repeated_tag_naming_both_entries(self):
+        # records and summaries are keyed by tag, so two entries would pool
+        with pytest.raises(ValueError, match=re.escape(
+                "estimator 2: tag 'sps' is already estimator 0")):
+            small_spec([("sps", {"tau": 0.2, "U": 1.0}), ("cov", {}),
+                         ("sps", {"tau": 0.2, "U": 3.0})])
+
     @pytest.mark.parametrize("tag", ["sps", "pds", "hard", "soft"])
     def test_rejects_threshold_tag_without_tau_or_cv(self, tag):
         with pytest.raises(ValueError, match=f"'{tag}' needs a tau"):
@@ -305,7 +312,7 @@ class TestRunExperiment:
     def test_admissible_flag_requires_full_class_parameters(self):
         spec = small_spec(
             [("hard", {"tau": 0.3, "U": 1.0}),
-             ("hard", {"tau": 0.3, "U": 1.0, "R": 0.01, "T": 0.01,
+             ("soft", {"tau": 0.3, "U": 1.0, "R": 0.01, "T": 0.01,
                        "beta": 1.0})],
             replications=1, n=10**6)
         records = run_experiment(spec)
@@ -947,6 +954,10 @@ class TestConfigLoading:
         (("scenario", "noise", "A"), [[1.0, "0"], [0.0, 1.0]],
          "noise: A must be identity or a square matrix of numbers, got "
          "[[1.0, '0'], [0.0, 1.0]]"),
+        # records and summaries are keyed by tag
+        (("estimators",), [{"tag": "sps", "tau": 0.2, "U": 1.0},
+                           {"tag": "sps", "tau": 0.2, "U": 3.0}],
+         "estimator 1: tag 'sps' is already estimator 0"),
     ])
     def test_malformed_block_names_block_and_key(self, path, value, message):
         doc = copy.deepcopy(self.DOC)
