@@ -4,7 +4,8 @@ evaluation, and the thread pool that they and PD-soft's stacks run on.
 Both kernels split the rows of the data into blocks and sum real cosines
 and sines over each; no n-row or complex n-row array is ever built. A
 block holds as many rows as fit in ``_BLOCK`` float64 elements per working
-array (at least one row).
+array (at least one row): ``ecf``'s two arrays of the block's phases, and
+the two halves, cosines and sines, of ``probe_cf``'s W.
 
 The blocks run on a pool of ``_WORKERS`` threads, one per CPU that the
 process may run on (its affinity mask, so ``taskset -c 0`` makes it one).
@@ -174,24 +175,32 @@ def probe_cf(Y, U):
     sum_k cos(a y_ki + a y_kj) = (C C^T - S S^T)_ij and
     sum_k sin(a y_ki + a y_kj) = (C S^T + S C^T)_ij, all four read off the
     real Gram matrix W W^T of W = [C; S]. A block of W holds its rows of C
-    and S transposed, so each half is one contiguous array for the
-    elementwise passes. The result is exactly symmetric.
+    and S transposed, so each half is one contiguous array of ``_BLOCK``
+    elements for the elementwise passes. The result is exactly symmetric.
+
+    A non-finite entry of Y makes ``tan`` return nan, which reaches the
+    diagonal sums of its coordinate, so the result is then not finite; a
+    finite Y gives a finite result, as every cos and sin term is bounded.
+    The block ignores ``tan``'s invalid-value flag, in the thread that runs
+    it (numpy's error state is per thread), so that the caller can name
+    the non-finite entry instead of a RuntimeWarning.
     """
     n, p = Y.shape
     a = U / _SQRT2
-    rows = _rows_per_block(2 * p)
+    rows = _rows_per_block(p)
 
     def block(start):
         """The block's sums of cos and sin at U*e_i, and its W W^T."""
         blk = Y[start:start + rows].T
         w = np.empty((2 * p, blk.shape[1]))
         C, S = w[:p], w[p:]
-        # the diagonal probes use both halves as scratch first
-        np.multiply(blk, 0.5 * U, out=C)
-        _cos_sin(C, S)
-        re, im = S.sum(axis=1), C.sum(axis=1)
-        np.multiply(blk, 0.5 * a, out=S)
-        _cos_sin(S, C)
+        with np.errstate(invalid="ignore"):
+            # the diagonal probes use both halves as scratch first
+            np.multiply(blk, 0.5 * U, out=C)
+            _cos_sin(C, S)
+            re, im = S.sum(axis=1), C.sum(axis=1)
+            np.multiply(blk, 0.5 * a, out=S)
+            _cos_sin(S, C)
         return re, im, w @ w.T
 
     diag_re, diag_im, gram = _sums(block, n, rows)

@@ -39,7 +39,8 @@ from . import _kernels
 from ._checks import (NUMBERS, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _Key,
                       _check, _fields)
 # spectral_estimate is unused here but kept: perfbench's tracer rebinds it
-from .spectral import CovEstimate, _as_data, spectral_estimate
+from .spectral import (CovEstimate, _as_data, _as_sample, _finite_from,
+                       spectral_estimate)
 
 __all__ = [
     "PdSoftConfig",
@@ -540,11 +541,19 @@ def pd_soft_threshold(est, cfg):
 
 
 def sample_covariance(Y) -> CovEstimate:
-    """Uncentered sample covariance (1/n) sum_k Y_k Y_k^T."""
-    data = _as_data(Y)
+    """Uncentered sample covariance (1/n) sum_k Y_k Y_k^T.
+
+    The sample's entries are checked from the product, whose diagonal holds
+    y_ki^2: only when it is not finite is the sample scanned, so a
+    non-finite entry raises the sample's error, and a finite sample whose
+    product overflows an EstimationError.
+    """
+    data = _as_sample(Y)
     n = data.shape[0]
-    m = data.T @ data / n
-    m = np.triu(m) + np.triu(m, k=1).T
+    # inf * 0 is the non-finite entry's to report, not a RuntimeWarning's
+    with np.errstate(invalid="ignore"):
+        m = data.T @ data / n
+    m = _finite_from(np.triu(m) + np.triu(m, k=1).T, data)
     return CovEstimate(m)
 
 
@@ -573,9 +582,10 @@ def cross_validate_tau(Y, cfg: CvConfig, base, rule):
     for m in range(cfg.num_splits):
         rng = np.random.default_rng([cfg.seed, m])
         perm = rng.permutation(n)
-        train, val = data[perm[:n1]], data[perm[n1:]]
-        val_est = base(val).matrix
-        ests = rule(base(train), grid.tolist())
+        # each part is a copy made for its base call alone, so the copies
+        # of a split are freed before those of the next are made
+        val_est = base(data[perm[n1:]]).matrix
+        ests = rule(base(data[perm[:n1]]), grid.tolist())
         if len(ests) != len(grid):
             raise ValueError(f"rule returned {len(ests)} estimates for "
                              f"{len(grid)} grid points")

@@ -62,18 +62,40 @@ class PreAsymptoticError(ValueError):
     """n is too small for the theory's radius U* or rate to be defined."""
 
 
-def _as_data(Y) -> np.ndarray:
+def _as_sample(Y) -> np.ndarray:
     """Y, n observations of a p-vector in rows, as a float64 array; a
-    ValueError unless it is 2-d with n, p >= 1 and every entry finite."""
+    ValueError unless it is 2-d with n, p >= 1. Its entries are not read."""
     arr = np.asarray(Y, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("sample must be a 2-d array with n >= 1, p >= 1")
-    # by row blocks, so that no n x p array of flags is built
-    rows = _kernels._rows_per_block(arr.shape[1])
-    if not all(np.isfinite(arr[k:k + rows]).all()
-               for k in range(0, len(arr), rows)):
-        raise ValueError("sample contains non-finite entries")
     return arr
+
+
+def _check_finite(data) -> np.ndarray:
+    """Return ``data`` after raising ValueError when an entry is not
+    finite; scanned by row blocks, so that no n x p array of flags is
+    built."""
+    rows = _kernels._rows_per_block(data.shape[1])
+    if not all(np.isfinite(data[k:k + rows]).all()
+               for k in range(0, len(data), rows)):
+        raise ValueError("sample contains non-finite entries")
+    return data
+
+
+def _as_data(Y) -> np.ndarray:
+    """Y as a float64 array; a ValueError unless it is 2-d with n, p >= 1
+    and every entry finite."""
+    return _check_finite(_as_sample(Y))
+
+
+def _finite_from(result, data):
+    """Return ``result``, computed from the sample ``data`` so that a
+    non-finite entry of the sample makes it non-finite. Only a non-finite
+    result has the sample scanned, which raises the error of
+    :func:`_as_data` for such an entry."""
+    if not np.isfinite(result).all():
+        _check_finite(data)
+    return result
 
 
 def probe_log_moduli(Y, U: float):
@@ -82,11 +104,21 @@ def probe_log_moduli(Y, U: float):
     Returns an exactly symmetric p x p matrix whose entry (i, j) is the
     probe of u_ij, so entry (i, i) is at U * e_i. A zero modulus, which
     carries no information, gives -inf, which the estimate rejects.
+
+    The sample's entries are checked from the ECF: a non-finite entry makes
+    it non-finite (see ``_kernels.probe_cf``), and only then is the sample
+    scanned, so a finite sample is read once. A bad sample is named before
+    a bad U.
     """
-    data = _as_data(Y)
-    _check(None, {"U": U}, _RANGES)
+    data = _as_sample(Y)
+    try:
+        _check(None, {"U": U}, _RANGES)
+    except ValueError:
+        _check_finite(data)
+        raise
+    cf = _finite_from(_kernels.probe_cf(data, float(U)), data)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(_kernels.probe_cf(data, float(U))))
+        return np.log(np.abs(cf))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,9 @@ def ecf(Y, u):
                                 np.asarray(u, dtype=float)[None, :])[0])
 
 
-# every estimator checks its sample with spectral._as_data on entry
+# spectral_estimate and sample_covariance check their sample's shape on
+# entry, and its entries from their result: the sample is scanned with
+# spectral._check_finite only when the result is not finite
 _ENTRY_POINTS = pytest.mark.parametrize("estimate", [
     lambda Y: spectral_estimate(Y, 1.0), sample_covariance,
 ], ids=["spectral_estimate", "sample_covariance"])
@@ -69,12 +71,40 @@ class TestSampleCheck:
 
     @_ENTRY_POINTS
     @pytest.mark.parametrize("row", [0, 3276, 9999])
-    def test_rejects_inf_in_any_row_block(self, estimate, row):
-        # finiteness is checked by row blocks of 3276 rows at p = 20
-        Y = np.ones((10_000, 20))
-        Y[row, 7] = np.inf
+    def test_rejects_inf_in_any_row_block(self, monkeypatch, estimate, row):
+        # the first, a middle and the last of the row blocks of 3276 rows
+        # at p = 20 that the probe kernel and the scan take. The rest of
+        # the row is 0, so the Gram product holds inf * 0: neither that
+        # nor tan(inf) may stand in for the error as a RuntimeWarning, in
+        # the caller or in a worker thread
+        for workers in (1, 2):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            for bad in (np.nan, np.inf, -np.inf):
+                Y = np.ones((10_000, 20))
+                Y[row] = 0.0
+                Y[row, 7] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=_NOT_FINITE):
+                        estimate(Y)
+
+    @_ENTRY_POINTS
+    def test_finite_sample_is_not_scanned(self, monkeypatch, estimate):
+        def scan(data):
+            raise AssertionError("a finite sample was scanned")
+
+        monkeypatch.setattr(spectral, "_check_finite", scan)
+        Y = np.random.default_rng(21).standard_normal((10_000, 20))
+        assert np.isfinite(estimate(Y).matrix).all()
+
+    def test_bad_sample_is_named_before_bad_radius(self):
+        # first the shape, then a non-finite entry, then U
+        with pytest.raises(ValueError, match=_NOT_2D):
+            spectral_estimate(np.array([np.nan, 1.0]), -1.0)
         with pytest.raises(ValueError, match=_NOT_FINITE):
-            estimate(Y)
+            spectral_estimate(np.array([[np.nan, 1.0]]), -1.0)
+        with pytest.raises(ValueError, match="^U must be "):
+            spectral_estimate(np.array([[0.5, 1.0]]), -1.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_finite_entries_near_the_float_limit_pass(self, sign):
@@ -351,9 +381,9 @@ def _around_block(rows):
     return sorted({1, max(rows - 1, 1), rows, rows + 1, 2 * rows + 1})
 
 
-# p = 2 keeps the direct-summation oracle cheap at two blocks of rows
-_PROBE_P = 2
-_PROBE_ROWS = _kernels._BLOCK // (2 * _PROBE_P)
+# p = 4 keeps the direct-summation oracle cheap at two blocks of rows
+_PROBE_P = 4
+_PROBE_ROWS = _kernels._rows_per_block(_PROBE_P)
 _ECF_M = 512
 _ECF_ROWS = _kernels._BLOCK // _ECF_M
 
@@ -423,9 +453,9 @@ def _per_worker(base, block_bytes):
     return base + (_kernels._WORKERS - 1) * block_bytes
 
 
-# the working set of a block: probe_cf's W, and ecf's two arrays
-_PROBE_BLOCK_BYTES = 8 * _kernels._BLOCK
-_ECF_BLOCK_BYTES = 2 * 8 * _kernels._BLOCK
+# the working set of a block of either kernel: two arrays of _BLOCK
+# float64, the halves of probe_cf's W or ecf's two arrays
+_BLOCK_BYTES = 2 * 8 * _kernels._BLOCK
 
 
 class TestMemoryFlat:
@@ -440,13 +470,13 @@ class TestMemoryFlat:
         Y = rng.standard_normal((n, 5))
         F = rng.standard_normal((1024, 5))
         assert _peak_bytes(_kernels.ecf, Y, F) < _per_worker(
-            self.BOUND, _ECF_BLOCK_BYTES)
+            self.BOUND, _BLOCK_BYTES)
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_probe_cf(self, n):
         Y = np.random.default_rng(14).standard_normal((n, 20))
         assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < _per_worker(
-            self.BOUND, _PROBE_BLOCK_BYTES)
+            self.BOUND, _BLOCK_BYTES)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bounds_at_each_worker_count(self, monkeypatch, workers):
@@ -455,9 +485,9 @@ class TestMemoryFlat:
         Y = rng.standard_normal((16000, 20))
         F = rng.standard_normal((1024, 20))
         assert _peak_bytes(_kernels.ecf, Y, F) < _per_worker(
-            self.BOUND, _ECF_BLOCK_BYTES)
+            self.BOUND, _BLOCK_BYTES)
         assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < _per_worker(
-            self.BOUND, _PROBE_BLOCK_BYTES)
+            self.BOUND, _BLOCK_BYTES)
 
 
 def _at_each_worker_count(monkeypatch, fn, *args):

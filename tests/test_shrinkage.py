@@ -32,6 +32,7 @@ from speccov.simgen import (
     sample_scenario,
 )
 from speccov.spectral import CovEstimate, EstimationError, spectral_estimate
+from test_charfreq import _BLOCK_BYTES
 
 
 def sym(m):
@@ -812,6 +813,25 @@ class TestCrossValidateTau:
         b = cross_validate_tau(Y, cfg, base, rule)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_holds_one_training_copy_at_a_time(self, monkeypatch):
+        # the peak holds one training part (2.74 MiB at n1 = 17 981,
+        # p = 20), the permutation of the rows and the spectral estimate's
+        # working set at one worker (one block plus 512 KB, as in
+        # test_simgen); the training part of the last split still held
+        # while the next is copied would add 2.74 MiB
+        n, p = 20_000, 20
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        Y = np.random.default_rng(22).standard_normal((n, p))
+        cfg = CvConfig(num_splits=3, tau_grid=[0.1, 0.2], seed=0)
+        n1 = n - int(n / math.log(n))
+        tracemalloc.start()
+        try:
+            cross_validate_tau(Y, cfg, *spectral_cv(soft_threshold, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n1 * p + 8 * n + _BLOCK_BYTES + 2**19
 
     def test_score_curve_has_interior_minimum_on_noisy_scenario(self):
         # noisy tridiagonal data: very small tau underfits the noise and
