@@ -4,32 +4,42 @@ evaluation, and the thread pool that they and PD-soft's stacks run on.
 Both kernels split the rows of the data into blocks and sum real cosines
 and sines over each; no n-row or complex n-row array is ever built. A
 block holds as many rows as fit in ``_BLOCK`` float64 elements per working
-array (at least one row): ``ecf``'s two arrays of the block's phases, and
-the two halves, cosines and sines, of ``probe_cf``'s W.
+array (at least one row): the two planes, phases and then 2/(1+t^2), of
+``ecf``'s one (2, rows, m) array, and the two halves, cosines and sines,
+of ``probe_cf``'s W.
 
 The blocks run on a pool of ``_WORKERS`` threads, one per CPU that the
 process may run on (its affinity mask, so ``taskset -c 0`` makes it one).
-Each block allocates its own working arrays and returns its partial sums,
-and one loop, ``_sums``, adds them into the first block's arrays in block
-order (``_in_order``). The block boundaries and that order fix every sum,
-so the results are bitwise identical for any worker count, and from run
-to run, at a fixed BLAS thread count. Working memory is one block's
-arrays, about 1 MB, per running worker, whatever the number of
-observations n. An input of one block, or a pool of one worker, runs
-inline and starts no thread. ``shrinkage.pd_soft_threshold`` hands its
-stacks of problems to ``_in_order`` the same way. The pool is plain ``threading`` threads that
+Each block returns its partial sums, and one loop, ``_sums``, adds them
+into the first block's arrays in block order (``_in_order``). The block
+boundaries and that order fix every sum, so the results are bitwise
+identical for any worker count, and from run to run, at a fixed BLAS
+thread count. Working memory is one block's arrays, about 1 MB, per
+running worker, whatever the number of observations n: a ``probe_cf``
+block allocates its own W, and ``ecf``'s blocks hand their one array on to
+the next block that starts, so a call makes at most one per worker. An
+input of one block, or a pool of one worker, runs inline and starts no
+thread. ``shrinkage.pd_soft_threshold`` hands its stacks of problems to
+``_in_order`` the same way. The pool is plain ``threading`` threads that
 take blocks off a ``queue.SimpleQueue``: ``concurrent.futures`` would
 import ``logging`` too, about 0.6 MB and 6 ms on CPython 3.11.
 
 Cosines and sines come from one ``tan`` per element by the half-angle
-identity (``_cos_sin``), which takes the half-angles: each kernel folds
-the 1/2, an exact scaling, into the scale that it applies anyway. With
-numpy 2.4 on an AVX-512 x86-64 CPU, float64 ``tan`` is SIMD-dispatched
-(about 2.5 ns per element) while ``cos`` and ``sin`` call libm one
-element at a time (about 20 ns each); where ``tan`` falls back to libm
-too, one call still replaces two. The identity works in the arrays the
-kernels already hold, so working memory is unchanged, and its result is
-within 4 eps of ``np.cos``/``np.sin``.
+identity: with t = tan(x/2), cos x = 2/(1+t^2) - 1 and sin x =
+t * 2/(1+t^2). Each kernel folds the 1/2, an exact scaling, into the scale
+that it applies anyway. With numpy 2.4 on an AVX-512 x86-64 CPU, float64
+``tan`` is SIMD-dispatched (about 2.5 ns per element) while ``cos`` and
+``sin`` call libm one element at a time (about 20 ns each); where ``tan``
+falls back to libm too, one call still replaces two. ``probe_cf`` writes
+the cosines and sines into W (``_cos_sin``), within 4 eps of
+``np.cos``/``np.sin``; ``ecf`` needs only their sums, which it reads off
+t and 2/(1+t^2) without writing either.
+
+A phase that overflows float64, or a non-finite entry of the data, makes
+``tan`` return nan, which reaches the sums. Each block ignores the
+overflow and invalid-value flags, in the thread that runs it (numpy's
+error state is per thread), so that the caller, which checks the result,
+names the cause instead of a RuntimeWarning.
 """
 
 import os
@@ -178,12 +188,10 @@ def probe_cf(Y, U):
     and S transposed, so each half is one contiguous array of ``_BLOCK``
     elements for the elementwise passes. The result is exactly symmetric.
 
-    A non-finite entry of Y makes ``tan`` return nan, which reaches the
-    diagonal sums of its coordinate, so the result is then not finite; a
-    finite Y gives a finite result, as every cos and sin term is bounded.
-    The block ignores ``tan``'s invalid-value flag, in the thread that runs
-    it (numpy's error state is per thread), so that the caller can name
-    the non-finite entry instead of a RuntimeWarning.
+    A non-finite entry of Y, or a phase U * y_ki that overflows, makes
+    ``tan`` return nan, which reaches the diagonal sums of its coordinate,
+    so the result is then not finite; otherwise it is finite, as every cos
+    and sin term is bounded.
     """
     n, p = Y.shape
     a = U / _SQRT2
@@ -194,7 +202,7 @@ def probe_cf(Y, U):
         blk = Y[start:start + rows].T
         w = np.empty((2 * p, blk.shape[1]))
         C, S = w[:p], w[p:]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             # the diagonal probes use both halves as scratch first
             np.multiply(blk, 0.5 * U, out=C)
             _cos_sin(C, S)
@@ -217,17 +225,42 @@ def probe_cf(Y, U):
 
 
 def ecf(Y, freqs):
-    """ECF at each row of ``freqs``: the mean over k of exp(i<f, Y_k>)."""
-    n = Y.shape[0]
-    half = (0.5 * freqs).T
-    rows = _rows_per_block(freqs.shape[0])
+    """ECF at each row of ``freqs``: the mean over k of exp(i<f, Y_k>).
+
+    A block writes its half-phases <f, y>/2 and their tangents t into the
+    first plane of its (2, rows, m) working array and 2/(1+t^2) into the
+    second, and returns sum cos = sum 2/(1+t^2) - rows and sum sin =
+    sum t * 2/(1+t^2) without writing a cosine or a sine. Near an odd
+    multiple of pi, |t| is at most 2.2e18 (see ``_cos_sin``), so t^2 stays
+    finite and 2/(1+t^2) goes to 0. A block takes the working array that
+    an earlier block of the call has finished with, or makes one. The
+    result is not finite when Y has a non-finite entry or a phase
+    overflows.
+    """
+    n, m = Y.shape[0], freqs.shape[0]
+    # in C order, which BLAS multiplies by faster than the transposed view
+    half = (0.5 * freqs).T.copy()
+    rows = _rows_per_block(m)
+    spare = []  # working arrays of the blocks that have finished
 
     def block(start):
         """The block's sums of cos and sin of <f, y> over its rows."""
-        t = Y[start:start + rows] @ half
-        v = np.empty_like(t)
-        _cos_sin(t, v)
-        return v.sum(axis=0), t.sum(axis=0)
+        y = Y[start:start + rows]
+        try:
+            work = spare.pop()
+        except IndexError:
+            work = np.empty((2, min(rows, n), m))
+        t, v = work[:, :len(y)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(y, half, out=t)
+            np.tan(t, out=t)
+            # np.square, where np.multiply(t, t) takes a slower loop
+            np.square(t, out=v)
+            v += 1.0
+            np.divide(2.0, v, out=v)
+            sums = v.sum(axis=0) - len(y), np.einsum("ij,ij->j", t, v)
+        spare.append(work)
+        return sums
 
     re, im = _sums(block, n, rows)
     return (re + 1j * im) / n

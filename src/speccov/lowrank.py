@@ -9,6 +9,7 @@ quadrature (:func:`_surrogate`), and the estimate is constrained to the PSD
 cone, where the nuclear norm is the trace.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import _kernels, spectral
 from ._checks import (NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _SEED, _Key,
                       _args, _at_least, _check, _fields)
-from .spectral import CovEstimate, _as_data
+from .spectral import CovEstimate, _as_sample, _finite_from
 
 __all__ = [
     "WeightFunction",
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 ANNULUS = (0.25, 0.5)
+
+# The quadrature drops its lightest points while together they weigh at
+# most this share of its total weight.
+_LIGHT = 1e-12
 
 # The ranges of LowRankConfig's and WeightFunction's fields,
 # lowrank_estimate's seed and lambda_threshold's norm of Sigma and noise
@@ -123,30 +128,54 @@ class LowRankConfig:
         _fields(self, _RANGES)
 
 
-def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
-    """The frozen quadrature of the data-fit integral.
+@functools.lru_cache(maxsize=1)
+def _quadrature(p, U, m, seed, w):
+    """The data-independent part of :func:`_surrogate`, made once per
+    configuration: the kept points' unit directions D (one row each), radii
+    r, frequencies D r and weights omega, as read-only arrays.
 
     Draws m seeded points u = d r uniform on the annulus U/4 <= |u| <= U/2
     (unit direction d, radius r). The annulus has volume U^p vol1, with
     vol1 = pi^(p/2) / Gamma(p/2 + 1) (1/2^p - 1/4^p), so the unit-mass
     weight w(r/U)/U^p gives the importance weights omega = w(r/U) vol1 / m,
-    which sum to about 1. It keeps the points with omega > eps * mean(omega):
-    the others sum to at most eps * sum(omega), below one rounding of the
-    total, so the ECF is evaluated at the kept points only. Returns
-    (D, omega, g) over the kept points: unit directions D (one row each),
-    their weights omega, and regression targets
-    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)).
-    The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2.
+    which sum to about 1. The lightest points are dropped while their
+    running sum stays at most ``_LIGHT`` times the total, so the kept
+    points, in draw order, hold all but 1e-12 of the weight. The heaviest
+    point is always kept, so that the ECF is evaluated, and the sample
+    checked from it, even when every weight is 0. Only the last
+    configuration's arrays are held.
     """
-    n, p = Y.shape
-    D, r = sample_annulus(p, cfg.U, cfg.mc_samples,
-                          np.random.default_rng(seed))
+    D, r = sample_annulus(p, U, m, np.random.default_rng(seed))
     lo, hi = ANNULUS
     vol1 = math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * (hi**p - lo**p)
-    omega = w(r / cfg.U) * (vol1 / cfg.mc_samples)
-    heavy = omega > np.finfo(float).eps * omega.mean()
-    D, r, omega = D[heavy], r[heavy], omega[heavy]
-    mod = np.abs(_kernels.ecf(Y, D * r[:, None]))
+    omega = w(r / U) * (vol1 / m)
+    order = np.argsort(omega)
+    running = np.cumsum(omega[order])
+    light = min(int(np.searchsorted(running, _LIGHT * running[-1], "right")),
+                m - 1)
+    kept = np.sort(order[light:])
+    D, r = D[kept], r[kept]
+    points = D, r, D * r[:, None], omega[kept]
+    for a in points:
+        a.flags.writeable = False
+    return points
+
+
+def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
+    """The frozen quadrature of the data-fit integral at the sample Y.
+
+    Evaluates the ECF at the kept points of :func:`_quadrature` only.
+    Returns (D, omega, g) over those points: unit directions D (one row
+    each), their weights omega, and regression targets
+    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)).
+    The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2. The
+    sample's entries are checked from the ECF, which a non-finite entry or
+    an overflowing phase makes non-finite; only then is the sample scanned.
+    """
+    n, p = Y.shape
+    D, r, freqs, omega = _quadrature(p, cfg.U, cfg.mc_samples, seed, w)
+    mod = np.abs(_finite_from(_kernels.ecf(Y, freqs), Y,
+                              "ECF phases overflow"))
     keep = mod >= 0.5 / math.sqrt(n)
     g = np.zeros(len(mod))
     g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
@@ -185,7 +214,7 @@ def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEst
     below cfg.tol. ``w`` must be the weight of the data's dimension.
     """
     seed = _args(_RANGES, seed=seed)["seed"]
-    data = _as_data(Y)
+    data = _as_sample(Y)
     p = data.shape[1]
     if w.p != p:
         raise ValueError(f"weight is for dimension {w.p}, data have {p}")

@@ -546,14 +546,16 @@ def sample_covariance(Y) -> CovEstimate:
     The sample's entries are checked from the product, whose diagonal holds
     y_ki^2: only when it is not finite is the sample scanned, so a
     non-finite entry raises the sample's error, and a finite sample whose
-    product overflows an EstimationError.
+    product overflows an EstimationError that gives the sample's scale.
     """
     data = _as_sample(Y)
     n = data.shape[0]
-    # inf * 0 is the non-finite entry's to report, not a RuntimeWarning's
-    with np.errstate(invalid="ignore"):
+    # inf * 0 is the non-finite entry's to report, and an overflow the
+    # sample's scale, not a RuntimeWarning's
+    with np.errstate(over="ignore", invalid="ignore"):
         m = data.T @ data / n
-    m = _finite_from(np.triu(m) + np.triu(m, k=1).T, data)
+    m = _finite_from(np.triu(m) + np.triu(m, k=1).T, data,
+                     "the sample covariance overflows")
     return CovEstimate(m)
 
 

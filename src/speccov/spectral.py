@@ -88,13 +88,21 @@ def _as_data(Y) -> np.ndarray:
     return _check_finite(_as_sample(Y))
 
 
-def _finite_from(result, data):
+def _finite_from(result, data, overflow):
     """Return ``result``, computed from the sample ``data`` so that a
-    non-finite entry of the sample makes it non-finite. Only a non-finite
-    result has the sample scanned, which raises the error of
-    :func:`_as_data` for such an entry."""
+    non-finite entry of the sample makes it non-finite, and a finite
+    sample only by overflowing float64. Only a non-finite result has the
+    sample scanned, which raises the error of :func:`_as_data` for such an
+    entry; for a finite sample, an EstimationError says ``overflow``, what
+    overflowed, and gives the sample's largest magnitude."""
     if not np.isfinite(result).all():
         _check_finite(data)
+        rows = _kernels._rows_per_block(data.shape[1])
+        scale = max(float(np.abs(data[k:k + rows]).max())
+                    for k in range(0, len(data), rows))
+        raise EstimationError(
+            f"{overflow} float64 at the sample's scale: its largest entry "
+            f"is {scale:.3g} in magnitude")
     return result
 
 
@@ -105,10 +113,10 @@ def probe_log_moduli(Y, U: float):
     probe of u_ij, so entry (i, i) is at U * e_i. A zero modulus, which
     carries no information, gives -inf, which the estimate rejects.
 
-    The sample's entries are checked from the ECF: a non-finite entry makes
-    it non-finite (see ``_kernels.probe_cf``), and only then is the sample
-    scanned, so a finite sample is read once. A bad sample is named before
-    a bad U.
+    The sample's entries are checked from the ECF: a non-finite entry, or
+    a phase that overflows, makes it non-finite (see ``_kernels.probe_cf``),
+    and only then is the sample scanned, so a finite sample is read once. A
+    bad sample is named before a bad U.
     """
     data = _as_sample(Y)
     try:
@@ -116,7 +124,8 @@ def probe_log_moduli(Y, U: float):
     except ValueError:
         _check_finite(data)
         raise
-    cf = _finite_from(_kernels.probe_cf(data, float(U)), data)
+    cf = _finite_from(_kernels.probe_cf(data, float(U)), data,
+                      "ECF phases overflow")
     with np.errstate(divide="ignore"):
         return np.log(np.abs(cf))
 

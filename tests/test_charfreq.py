@@ -115,6 +115,25 @@ class TestSampleCheck:
             warnings.simplefilter("error")
             assert spectral._as_data(Y) is Y
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("estimate,scale,message", [
+        (lambda Y: spectral_estimate(Y, 5.0), 1e308, "ECF phases overflow"),
+        (sample_covariance, 1e200, "the sample covariance overflows"),
+    ], ids=["spectral_estimate", "sample_covariance"])
+    def test_overflow_of_a_finite_sample_is_named(self, monkeypatch, workers,
+                                                  estimate, scale, message):
+        # 5 * 1e308 / 2 overflows, and tan(inf) is nan, as 1e200^2 does;
+        # spectral_estimate used to blame the generator, "eta_inv out of
+        # domain at probe (0, 0)", after an overflow RuntimeWarning
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        for n in (10, _kernels._rows_per_block(3) + 1):  # 1 and 2 blocks
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EstimationError, match="^" + re.escape(
+                        f"{message} float64 at the sample's scale: its "
+                        f"largest entry is {scale:.3g} in magnitude") + "$"):
+                    estimate(np.full((n, 3), scale))
+
     @pytest.mark.parametrize("bad", [
         [np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
         [np.nan, 1e308, 1e308]])
@@ -339,6 +358,19 @@ class TestKernelPaths:
         np.testing.assert_allclose(
             _kernels.ecf(Y, F), _ecf_loops(Y, F), atol=1e-12
         )
+
+    def test_ecf_near_odd_multiples_of_pi(self):
+        # half-phases next to odd multiples of pi/2, where tan is huge,
+        # 2/(1+t^2) goes to 0 and the cosine to -1
+        rng = np.random.default_rng(9)
+        odd = (2.0 * np.arange(-300, 300) + 1.0) * np.pi
+        Y = np.column_stack([odd, rng.uniform(-1e-9, 1e-9, len(odd))])
+        F = np.array([[1.0, 0.0], [3.0, 0.0], [-5.0, 0.0], [1.0, 1.0],
+                      [1.0, -1e-6]])
+        out = _kernels.ecf(Y, F)
+        np.testing.assert_allclose(out, np.exp(1j * Y @ F.T).mean(axis=0),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.real, -1.0, rtol=0, atol=1e-12)
 
 
 class TestHalfAngleCosSin:

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from speccov import _kernels, lowrank
+from speccov import _kernels, lowrank, spectral
 from speccov.lowrank import (
     ANNULUS,
     LowRankConfig,
@@ -20,6 +20,7 @@ from speccov.lowrank import (
     _surrogate,
 )
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
+from speccov.spectral import EstimationError
 
 
 def _two_dim_problem(lam=0.1):
@@ -67,7 +68,8 @@ def _unit_rows(m, p, seed):
 
 def _mc_stderr(vals, m):
     """Standard error of the m-point Monte Carlo sum whose nonzero terms are
-    ``vals``: the points the quadrature skips weigh (to float64) nothing."""
+    ``vals``: the points the quadrature skips weigh at most 1e-12 of the
+    total, and count as 0 here."""
     terms = np.zeros(m)
     terms[:len(vals)] = vals * m
     return float(np.std(terms)) / math.sqrt(m)
@@ -224,26 +226,34 @@ class TestQuadrature:
 
 
 class TestLightPoints:
-    """The quadrature skips the points whose weight is at most eps times the
-    mean: together they weigh at most eps * sum(omega), so the fit is the
-    full quadrature's to float64 precision."""
+    """The quadrature drops its lightest points while together they weigh
+    at most 1e-12 of the total, so the fit is the full quadrature's to
+    about 1e-12."""
 
     @pytest.mark.parametrize("p", [5, 8])
     def test_kept_rows_are_the_full_rows(self, p):
         Y, cfg, w = _rank_one_problem(p)
         D, omega, g = _full_surrogate(Y, cfg, w, seed=0)
-        heavy = omega > np.finfo(float).eps * omega.mean()
-        assert 0 < heavy.sum() < cfg.mc_samples
         D_k, omega_k, g_k = _surrogate(Y, cfg, w, seed=0)
-        np.testing.assert_array_equal(D_k, D[heavy])
-        np.testing.assert_array_equal(omega_k, omega[heavy])
+        # the kept rows, found by their directions, in draw order
+        index = {row.tobytes(): k for k, row in enumerate(D)}
+        kept = np.array([index[row.tobytes()] for row in D_k])
+        assert np.all(np.diff(kept) > 0)
+        dropped = np.setdiff1d(np.arange(cfg.mc_samples), kept)
+        assert len(dropped) > 0
+        np.testing.assert_array_equal(D_k, D[kept])
+        np.testing.assert_array_equal(omega_k, omega[kept])
         # the ECF sums its rows in blocks sized by the number of points, so
         # g may differ in the last bits; a truncated point's g is 0 in both
-        np.testing.assert_allclose(g_k, g[heavy], rtol=1e-12, atol=0)
-        assert float(np.sum(omega[~heavy])) <= (
-            np.finfo(float).eps * float(np.sum(omega)))
+        np.testing.assert_allclose(g_k, g[kept], rtol=1e-12, atol=0)
+        # the dropped points are the lightest, they weigh at most 1e-12 of
+        # the total, and the lightest kept point would take them past it
+        light = float(np.sum(omega[dropped]))
+        assert omega[dropped].max() <= omega_k.min()
+        assert light <= 1e-12 * float(np.sum(omega))
+        assert light + omega_k.min() > 1e-12 * float(np.sum(omega))
 
-    @pytest.mark.parametrize("p", [5, 8])
+    @pytest.mark.parametrize("p", [5, 8, 10, 20])
     def test_estimate_matches_the_full_quadrature(self, p, monkeypatch):
         Y, cfg, w = _rank_one_problem(p)
         est = lowrank_estimate(Y, cfg, w).matrix
@@ -251,6 +261,97 @@ class TestLightPoints:
         monkeypatch.setattr(lowrank, "_surrogate", _full_surrogate)
         full = lowrank_estimate(Y, cfg, w).matrix
         assert float(np.max(np.abs(est - full))) <= 1e-12
+
+    def test_an_equal_configuration_reuses_one_draw(self, monkeypatch):
+        calls = []
+
+        def counted(p, U, m, rng):
+            calls.append((p, U, m))
+            return sample_annulus(p, U, m, rng)
+
+        monkeypatch.setattr(lowrank, "sample_annulus", counted)
+        lowrank._quadrature.cache_clear()
+        rng = np.random.default_rng(3)
+        Y, Y4 = rng.standard_normal((100, 3)), rng.standard_normal((100, 4))
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=256)
+        w = bump_weight(3)
+        D, omega, _ = _surrogate(Y, cfg, w, seed=0)
+        # equal by value: another lambda, sample and weight object
+        again = _surrogate(Y[::-1], LowRankConfig(U=1.0, lambda_nuc=0.5,
+                                                  mc_samples=256),
+                           bump_weight(3), seed=0)
+        assert len(calls) == 1
+        assert again[0] is D and again[1] is omega
+        for a in lowrank._quadrature(3, 1.0, 256, 0, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        # a change of any one of p, U, m, the seed or the weight draws again
+        heavier = lowrank.WeightFunction(p=3, mass=2.0 * w.mass,
+                                         kappa_lower=w.kappa_lower)
+        for args in ((Y4, cfg, bump_weight(4), 0),
+                     (Y, LowRankConfig(U=2.0, lambda_nuc=0.01,
+                                       mc_samples=256), w, 0),
+                     (Y, LowRankConfig(U=1.0, lambda_nuc=0.01,
+                                       mc_samples=257), w, 0),
+                     (Y, cfg, w, 1),
+                     (Y, cfg, heavier, 0)):
+            drawn = len(calls)
+            _surrogate(*args)
+            assert len(calls) == drawn + 1
+
+
+class TestSampleFromTheEcf:
+    """lowrank_estimate checks its sample's entries from the ECF: only a
+    non-finite ECF has the sample scanned."""
+
+    # at most 256 points, so 600 rows are two blocks or more, which run on
+    # the pool at two workers
+    CFG = LowRankConfig(U=4.0, lambda_nuc=0.01, mc_samples=256)
+
+    @staticmethod
+    def sample():
+        return np.random.default_rng(0).standard_normal((600, 3))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_phases_are_named(self, monkeypatch, workers):
+        # the phases overflow to inf and their tan is nan; this used to
+        # fit every such point as a truncated one, with g = 0
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        Y = np.clip(self.sample(), -1.5, 1.5) * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=(
+                    "^ECF phases overflow float64 at the sample's scale: "
+                    r"its largest entry is 1\.5e\+308 in magnitude$")):
+                lowrank_estimate(Y, self.CFG, bump_weight(3))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_named(self, monkeypatch, workers, bad):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        Y = self.sample()
+        Y[-1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^sample contains non-finite entries$"):
+                lowrank_estimate(Y, self.CFG, bump_weight(3))
+            # at p = 5, the single point of seed 13 weighs 0 and is kept
+            with pytest.raises(ValueError,
+                               match="^sample contains non-finite entries$"):
+                lowrank_estimate(np.hstack([Y, Y[:, :2]]),
+                                 LowRankConfig(U=1.0, lambda_nuc=0.01,
+                                               mc_samples=1),
+                                 bump_weight(5), seed=13)
+
+    def test_finite_sample_is_not_scanned(self, monkeypatch):
+        def scan(data):
+            raise AssertionError("a finite sample was scanned")
+
+        monkeypatch.setattr(spectral, "_check_finite", scan)
+        est = lowrank_estimate(self.sample(), self.CFG, bump_weight(3))
+        assert np.isfinite(est.matrix).all()
 
 
 class TestObjective:
