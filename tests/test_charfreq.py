@@ -521,6 +521,28 @@ class TestMemoryFlat:
         assert _peak_bytes(_kernels.probe_cf, Y, 1.0) < _per_worker(
             self.BOUND, _BLOCK_BYTES)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_working_array_per_worker(self, monkeypatch, workers):
+        # a call makes a block's working array only when every array that
+        # it made before is in use by a running block
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        made = []
+        empty = np.empty
+
+        def counted(shape, *args, **kwargs):
+            made.append(tuple(np.atleast_1d(shape)))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counted)
+        rng = np.random.default_rng(21)
+        Y = rng.standard_normal((5 * _PROBE_ROWS, _PROBE_P))
+        _kernels.probe_cf(Y, 1.3)
+        assert 1 <= made.count((2 * _PROBE_P, _PROBE_ROWS)) <= workers
+        made.clear()
+        _kernels.ecf(Y[:5 * _ECF_ROWS, :2],
+                     rng.standard_normal((_ECF_M, 2)))
+        assert 1 <= made.count((2, _ECF_ROWS, _ECF_M)) <= workers
+
 
 def _at_each_worker_count(monkeypatch, fn, *args):
     """The bytes of ``fn(*args)`` with the blocks run on 1, 2 and 3
@@ -569,6 +591,25 @@ class TestWorkers:
         got = _kernels.ecf(Y, F)
         monkeypatch.setattr(_kernels, "_WORKERS", 1)
         assert got.tobytes() == _kernels.ecf(Y, F).tobytes()
+
+    def test_a_blocks_error_state_ends_with_the_block(self, monkeypatch):
+        # PD-soft's stacks run on the same threads, with numpy's default
+        # error state, after blocks that ignored overflow and nan, and
+        # after one that raised
+        default = {"divide": "warn", "over": "warn", "under": "ignore",
+                   "invalid": "warn"}
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        rng = np.random.default_rng(22)
+        Y = rng.standard_normal((5 * _PROBE_ROWS, _PROBE_P))
+        Y[-1, 1] = np.inf
+        F = rng.standard_normal((_ECF_M, _PROBE_P))
+        assert not np.isfinite(_kernels.probe_cf(Y, 1.3)).all()
+        assert not np.isfinite(_kernels.ecf(Y[-5 * _ECF_ROWS:], F)).all()
+        with pytest.raises(ValueError):
+            _kernels.ecf(Y[-5 * _ECF_ROWS:], F[:, :2])
+        states = list(_kernels._in_order(lambda _: np.geterr(), range(8)))
+        assert states == [default] * 8
+        assert np.geterr() == default
 
     def test_forked_child_computes_on_its_own_pool(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_WORKERS", 2)
