@@ -5,8 +5,10 @@ characteristic function against the linear statistic <Theta(u), M> with
 rank-one design Theta(u) = -d d^T, d = u/|u|, integrated over an annulus of
 radius ~U against a smooth radial bump weight of unit mass, so lambda is in
 the paper's units. The integral is replaced by a frozen, seeded Monte Carlo
-quadrature (:func:`_surrogate`), and the estimate is constrained to the PSD
-cone, where the nuclear norm is the trace.
+quadrature, made with its design, normal-equation matrix and step once per
+configuration (:func:`_quadrature`), so a call only evaluates the empirical
+characteristic function (ECF) and runs FISTA. The estimate is constrained
+to the PSD cone, where the nuclear norm is the trace.
 """
 
 import functools
@@ -130,9 +132,11 @@ class LowRankConfig:
 
 @functools.lru_cache(maxsize=1)
 def _quadrature(p, U, m, seed, w):
-    """The data-independent part of :func:`_surrogate`, made once per
-    configuration: the kept points' unit directions D (one row each), radii
-    r, frequencies D r and weights omega, as read-only arrays.
+    """The data-independent half of the fit, made once per configuration:
+    the kept points' radii r, frequencies u = d r and weights omega, their
+    design A (:func:`_design`), G = A^T A, and the exact step 1/L with
+    L = 2 lambda_max(G), or 1 if L = 0 (all weights zero: the fit is
+    constant). The arrays are read-only.
 
     Draws m seeded points u = d r uniform on the annulus U/4 <= |u| <= U/2
     (unit direction d, radius r). The annulus has volume U^p vol1, with
@@ -143,7 +147,7 @@ def _quadrature(p, U, m, seed, w):
     points, in draw order, hold all but 1e-12 of the weight. The heaviest
     point is always kept, so that the ECF is evaluated, and the sample
     checked from it, even when every weight is 0. Only the last
-    configuration's arrays are held.
+    configuration is held: A and G take about 1 MB at p=10.
     """
     D, r = sample_annulus(p, U, m, np.random.default_rng(seed))
     lo, hi = ANNULUS
@@ -154,32 +158,14 @@ def _quadrature(p, U, m, seed, w):
     light = min(int(np.searchsorted(running, _LIGHT * running[-1], "right")),
                 m - 1)
     kept = np.sort(order[light:])
-    D, r = D[kept], r[kept]
-    points = D, r, D * r[:, None], omega[kept]
-    for a in points:
+    D, r, omega = D[kept], r[kept], omega[kept]
+    A = _design(D, omega)
+    G = A.T @ A
+    L = 2.0 * float(np.linalg.eigvalsh(G)[-1])
+    arrays = r, D * r[:, None], omega, A, G
+    for a in arrays:
         a.flags.writeable = False
-    return points
-
-
-def _surrogate(Y, cfg: LowRankConfig, w: WeightFunction, seed):
-    """The frozen quadrature of the data-fit integral at the sample Y.
-
-    Evaluates the ECF at the kept points of :func:`_quadrature` only.
-    Returns (D, omega, g) over those points: unit directions D (one row
-    each), their weights omega, and regression targets
-    g = 2 log|ecf(u)| 1{|ecf(u)| >= iota} / |u|^2, iota = 1/(2 sqrt(n)).
-    The data fit at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2. The
-    sample's entries are checked from the ECF, which a non-finite entry or
-    an overflowing phase makes non-finite; only then is the sample scanned.
-    """
-    n, p = Y.shape
-    D, r, freqs, omega = _quadrature(p, cfg.U, cfg.mc_samples, seed, w)
-    mod = np.abs(_finite_from(_kernels.ecf(Y, freqs), Y,
-                              "ECF phases overflow"))
-    keep = mod >= 0.5 / math.sqrt(n)
-    g = np.zeros(len(mod))
-    g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
-    return D, omega, g
+    return *arrays, 1.0 / L if L > 0 else 1.0
 
 
 def _design(D, omega):
@@ -207,29 +193,32 @@ def nuclear_prox(M, t):
 def lowrank_estimate(Y, cfg: LowRankConfig, w: WeightFunction, seed=0) -> CovEstimate:
     """Nuclear-norm-penalized PSD fit of the CF regression over the annulus.
 
-    On the frozen quadrature the data fit is least squares in vec(M), with
-    normal-equation matrix G = A^T A for the rows A of :func:`_design`, so
-    FISTA takes the exact step 1/L, L = 2 lambda_max(G), on the penalty
-    lambda * tr(M); converged when the relative objective decrease drops
-    below cfg.tol. ``w`` must be the weight of the data's dimension.
+    Only the data-dependent half runs here: the ECF at the kept points of
+    :func:`_quadrature`, the targets g = 2 log|ecf(u)| / |u|^2 where
+    |ecf(u)| >= 1/(2 sqrt(n)), else 0, and FISTA on the data fit
+    |sqrt(omega) g + A vec(M)|^2 plus lambda * tr(M), with the held step;
+    converged when the relative objective decrease drops below cfg.tol.
+    A non-finite ECF (a non-finite entry or an overflowing phase) has the
+    sample scanned. ``w`` must be the weight of the data's dimension.
     """
     seed = _args(_RANGES, seed=seed)["seed"]
     data = _as_sample(Y)
     p = data.shape[1]
     if w.p != p:
         raise ValueError(f"weight is for dimension {w.p}, data have {p}")
-    D, omega, g = _surrogate(data, cfg, w, seed)
-    A = _design(D, omega)
-    target = np.sqrt(omega) * g
-    G = A.T @ A
+    r, freqs, omega, A, G, step = _quadrature(p, cfg.U, cfg.mc_samples,
+                                              seed, w)
+    mod = np.abs(_finite_from(_kernels.ecf(data, freqs), data,
+                              "ECF phases overflow"))
+    keep = mod >= 0.5 / math.sqrt(len(data))
+    target = np.zeros(len(mod))
+    target[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
+    target *= np.sqrt(omega)
     b = A.T @ target
-    L = 2.0 * float(np.linalg.eigvalsh(G)[-1])
-    # all weights zero: the fit is constant and any step is exact
-    step = 1.0 / L if L > 0 else 1.0
 
     def total(M):
-        r = target + A @ M.ravel()
-        return float(r @ r) + cfg.lambda_nuc * float(np.trace(M))
+        res = target + A @ M.ravel()
+        return float(res @ res) + cfg.lambda_nuc * float(np.trace(M))
 
     M = np.zeros((p, p))
     V = M

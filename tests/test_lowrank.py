@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -17,7 +18,6 @@ from speccov.lowrank import (
     sample_annulus,
     _bump_profile,
     _design,
-    _surrogate,
 )
 from speccov.simgen import CovModel, NoiseModel, Scenario, sample_scenario
 from speccov.spectral import EstimationError
@@ -45,20 +45,37 @@ def _rank_one_problem(p, n=2000):
     return sample_scenario(sc), cfg, bump_weight(p)
 
 
-def _full_surrogate(Y, cfg, w, seed):
-    """:func:`_surrogate` with the ECF evaluated at every one of the m
+def _targets(Y, r, freqs):
+    """The regression targets g = 2 log|ecf(u)| / |u|^2 at the frequencies
+    u of radii r, or 0 where |ecf(u)| < 1/(2 sqrt(n)), made apart from
+    :func:`lowrank_estimate`."""
+    mod = np.abs(_kernels.ecf(Y, freqs))
+    keep = mod >= 0.5 / math.sqrt(len(Y))
+    g = np.zeros(len(mod))
+    g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
+    return g
+
+
+def _surrogate(Y, cfg, w, seed):
+    """(D, omega, g) over the kept points of the frozen quadrature: unit
+    directions D (one row each), weights omega and targets g. The data fit
+    at M is sum_k omega_k (g_k - <Theta(u_k), M>)^2."""
+    r, freqs, omega = lowrank._quadrature(Y.shape[1], cfg.U, cfg.mc_samples,
+                                          seed, w)[:3]
+    return freqs / r[:, None], omega, _targets(Y, r, freqs)
+
+
+def _full_draw(Y, cfg, w, seed):
+    """(r, frequencies, omega, g) at every one of the quadrature's m
     points, the light ones included."""
-    n, p = Y.shape
+    p = Y.shape[1]
     D, r = sample_annulus(p, cfg.U, cfg.mc_samples,
                           np.random.default_rng(seed))
     lo, hi = ANNULUS
     vol1 = math.pi ** (p / 2.0) / math.gamma(p / 2.0 + 1.0) * (hi**p - lo**p)
     omega = w(r / cfg.U) * (vol1 / cfg.mc_samples)
-    mod = np.abs(_kernels.ecf(Y, D * r[:, None]))
-    keep = mod >= 0.5 / math.sqrt(n)
-    g = np.zeros(len(mod))
-    g[keep] = 2.0 * np.log(mod[keep]) / r[keep] ** 2
-    return D, omega, g
+    freqs = D * r[:, None]
+    return r, freqs, omega, _targets(Y, r, freqs)
 
 
 def _unit_rows(m, p, seed):
@@ -76,8 +93,9 @@ def _mc_stderr(vals, m):
 
 
 def _normal_equations(Y, cfg, w, seed):
-    """(G, b, L) of the frozen quadrature: the data fit's gradient at M is
-    2 (G vec(M) + b), and L = 2 lambda_max(G) its Lipschitz constant."""
+    """(G, b, L) of the frozen quadrature's points, built here and not read
+    from the held G: the data fit's gradient at M is 2 (G vec(M) + b), and
+    L = 2 lambda_max(G) its Lipschitz constant."""
     D, omega, g = _surrogate(Y, cfg, w, seed)
     A = _design(D, omega)
     G = A.T @ A
@@ -233,15 +251,18 @@ class TestLightPoints:
     @pytest.mark.parametrize("p", [5, 8])
     def test_kept_rows_are_the_full_rows(self, p):
         Y, cfg, w = _rank_one_problem(p)
-        D, omega, g = _full_surrogate(Y, cfg, w, seed=0)
-        D_k, omega_k, g_k = _surrogate(Y, cfg, w, seed=0)
-        # the kept rows, found by their directions, in draw order
-        index = {row.tobytes(): k for k, row in enumerate(D)}
-        kept = np.array([index[row.tobytes()] for row in D_k])
+        r, freqs, omega, g = _full_draw(Y, cfg, w, seed=0)
+        r_k, freqs_k, omega_k = lowrank._quadrature(
+            p, cfg.U, cfg.mc_samples, 0, w)[:3]
+        g_k = _targets(Y, r_k, freqs_k)
+        # the kept rows, found by their frequencies, in draw order
+        index = {row.tobytes(): k for k, row in enumerate(freqs)}
+        kept = np.array([index[row.tobytes()] for row in freqs_k])
         assert np.all(np.diff(kept) > 0)
         dropped = np.setdiff1d(np.arange(cfg.mc_samples), kept)
         assert len(dropped) > 0
-        np.testing.assert_array_equal(D_k, D[kept])
+        np.testing.assert_array_equal(r_k, r[kept])
+        np.testing.assert_array_equal(freqs_k, freqs[kept])
         np.testing.assert_array_equal(omega_k, omega[kept])
         # the ECF sums its rows in blocks sized by the number of points, so
         # g may differ in the last bits; a truncated point's g is 0 in both
@@ -258,8 +279,15 @@ class TestLightPoints:
         Y, cfg, w = _rank_one_problem(p)
         est = lowrank_estimate(Y, cfg, w).matrix
         assert np.linalg.norm(est) > 0.1
-        monkeypatch.setattr(lowrank, "_surrogate", _full_surrogate)
+        kept = len(lowrank._quadrature(p, cfg.U, cfg.mc_samples, 0, w)[0])
+        # every point of nonzero weight, on a cache of its own, so that the
+        # held configuration stays the truncated one
+        monkeypatch.setattr(lowrank, "_LIGHT", 0.0)
+        monkeypatch.setattr(lowrank, "_quadrature", functools.lru_cache(
+            maxsize=1)(lowrank._quadrature.__wrapped__))
         full = lowrank_estimate(Y, cfg, w).matrix
+        assert len(lowrank._quadrature(p, cfg.U, cfg.mc_samples, 0, w)[0]) \
+            > kept
         assert float(np.max(np.abs(est - full))) <= 1e-12
 
     def test_an_equal_configuration_reuses_one_draw(self, monkeypatch):
@@ -275,14 +303,16 @@ class TestLightPoints:
         Y, Y4 = rng.standard_normal((100, 3)), rng.standard_normal((100, 4))
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=256)
         w = bump_weight(3)
-        D, omega, _ = _surrogate(Y, cfg, w, seed=0)
+        lowrank_estimate(Y, cfg, w, seed=0)
+        held = lowrank._quadrature(3, 1.0, 256, 0, w)
         # equal by value: another lambda, sample and weight object
-        again = _surrogate(Y[::-1], LowRankConfig(U=1.0, lambda_nuc=0.5,
-                                                  mc_samples=256),
-                           bump_weight(3), seed=0)
+        lowrank_estimate(Y[::-1], LowRankConfig(U=1.0, lambda_nuc=0.5,
+                                                mc_samples=256),
+                         bump_weight(3), seed=0)
         assert len(calls) == 1
-        assert again[0] is D and again[1] is omega
-        for a in lowrank._quadrature(3, 1.0, 256, 0, w):
+        again = lowrank._quadrature(3, 1.0, 256, 0, bump_weight(3))
+        assert all(a is b for a, b in zip(again, held))
+        for a in held[:-1]:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -297,8 +327,33 @@ class TestLightPoints:
                      (Y, cfg, w, 1),
                      (Y, cfg, heavier, 0)):
             drawn = len(calls)
-            _surrogate(*args)
+            lowrank_estimate(*args)
             assert len(calls) == drawn + 1
+
+    def test_an_equal_configuration_reuses_one_design(self, monkeypatch):
+        # the design, G and its largest eigenvalue are made with the draw
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        lowrank._quadrature.cache_clear()
+        rng = np.random.default_rng(4)
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.01, mc_samples=256)
+        lowrank_estimate(rng.standard_normal((100, 3)), cfg, bump_weight(3))
+        # equal by value: another lambda, sample and weight object
+        lowrank_estimate(rng.standard_normal((150, 3)),
+                         LowRankConfig(U=1.0, lambda_nuc=0.5, mc_samples=256),
+                         bump_weight(3))
+        assert calls == [(9, 9)]
+        A, G = lowrank._quadrature(3, 1.0, 256, 0, bump_weight(3))[3:5]
+        for a in (A, G):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
 
 
 class TestSampleFromTheEcf:
@@ -371,6 +426,18 @@ class TestObjective:
         cfg = LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=4000)
         _, _, g = _surrogate(Y, cfg, bump_weight(3), seed=10)
         assert (g != 0).mean() >= 0.99
+
+    def test_truncated_points_are_fit_at_zero(self):
+        # at this scale many points' |ecf| falls below 1/(2 sqrt n), and the
+        # objective at M = 0 is |sqrt(omega) g|^2 with their g = 0
+        Y = np.random.default_rng(18).standard_normal((400, 3)) * 10.0
+        cfg = LowRankConfig(U=1.0, lambda_nuc=0.1, mc_samples=512)
+        w = bump_weight(3)
+        est = lowrank_estimate(Y, cfg, w, seed=2)
+        _, omega, g = _surrogate(Y, cfg, w, seed=2)
+        assert 0.1 < (g == 0).mean() < 0.9
+        assert est.tuning["objective_trace"][0] == pytest.approx(
+            float(omega @ g**2), rel=1e-12)
 
 
 class TestLowRankEstimate:
