@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -210,11 +211,15 @@ output: "1e3"
         cfg.write_text(yaml.safe_dump(doc))
         out = tmp_path / "r.csv"
         code = main(["simulate", "--config", str(cfg), "--output", str(out),
-                     "--replications", "2"])
+                     "--replications", "10"])
         assert code == 0
         assert capsys.readouterr().err == ""
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert len(rows) == 2 * 3 and all(row[2] != "nan" for row in rows)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 10 * 3
+        assert all(r["frob_error"] != "nan" and not r["error"] for r in rows)
+        assert all(float(r["tau"]) in shrinkage.DEFAULT_TAU_GRID
+                   for r in rows if r["estimator"] in ("pds", "sps"))
 
     def test_bare_cv_key_runs_with_cv_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "bare_cv.yaml"
