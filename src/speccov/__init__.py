@@ -30,8 +30,6 @@ from .simgen import (
     NoiseModel,
     Scenario,
     frobenius_error,
-    make_block_diagonal,
-    make_tridiagonal,
     noise_cf,
     sample_scenario,
 )
@@ -39,7 +37,6 @@ from .spectral import (
     CovEstimate,
     EstimationError,
     PreAsymptoticError,
-    SpectralConfig,
     admissible,
     gaussian_generator,
     probe_log_moduli,

@@ -121,15 +121,14 @@ def _cell(fn, *args):
 
 
 def _cmd_rates(args):
-    cfg = spectral.SpectralConfig(U=args.u, R=args.r, T=args.t,
-                                  beta=args.beta, gamma=args.gamma)
     # printed once every row is computed, so that a bad constant prints
     # only its ERROR line
     lines = ["n,p,tau,admissible,u_star,rate"]
     for n in args.n:
         for p in args.p:
-            tau = spectral.tau_threshold(cfg, n, p)
-            adm = spectral.admissible(cfg, n, p)
+            theory = (args.u, args.r, args.t, args.beta, args.gamma, n, p)
+            tau = spectral.tau_threshold(*theory)
+            adm = spectral.admissible(*theory)
             ustar = _cell(spectral.spectral_radius_star, args.r, args.gamma,
                           n, p)
             rate = _cell(spectral.theoretical_rate, args.s, args.r, args.t,
@@ -145,6 +144,7 @@ def build_parser():
     keeps its values in a new namespace and leaves the parser as it was."""
     # the defaults that a config takes for the same keys
     U = harness.SCHEMA["estimator"]["sps"]["U"].default
+    gamma = harness.SCHEMA["estimator"]["sps"]["gamma"].default
     splits = harness.SCHEMA["cv"]["num_splits"].default
     ap = argparse.ArgumentParser(prog="speccov",
                                  description="Covariance estimation from noisy observations")
@@ -185,8 +185,7 @@ def build_parser():
     rates.add_argument("--r", type=float, default=1.0)
     rates.add_argument("--t", type=float, default=1.0)
     rates.add_argument("--beta", type=float, default=1.0)
-    rates.add_argument("--gamma", type=float,
-                       default=spectral.SpectralConfig.gamma)
+    rates.add_argument("--gamma", type=float, default=gamma)
     rates.add_argument("--s", type=float, default=1.0, help="sparsity of the truth")
     rates.add_argument("--q", type=float, default=0.0)
     rates.set_defaults(func=_cmd_rates)

@@ -49,8 +49,9 @@ _TAU = {"tau": shrinkage._RANGES["tau"]}
 _PD_SOLVER = {  # PdSoftConfig's keys besides tau and the start penalty
     "lambda": shrinkage._RANGES["lambda_barrier"],
     "tol": shrinkage._RANGES["tol"], "max_iter": shrinkage._RANGES["max_iter"]}
-# the theory constants of the admissibility check
-_THEORY = {key: spectral._RANGES[key] for key in ("R", "T", "beta", "gamma")}
+# the theory constants of the admissibility check, and gamma's default
+_THEORY = {key: spectral._RANGES[key] for key in ("R", "T", "beta")}
+_THEORY["gamma"] = spectral._RANGES["gamma"]._replace(default=1.5)
 _ALPHA = {"alpha": spectral._RANGES["alpha"]._replace(default=1.0)}
 _LOWRANK = {  # LowRankConfig's keys
     "U": lowrank._RANGES["U"]._replace(default=1.0),
@@ -254,8 +255,7 @@ def cv_fit(tag, tuning):
 def _admissible_flag(tuning, n, p):
     if not all(k in tuning for k in ("U", "R", "T", "beta")):
         return None
-    cfg = spectral.SpectralConfig(**_given(tuning, {**_U, **_THEORY}))
-    return spectral.admissible(cfg, n, p)
+    return spectral.admissible(**_given(tuning, {**_U, **_THEORY}), n=n, p=p)
 
 
 # The replications that run_experiment samples and estimates together. An

@@ -258,14 +258,16 @@ def lambda_threshold(U, sigma_norm, T, beta, gamma, n):
     lam = gamma^2 exp(|Sigma| U^2/4 + 4 T U^beta)/(U^2 sqrt(n)) + T U^(beta-2)
     with both existential constants set to 1 (heuristic). Returns
     (lam, hypothesis_ok); the flag is False when the concentration
-    hypothesis exp(|Sigma| U^2/8 + 2 T U^beta) <= sqrt(n) fails.
+    hypothesis exp(|Sigma| U^2/8 + 2 T U^beta) <= sqrt(n) fails. lam is
+    inf, and the flag False, where an exponent, gamma^2 or U^2 leaves
+    float64's range.
     """
     _check(None, {"U": U, "sigma_norm": sigma_norm, "T": T}, _RANGES)
     _check(None, {"beta": beta, "gamma": gamma, "n": n}, spectral._RANGES)
-    lam = (
+    lam = spectral._inf_on_overflow(lambda: (
         gamma**2 * math.exp(sigma_norm * U**2 / 4.0 + 4.0 * T * U**beta)
         / (U**2 * math.sqrt(n))
-        + T * U ** (beta - 2.0)
-    )
-    ok = math.exp(sigma_norm * U**2 / 8.0 + 2.0 * T * U**beta) <= math.sqrt(n)
+        + T * U ** (beta - 2.0)))
+    ok = spectral._inf_on_overflow(lambda: math.exp(
+        sigma_norm * U**2 / 8.0 + 2.0 * T * U**beta)) <= math.sqrt(n)
     return lam, ok

@@ -19,8 +19,6 @@ __all__ = [
     "CovModel",
     "NoiseModel",
     "Scenario",
-    "make_tridiagonal",
-    "make_block_diagonal",
     "covariance_sqrt",
     "sample_scenario",
     "noise_cf",
@@ -43,44 +41,6 @@ _RANGES = {"p": _COUNT, "n": _COUNT, "seed": _SEED,
            "sigma": _POSITIVE, "norm": _Key(("lbeta", "l2"))}
 
 
-def make_tridiagonal(p: int) -> np.ndarray:
-    """Unit diagonal, 0.4 on the first off-diagonals."""
-    p = _args(_RANGES, p=p)["p"]
-    m = np.eye(p)
-    idx = np.arange(p - 1)
-    m[idx, idx + 1] = m[idx + 1, idx] = 0.4
-    return m
-
-
-def make_block_diagonal(p: int, block_sizes, seed: int = 0) -> np.ndarray:
-    """Random-sign symmetric blocks, diagonal-shifted to condition number p.
-
-    The shift c solving (lmax + c)/(lmin + c) = p is available in closed
-    form, so the target is hit exactly (up to eigensolver accuracy). The
-    result is rescaled to unit largest eigenvalue.
-    """
-    args = _args(_RANGES, p=p, block_sizes=list(block_sizes), seed=seed)
-    p, sizes, seed = args["p"], args["block_sizes"], args["seed"]
-    if sum(sizes) != p:
-        raise ValueError("block sizes must sum to p")
-    rng = np.random.default_rng(seed)
-    full = np.zeros((p, p))
-    pos = 0
-    for b in sizes:
-        mags = rng.uniform(0.5, 1.5, size=(b, b))
-        signs = rng.choice([-1.0, 1.0], size=(b, b))
-        m = mags * signs
-        full[pos:pos + b, pos:pos + b] = 0.5 * (m + m.T)
-        pos += b
-    w = np.linalg.eigvalsh(full)
-    lmin, lmax = w[0], w[-1]
-    if lmax <= lmin:  # all eigenvalues equal, as at p = 1: the result is I
-        return np.eye(p)
-    c = (lmax - p * lmin) / (p - 1.0)
-    shifted = full + c * np.eye(p)
-    return shifted / (lmax + c)
-
-
 class CovModel:
     """A covariance matrix, built once by a constructor and held read-only,
     and its square root, computed once on first use and held the same way."""
@@ -93,11 +53,36 @@ class CovModel:
 
     @classmethod
     def tridiagonal(cls, p):
-        return cls(make_tridiagonal(p))
+        """Unit diagonal, 0.4 on the first off-diagonals."""
+        p = _args(_RANGES, p=p)["p"]
+        return cls(np.eye(p) + 0.4 * (np.eye(p, k=1) + np.eye(p, k=-1)))
 
     @classmethod
     def block_diagonal(cls, p, block_sizes, seed=0):
-        return cls(make_block_diagonal(p, block_sizes, seed))
+        """Random-sign symmetric blocks, shifted by the c that solves
+        (lmax + c)/(lmin + c) = p in closed form, so that the condition
+        number is p up to eigensolver accuracy, and rescaled to unit
+        largest eigenvalue."""
+        args = _args(_RANGES, p=p, block_sizes=list(block_sizes), seed=seed)
+        p, sizes, seed = args["p"], args["block_sizes"], args["seed"]
+        if sum(sizes) != p:
+            raise ValueError("block sizes must sum to p")
+        rng = np.random.default_rng(seed)
+        full = np.zeros((p, p))
+        pos = 0
+        for b in sizes:
+            mags = rng.uniform(0.5, 1.5, size=(b, b))
+            signs = rng.choice([-1.0, 1.0], size=(b, b))
+            m = mags * signs
+            full[pos:pos + b, pos:pos + b] = 0.5 * (m + m.T)
+            pos += b
+        w = np.linalg.eigvalsh(full)
+        lmin, lmax = w[0], w[-1]
+        if lmax <= lmin:  # all eigenvalues equal, as at p = 1: the result is I
+            return cls(np.eye(p))
+        c = (lmax - p * lmin) / (p - 1.0)
+        shifted = full + c * np.eye(p)
+        return cls(shifted / (lmax + c))
 
     @classmethod
     def explicit(cls, matrix):

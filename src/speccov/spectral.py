@@ -22,12 +22,10 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from ._checks import (NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _Key, _check,
-                      _fields)
+from ._checks import NUMBER, _COUNT, _NONNEGATIVE, _POSITIVE, _Key, _check
 
 __all__ = [
     "probe_log_moduli",
-    "SpectralConfig",
     "CovEstimate",
     "gaussian_generator",
     "stable_generator",
@@ -131,25 +129,6 @@ def probe_log_moduli(Y, U: float):
 
 
 @dataclass(frozen=True)
-class SpectralConfig:
-    """Theory constants driving the concentration threshold.
-
-    U is the probe radius, gamma the concentration parameter (> sqrt(2)),
-    R bounds the largest entry of Sigma, and (T, beta) describe the noise
-    class: |log|psi(u)|| <= T * (1 + |u|_beta^beta) with beta in [0, 2).
-    """
-
-    U: float
-    R: float
-    T: float
-    beta: float
-    gamma: float = 1.5
-
-    def __post_init__(self):
-        _fields(self, _RANGES)
-
-
-@dataclass(frozen=True)
 class CovEstimate:
     """A symmetric covariance estimate and the tuning that produced it."""
 
@@ -217,40 +196,53 @@ def spectral_estimate(Y, U: float, gen: Callable = _GAUSSIAN) -> CovEstimate:
     return _assemble(probe_log_moduli(Y, U), U, gen)
 
 
-def tau_threshold(cfg: SpectralConfig, n: int, p: int) -> float:
-    """Entrywise concentration threshold tau(U).
+def _inf_on_overflow(formula) -> float:
+    """formula(), or inf where a power, exponential or quotient in it
+    leaves float64's range."""
+    try:
+        return formula()
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
-    Sum of a stochastic term growing like exp(R U^2 + 3 T U^beta) / U^2 and
-    a deterministic noise-bias term 3 T U^(beta-2).
+
+def tau_threshold(U: float, R: float, T: float, beta: float, gamma: float,
+                  n: int, p: int) -> float:
+    """Entrywise concentration threshold tau(U): a stochastic term growing
+    like exp(R U^2 + 3 T U^beta) / U^2 plus a deterministic noise-bias
+    term 3 T U^(beta-2); inf, its limit, where the exponent or U^2 leaves
+    float64's range.
+
+    U is the probe radius, gamma the concentration parameter (> sqrt(2)),
+    R bounds the largest entry of Sigma, and (T, beta) describe the noise
+    class |log|psi(u)|| <= T * (1 + |u|_beta^beta), beta in [0, 2).
     """
-    _check(None, {"n": n, "p": p}, _RANGES)
-    U = cfg.U
-    stoch = (
-        6.0
-        * cfg.gamma
-        * math.exp(cfg.R * U**2 + 3.0 * cfg.T * U**cfg.beta)
-        / U**2
+    _check(None, {"U": U, "R": R, "T": T, "beta": beta, "gamma": gamma,
+                  "n": n, "p": p}, _RANGES)
+    return _inf_on_overflow(lambda: (
+        6.0 * gamma * math.exp(R * U**2 + 3.0 * T * U**beta) / U**2
         * math.sqrt(math.log(math.e * p) / n)
-    )
-    return stoch + 3.0 * cfg.T * U ** (cfg.beta - 2.0)
+        + 3.0 * T * U ** (beta - 2.0)))
 
 
-def admissible(cfg: SpectralConfig, n: int, p: int) -> bool:
-    """Whether (cfg, n, p) satisfies the concentration hypothesis.
+def admissible(U: float, R: float, T: float, beta: float, gamma: float,
+               n: int, p: int) -> bool:
+    """Whether the constants of :func:`tau_threshold` satisfy the
+    concentration hypothesis at (n, p).
 
-    8 gamma sqrt(log(ep)/n) < exp(-R U^2 - 3 T U^beta). Estimation proceeds
-    regardless; the flag is advisory and recorded by the harness.
+    8 gamma sqrt(log(ep)/n) < exp(-R U^2 - 3 T U^beta), which fails where
+    the exponent leaves float64's range. Estimation proceeds regardless;
+    the flag is advisory and recorded by the harness.
     """
-    _check(None, {"n": n, "p": p}, _RANGES)
-    lhs = 8.0 * cfg.gamma * math.sqrt(math.log(math.e * p) / n)
-    rhs = math.exp(-cfg.R * cfg.U**2 - 3.0 * cfg.T * cfg.U**cfg.beta)
-    return lhs < rhs
+    _check(None, {"U": U, "R": R, "T": T, "beta": beta, "gamma": gamma,
+                  "n": n, "p": p}, _RANGES)
+    x = _inf_on_overflow(lambda: R * U**2 + 3.0 * T * U**beta)
+    return 8.0 * gamma * math.sqrt(math.log(math.e * p) / n) < math.exp(-x)
 
 
 def spectral_radius_star(R: float, gamma: float, n: int, p: int) -> float:
     """Theory-driven probe radius U* = sqrt(log(n / (64 gamma^2 log(ep))) / (4R))."""
     _check(None, {"R": R, "gamma": gamma, "n": n, "p": p}, _RANGES)
-    arg = n / (64.0 * gamma**2 * math.log(math.e * p))
+    arg = n / _inf_on_overflow(lambda: 64.0 * gamma**2 * math.log(math.e * p))
     if arg <= 1.0:
         raise PreAsymptoticError(
             "pre-asymptotic regime: n <= 64 gamma^2 log(ep); choose U manually"

@@ -18,7 +18,6 @@ from speccov.simgen import (
     CovModel,
     NoiseModel,
     Scenario,
-    make_tridiagonal,
     noise_cf,
     sample_scenario,
 )
@@ -68,7 +67,7 @@ class TestCriterion2NoiselessSanity:
         exact = exact_cf_estimate(cf, 4, 1.0).matrix
         exact_err = float(np.abs(exact - S).max())
 
-        truth = make_tridiagonal(5)
+        truth = CovModel.tridiagonal(5).matrix()
         Y = sample_scenario(Scenario(cov=CovModel.tridiagonal(5),
                                      noise=NoiseModel.none(), n=10**5, seed=1))
         sampled = spectral.spectral_estimate(Y, 1.0).matrix
@@ -83,10 +82,9 @@ class TestCriterion3ConcentrationCoverage:
     def test_max_entry_event_probability(self):
         p, n, gamma = 5, 2000, 1.5
         truth = 0.1 * np.eye(p)
-        cfg = spectral.SpectralConfig(U=1.0, R=0.1, T=1e-12, beta=0.0,
-                                      gamma=gamma)
-        assert spectral.admissible(cfg, n, p)
-        tau = spectral.tau_threshold(cfg, n, p)
+        theory = (1.0, 0.1, 1e-12, 0.0, gamma, n, p)  # U, R, T, beta, gamma
+        assert spectral.admissible(*theory)
+        tau = spectral.tau_threshold(*theory)
         hits = 0
         reps = 500
         for rep in range(reps):
@@ -139,7 +137,7 @@ class TestCriterion4SolverCertificates:
 
 class TestCriterion5OracleInequalityAudit:
     def test_soft_threshold_risk_never_exceeds_support_oracle(self):
-        truth = make_tridiagonal(3)
+        truth = CovModel.tridiagonal(3).matrix()
         tau = 0.3
         c = (1.0 + math.sqrt(2.0)) ** 2 * tau**2
         best = min(
@@ -194,14 +192,13 @@ class TestCriterion6GeneratorFidelity:
 class TestCriterion7RateShape:
     def test_theory_tuned_hard_threshold_error_decays(self):
         p, R, T, beta, gamma = 10, 0.15, 0.02, 1.0, 1.5
-        truth = 0.15 * make_tridiagonal(p)
+        truth = 0.15 * CovModel.tridiagonal(p).matrix()
         noise = NoiseModel.stable(beta, T)
         ns = (10**3, 10**4, 10**5, 10**6)
         by_n = []
         for n in ns:
             U = spectral.spectral_radius_star(R, gamma, n, p)
-            cfg = spectral.SpectralConfig(U=U, R=R, T=T, beta=beta, gamma=gamma)
-            tau = spectral.tau_threshold(cfg, n, p)
+            tau = spectral.tau_threshold(U, R, T, beta, gamma, n, p)
             # replication r draws its sample at the seed [21, n, r]
             by_n.append(medians(ExperimentSpec(
                 Scenario(CovModel.explicit(truth), noise, n, seed=[21, n]),

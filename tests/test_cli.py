@@ -561,6 +561,18 @@ class TestRates:
         assert [row[:2] for row in rows] == [["2", "5"], ["1000", "5"]]
         assert rows[0][5] == "" and float(rows[1][5]) > 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--u", "30"], ["--u", "2", "--r", "200"]], ids=["u_30", "r_200"])
+    def test_out_of_float_range_prints_inf_and_false(self, capsys, flags):
+        # exp(R U^2 + 3 T U^beta) leaves float64's range, where the command
+        # used to exit 1 with an OverflowError and print no row
+        code = main(["rates", "--n", "1000", "--p", "10", *flags])
+        assert code == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [row[:4] for row in rows] == [["1000", "10", "inf", "false"]]
+        assert float(rows[0][4]) > 0 and float(rows[0][5]) > 0
+
 
 class TestParserReuse:
     """main builds its parser once per process; no parse may leave a value

@@ -569,3 +569,13 @@ class TestLambdaThreshold:
         # and n = 0 to raise ZeroDivisionError
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             lambda_threshold(*args)
+
+    @pytest.mark.parametrize("U,sigma_norm,T", [
+        (60.0, 1.0, 0.0), (200.0, 0.0, 1.0), (1e200, 1.0, 1.0)],
+        ids=["sigma_exponent", "noise_exponent", "U_squared"])
+    def test_out_of_float_range_is_inf_and_false(self, U, sigma_norm, T):
+        # exp(|Sigma| U^2/4 + 4 T U^beta), or U^2, leaves float64's range
+        # (the exponent passes 709 from U = 53.3 with |Sigma| = 1, T = 0):
+        # each used to raise OverflowError
+        lam, ok = lambda_threshold(U, sigma_norm, T, 1.0, 1.5, 10**6)
+        assert lam == math.inf and ok is False

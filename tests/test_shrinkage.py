@@ -28,7 +28,6 @@ from speccov.simgen import (
     CovModel,
     NoiseModel,
     Scenario,
-    make_tridiagonal,
     sample_scenario,
 )
 from speccov.spectral import CovEstimate, EstimationError, spectral_estimate
@@ -732,7 +731,7 @@ class TestSampleCovariance:
                      noise=NoiseModel.gamma_elliptical(np.eye(4), theta),
                      n=200_000, seed=7)
         got = sample_covariance(sample_scenario(s)).matrix
-        want = make_tridiagonal(4) + theta * np.eye(4)
+        want = CovModel.tridiagonal(4).matrix() + theta * np.eye(4)
         assert np.abs(got - want).max() < 0.08
 
 
@@ -863,7 +862,7 @@ class TestThresholdRiskAudits:
     deviation event holds."""
 
     def _event_reps(self, reps=40):
-        truth = make_tridiagonal(3)
+        truth = CovModel.tridiagonal(3).matrix()
         tau = 0.3
         out = []
         for rep in range(reps):

@@ -12,8 +12,6 @@ from speccov.simgen import (
     Scenario,
     covariance_sqrt,
     frobenius_error,
-    make_block_diagonal,
-    make_tridiagonal,
     noise_cf,
     sample_scenario,
     stable_one_sided,
@@ -26,7 +24,8 @@ from test_charfreq import ecf as empirical_cf
 
 class TestTridiagonal:
     def test_p1(self):
-        np.testing.assert_array_equal(make_tridiagonal(1), [[1.0]])
+        np.testing.assert_array_equal(CovModel.tridiagonal(1).matrix(),
+                                      [[1.0]])
 
     def test_p3_rows(self):
         expected = np.array([
@@ -34,59 +33,62 @@ class TestTridiagonal:
             [0.4, 1.0, 0.4],
             [0.0, 0.4, 1.0],
         ])
-        np.testing.assert_array_equal(make_tridiagonal(3), expected)
+        np.testing.assert_array_equal(CovModel.tridiagonal(3).matrix(),
+                                      expected)
 
     def test_p20_eigenvalues_bounded(self):
-        w = np.linalg.eigvalsh(make_tridiagonal(20))
+        w = np.linalg.eigvalsh(CovModel.tridiagonal(20).matrix())
         assert w.min() > 1.0 - 0.8
         assert w.max() < 1.0 + 0.8
 
     def test_sparsity_class_membership(self):
         # 3p-2 nonzero entries, all bounded by 1 in absolute value
         p = 12
-        m = make_tridiagonal(p)
+        m = CovModel.tridiagonal(p).matrix()
         assert np.count_nonzero(m) == 3 * p - 2
         assert np.abs(m).max() == 1.0
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            make_tridiagonal(0)
+            CovModel.tridiagonal(0)
 
     def test_whole_float_p_runs_as_its_int(self):
-        np.testing.assert_array_equal(make_tridiagonal(4.0), make_tridiagonal(4))
+        np.testing.assert_array_equal(CovModel.tridiagonal(4.0).matrix(),
+                                      CovModel.tridiagonal(4).matrix())
         with pytest.raises(ValueError, match=r"^p must be a whole number, got 4\.5"):
-            make_tridiagonal(4.5)
+            CovModel.tridiagonal(4.5)
 
 
 class TestBlockDiagonal:
     def test_size_one_block_normalizes_to_one(self):
-        np.testing.assert_array_equal(make_block_diagonal(1, [1]), [[1.0]])
+        np.testing.assert_array_equal(
+            CovModel.block_diagonal(1, [1]).matrix(), [[1.0]])
 
     @pytest.mark.parametrize("p,sizes", [(6, (2, 2, 2)), (20, (5, 5, 5, 5)),
                                          (7, (3, 4))])
     def test_condition_number_equals_p(self, p, sizes):
-        m = make_block_diagonal(p, sizes, seed=1)
+        m = CovModel.block_diagonal(p, sizes, seed=1).matrix()
         w = np.linalg.eigvalsh(m)
         assert w.min() > 0
         cond = w.max() / w.min()
         assert cond == pytest.approx(p, rel=0.01)
 
     def test_symmetric_pd_and_deterministic(self):
-        a = make_block_diagonal(8, (4, 4), seed=3)
-        b = make_block_diagonal(8, (4, 4), seed=3)
+        a = CovModel.block_diagonal(8, (4, 4), seed=3).matrix()
+        b = CovModel.block_diagonal(8, (4, 4), seed=3).matrix()
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, a.T)
         assert np.linalg.eigvalsh(a).min() > 0
 
     def test_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError):
-            make_block_diagonal(5, (2, 2))
+            CovModel.block_diagonal(5, (2, 2))
 
     def test_whole_float_sizes_run_as_their_ints(self):
         # float block sizes used to raise TypeError inside numpy
         np.testing.assert_array_equal(
-            make_block_diagonal(7.0, [3.0, 4.0], seed=2.0),
-            make_block_diagonal(7, [3, 4], seed=2))
+            CovModel.block_diagonal(7.0, [3.0, 4.0], seed=2.0).matrix(),
+            CovModel.block_diagonal(7, [3, 4], seed=2).matrix())
 
     @pytest.mark.parametrize("args,message", [
         ((0, []), "p must be >= 1, got 0"),
@@ -96,7 +98,7 @@ class TestBlockDiagonal:
     ])
     def test_rejects_bad_arguments(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            make_block_diagonal(*args)
+            CovModel.block_diagonal(*args)
 
 
 class TestCovarianceSqrt:
@@ -476,11 +478,11 @@ class TestModelValidation:
 
 class TestFrobeniusError:
     def test_exact_match_is_zero(self):
-        S = make_tridiagonal(4)
+        S = CovModel.tridiagonal(4).matrix()
         assert frobenius_error(S, S) == 0.0
 
     def test_rank_one_bump_is_one(self):
-        S = make_tridiagonal(4)
+        S = CovModel.tridiagonal(4).matrix()
         e1 = np.eye(4)[0]
         assert frobenius_error(S + np.outer(e1, e1), S) == pytest.approx(1.0)
 

@@ -9,7 +9,6 @@ from speccov.spectral import (
     CovEstimate,
     EstimationError,
     PreAsymptoticError,
-    SpectralConfig,
     _assemble,
     admissible,
     gaussian_generator,
@@ -38,9 +37,17 @@ def exact_cf_estimate(cf, p, U, gen=gaussian_generator()):
                                for i in range(p)]), U, gen)
 
 
-class TestSpectralConfig:
+# U, R, T, beta and gamma of tau_threshold and admissible
+THEORY = dict(U=1.0, R=1.0, T=1.0, beta=1.0, gamma=1.5)
+
+
+class TestTheoryConstants:
+    """tau_threshold and admissible check their constants alike."""
+
     def test_valid(self):
-        SpectralConfig(U=1.0, R=1.0, T=0.5, beta=1.0)
+        theory = dict(THEORY, T=0.5)
+        assert tau_threshold(**theory, n=100, p=5) > 0
+        assert admissible(**theory, n=100, p=5) is False
 
     @pytest.mark.parametrize(
         "kw",
@@ -61,8 +68,25 @@ class TestSpectralConfig:
         ],
     )
     def test_invalid(self, kw):
-        with pytest.raises(ValueError):
-            SpectralConfig(**kw)
+        theory = dict(THEORY, **kw)
+        with pytest.raises(ValueError) as tau_error:
+            tau_threshold(**theory, n=100, p=5)
+        with pytest.raises(ValueError) as admissible_error:
+            admissible(**theory, n=100, p=5)
+        assert str(tau_error.value) == str(admissible_error.value)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(gamma=1.4), "gamma must be > sqrt(2), got 1.4"),
+        (dict(U=math.nan), "U must be a number, got nan"),
+        (dict(beta=2.0, n=0), "beta must be in [0, 2), got 2.0"),
+    ])
+    def test_messages_name_the_constant(self, kw, message):
+        # the wording of the checks that the helpers' constants had as
+        # fields of one config object; a bad constant is named before n
+        theory = {**THEORY, "n": 100, "p": 5, **kw}
+        for helper in (tau_threshold, admissible):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                helper(**theory)
 
 
 class TestCovEstimate:
@@ -199,16 +223,15 @@ class TestTauThreshold:
     def test_direct_substitution_value(self):
         # beta=0, T negligible: tau = 6 gamma e^R sqrt(log(ep)/n) + 3T
         g = math.sqrt(2) + 0.01
-        cfg = SpectralConfig(U=1.0, R=1.0, T=1e-12, beta=0.0, gamma=g)
-        got = tau_threshold(cfg, 10**6, 1)
+        got = tau_threshold(1.0, 1.0, 1e-12, 0.0, g, 10**6, 1)
         assert got == pytest.approx(6.0 * g * math.e * 1e-3, rel=1e-6)
 
     def test_direct_substitution_scaled_sample_size(self):
         g = math.sqrt(2) + 0.01
-        cfg = SpectralConfig(U=1.0, R=1.0, T=1e-12, beta=0.0, gamma=g)
         n = round(math.e * 10**6)
         expected = 6.0 * g * math.exp(1.0) * math.sqrt(1.0 / n) + 3e-12
-        assert tau_threshold(cfg, n, 1) == pytest.approx(expected, rel=1e-9)
+        assert tau_threshold(1.0, 1.0, 1e-12, 0.0, g, n, 1) == \
+            pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("n,p,message", [
         (math.nan, 5, "n must be a whole number, got nan"),
@@ -217,45 +240,48 @@ class TestTauThreshold:
     ])
     def test_rejects_bad_sizes(self, n, p, message):
         # NaN used to return NaN
-        cfg = SpectralConfig(U=1.0, R=1.0, T=1.0, beta=1.0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            tau_threshold(cfg, n, p)
+            tau_threshold(**THEORY, n=n, p=p)
 
     def test_noiseless_limit_proportional_to_sqrt_log_over_n(self):
-        cfg = SpectralConfig(U=1.0, R=0.5, T=1e-300, beta=0.0)
-        a = tau_threshold(cfg, 10**4, 3)
-        b = tau_threshold(cfg, 4 * 10**4, 3)
+        theory = dict(THEORY, R=0.5, T=1e-300, beta=0.0)
+        a = tau_threshold(**theory, n=10**4, p=3)
+        b = tau_threshold(**theory, n=4 * 10**4, p=3)
         assert a / b == pytest.approx(2.0, rel=1e-9)
 
     def test_bias_term_decreases_in_u(self):
         # suppress the stochastic term with a huge n
         n = 10**30
         vals = [
-            tau_threshold(SpectralConfig(U=U, R=1e-9, T=1.0, beta=0.5), n, 2)
+            tau_threshold(U, 1e-9, 1.0, 0.5, 1.5, n, 2)
             for U in (1.0, 2.0, 4.0, 8.0)
         ]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_rejects_bad_counts(self):
-        cfg = SpectralConfig(U=1.0, R=1.0, T=1.0, beta=1.0)
         with pytest.raises(ValueError):
-            tau_threshold(cfg, 0, 1)
+            tau_threshold(**THEORY, n=0, p=1)
+
+    @pytest.mark.parametrize("kw", [
+        dict(U=30.0), dict(U=2.0, R=200.0), dict(U=1e200), dict(U=1e-200)])
+    def test_out_of_float_range_is_inf(self, kw):
+        # exp(R U^2 + 3 T U^beta) or U^2 leaves float64's range: each used
+        # to raise OverflowError, or ZeroDivisionError where U^2 is 0
+        assert tau_threshold(**dict(THEORY, **kw), n=1000, p=10) == math.inf
 
 
 class TestAdmissible:
     def test_large_n_small_constants(self):
-        cfg = SpectralConfig(U=1.0, R=0.01, T=0.01, beta=1.0, gamma=1.5)
-        assert admissible(cfg, 10**6, 2) is True
+        assert admissible(1.0, 0.01, 0.01, 1.0, 1.5, 10**6, 2) is True
 
     def test_tiny_n_huge_p(self):
-        cfg = SpectralConfig(U=1.0, R=1.0, T=1.0, beta=1.0, gamma=1.5)
-        assert admissible(cfg, 10, 10**6) is False
+        assert admissible(**THEORY, n=10, p=10**6) is False
 
     def test_reduces_to_stochastic_condition_in_the_limit(self):
         # with R, T negligible the condition is 8 gamma sqrt(log(ep)/n) < 1
-        cfg = SpectralConfig(U=1.0, R=1e-12, T=1e-12, beta=0.0, gamma=1.5)
-        assert admissible(cfg, 10**4, 2) is True
-        assert admissible(cfg, 100, 2) is False
+        theory = dict(THEORY, R=1e-12, T=1e-12, beta=0.0)
+        assert admissible(**theory, n=10**4, p=2) is True
+        assert admissible(**theory, n=100, p=2) is False
 
     @pytest.mark.parametrize("n,p,message", [
         (0, 5, "n must be >= 1, got 0"),
@@ -264,9 +290,14 @@ class TestAdmissible:
     ])
     def test_rejects_bad_sizes(self, n, p, message):
         # n = 0 used to raise ZeroDivisionError, and NaN to return False
-        cfg = SpectralConfig(U=1.0, R=1.0, T=1.0, beta=1.0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            admissible(cfg, n, p)
+            admissible(**THEORY, n=n, p=p)
+
+    @pytest.mark.parametrize("U", [30.0, 1e200])
+    def test_out_of_float_range_is_false(self, U):
+        # exp(-R U^2 - 3 T U^beta) is 0 there; U^2 used to raise
+        # OverflowError at U = 1e200
+        assert admissible(**dict(THEORY, U=U), n=10**30, p=1) is False
 
 
 class TestSpectralRadiusStar:
@@ -297,6 +328,12 @@ class TestSpectralRadiusStar:
                                (1.0, math.inf, "gamma")]:
             with pytest.raises(ValueError, match=f"^{name} must"):
                 spectral_radius_star(R, gamma, 10**6, 5)
+
+    def test_gamma_out_of_float_range_is_pre_asymptotic(self):
+        # gamma^2 leaves float64's range, where it used to raise
+        # OverflowError: n / (64 gamma^2 log(ep)) is then below 1
+        with pytest.raises(PreAsymptoticError):
+            spectral_radius_star(1.0, 1e200, 10**6, 5)
 
     @pytest.mark.parametrize("n,p,name", [
         (math.nan, 5, "n"), (0, 5, "n"), (10**6, math.nan, "p"),
